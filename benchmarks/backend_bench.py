@@ -42,19 +42,9 @@ def run(sizes, reps):
                 lambda: backends._ode1_fill_nb(t, lam, 1.0),
             ),
             (
-                f"ode1 grads {n}x{s}",
-                lambda: backends._ode1_grads_np(t, lam, 1.0),
-                lambda: backends._ode1_grads_nb(t, lam, 1.0),
-            ),
-            (
                 f"ode2 fill {n}x{s}",
                 lambda: backends._ode2_fill_np(t, lam, 1.0, -1.0 + 0j, -2.0 + 0j),
                 lambda: backends._ode2_fill_nb(t, lam, 1.0, -1.0 + 0j, -2.0 + 0j),
-            ),
-            (
-                f"ode2 grads {n}x{s}",
-                lambda: backends._ode2_grads_np(t, lam, 1.0, 3.0, 2.0, -1.0 + 0j, -2.0 + 0j),
-                lambda: backends._ode2_grads_nb(t, lam, 1.0, 3.0, 2.0, -1.0 + 0j, -2.0 + 0j),
             ),
         ]
         for name, np_fn, nb_fn in cases:

@@ -1,10 +1,14 @@
-"""Hot inner loops for feature assembly: numba-jitted with a numpy fallback.
+"""Hot inner loops: feature fills and gradient contractions.
 
-Every fill exists twice, a ``@njit`` version and a pure-numpy broadcasting
-version computing identical formulas.  Selection is process-wide via the
-``LFMRFF_BACKEND`` environment variable (``numba`` or ``numpy``); the default
-is numba when importable.  ``benchmarks/backend_bench.py`` times the two
-implementations against each other.
+Each value fill exists twice, a ``@njit`` version and a pure-numpy
+broadcasting version computing identical formulas.  Selection is
+process-wide via the ``LFMRFF_BACKEND`` environment variable (``numba`` or
+``numpy``); the default is numba when importable.
+
+The gradient contractions exist once, in numpy.  They never form a
+derivative block: each reduces a block to a few per-column statistics with
+matrix products and then works on vectors of length S, so there is no
+elementwise loop for a compiler to speed up.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ try:
     from numba import njit
 
     HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a hard dep, but stay usable
+except ImportError:  # pragma: no cover - numba is an optional extra
     HAVE_NUMBA = False
 
     def njit(*args, **kwargs):
@@ -57,16 +61,6 @@ def _ode1_fill_np(t, lam, gamma):
     return (np.exp(1j * np.outer(t, lam)) - np.exp(-gamma * t)[:, None]) / den
 
 
-def _ode1_grads_np(t, lam, gamma):
-    den = gamma + 1j * lam[None, :]
-    e_lam = np.exp(1j * np.outer(t, lam))
-    e_gam = np.exp(-gamma * t)[:, None]
-    v = (e_lam - e_gam) / den
-    dv_dgamma = (t[:, None] * e_gam - v) / den
-    dv_dlam = 1j * (t[:, None] * e_lam - v) / den
-    return v, dv_dgamma, dv_dlam
-
-
 @njit(cache=True)
 def _ode1_fill_nb(t, lam, gamma):  # pragma: no cover - exercised via dispatch
     out = np.empty((t.size, lam.size), dtype=np.complex128)
@@ -78,30 +72,9 @@ def _ode1_fill_nb(t, lam, gamma):  # pragma: no cover - exercised via dispatch
     return out
 
 
-@njit(cache=True)
-def _ode1_grads_nb(t, lam, gamma):  # pragma: no cover
-    n, m = t.size, lam.size
-    v = np.empty((n, m), dtype=np.complex128)
-    dg = np.empty((n, m), dtype=np.complex128)
-    dl = np.empty((n, m), dtype=np.complex128)
-    for i in range(n):
-        ti = t[i]
-        e_gam = np.exp(-gamma * ti)
-        for k in range(m):
-            den = gamma + 1j * lam[k]
-            e_lam = np.exp(1j * lam[k] * ti)
-            vv = (e_lam - e_gam) / den
-            v[i, k] = vv
-            dg[i, k] = (ti * e_gam - vv) / den
-            dl[i, k] = 1j * (ti * e_lam - vv) / den
-    return v, dg, dl
-
-
 # ---------------------------------------------------------------------------
 # ODE2: v = (A1 e^{s1 t} + A2 e^{s2 t} + A3 e^{s3 t}) / m,  s3 = j*lam.
-# Partial-fraction coefficients over the three pairwise-distinct roots; the
-# gradient path differentiates through the roots (implicit function theorem
-# on m s^2 + c s + b = 0, so ds/dm = -s^2/(m(s1-s2)) etc. for root s1).
+# Partial-fraction coefficients over the three pairwise-distinct roots.
 
 
 def _ode2_fill_np(t, lam, mass, s1, s2):
@@ -114,37 +87,6 @@ def _ode2_fill_np(t, lam, mass, s1, s2):
     a3 = 1.0 / (d13 * d23)
     tc = t[:, None]
     return (a1 * np.exp(s1 * tc) + a2 * np.exp(s2 * tc) + a3 * np.exp(s3 * tc)) / mass
-
-
-def _ode2_grads_np(t, lam, mass, damper, spring, s1, s2):
-    s3 = 1j * lam[None, :]
-    d12 = s1 - s2
-    d13 = s1 - s3
-    d23 = s2 - s3
-    a1 = 1.0 / (d12 * d13)
-    a2 = -1.0 / (d12 * d23)
-    a3 = 1.0 / (d13 * d23)
-    tc = t[:, None]
-    e1 = np.exp(s1 * tc)
-    e2 = np.exp(s2 * tc)
-    e3 = np.exp(s3 * tc)
-    f = a1 * e1 + a2 * e2 + a3 * e3
-    df_ds1 = (-a1 * (1.0 / d12 + 1.0 / d13) + a1 * tc) * e1 - (a2 / d12) * e2 - (a3 / d13) * e3
-    df_ds2 = (a1 / d12) * e1 + (a2 * (1.0 / d12 - 1.0 / d23) + a2 * tc) * e2 - (a3 / d23) * e3
-    df_ds3 = (a1 / d13) * e1 + (a2 / d23) * e2 + (a3 * (1.0 / d13 + 1.0 / d23) + a3 * tc) * e3
-    md12 = mass * d12
-    ds1_dm = -s1 * s1 / md12
-    ds2_dm = s2 * s2 / md12
-    ds1_dc = -s1 / md12
-    ds2_dc = s2 / md12
-    ds1_db = -1.0 / md12
-    ds2_db = 1.0 / md12
-    v = f / mass
-    dv_dm = (df_ds1 * ds1_dm + df_ds2 * ds2_dm - v) / mass
-    dv_dc = (df_ds1 * ds1_dc + df_ds2 * ds2_dc) / mass
-    dv_db = (df_ds1 * ds1_db + df_ds2 * ds2_db) / mass
-    dv_dlam = 1j * df_ds3 / mass
-    return v, dv_dm, dv_dc, dv_db, dv_dlam
 
 
 @njit(cache=True)
@@ -167,47 +109,6 @@ def _ode2_fill_nb(t, lam, mass, s1, s2):  # pragma: no cover
     return out
 
 
-@njit(cache=True)
-def _ode2_grads_nb(t, lam, mass, damper, spring, s1, s2):  # pragma: no cover
-    n, m = t.size, lam.size
-    v = np.empty((n, m), dtype=np.complex128)
-    dm = np.empty((n, m), dtype=np.complex128)
-    dc = np.empty((n, m), dtype=np.complex128)
-    db = np.empty((n, m), dtype=np.complex128)
-    dl = np.empty((n, m), dtype=np.complex128)
-    d12 = s1 - s2
-    md12 = mass * d12
-    ds1_dm = -s1 * s1 / md12
-    ds2_dm = s2 * s2 / md12
-    ds1_dc = -s1 / md12
-    ds2_dc = s2 / md12
-    ds1_db = -1.0 / md12
-    ds2_db = 1.0 / md12
-    for i in range(n):
-        ti = t[i]
-        e1 = np.exp(s1 * ti)
-        e2 = np.exp(s2 * ti)
-        for k in range(m):
-            s3 = 1j * lam[k]
-            d13 = s1 - s3
-            d23 = s2 - s3
-            a1 = 1.0 / (d12 * d13)
-            a2 = -1.0 / (d12 * d23)
-            a3 = 1.0 / (d13 * d23)
-            e3 = np.exp(s3 * ti)
-            f = a1 * e1 + a2 * e2 + a3 * e3
-            df1 = (-a1 * (1.0 / d12 + 1.0 / d13) + a1 * ti) * e1 - (a2 / d12) * e2 - (a3 / d13) * e3
-            df2 = (a1 / d12) * e1 + (a2 * (1.0 / d12 - 1.0 / d23) + a2 * ti) * e2 - (a3 / d23) * e3
-            df3 = (a1 / d13) * e1 + (a2 / d23) * e2 + (a3 * (1.0 / d13 + 1.0 / d23) + a3 * ti) * e3
-            vv = f / mass
-            v[i, k] = vv
-            dm[i, k] = (df1 * ds1_dm + df2 * ds2_dm - vv) / mass
-            dc[i, k] = (df1 * ds1_dc + df2 * ds2_dc) / mass
-            db[i, k] = (df1 * ds1_db + df2 * ds2_db) / mass
-            dl[i, k] = 1j * df3 / mass
-    return v, dm, dc, db, dl
-
-
 # ---------------------------------------------------------------------------
 # dispatch
 
@@ -221,15 +122,6 @@ def ode1_fill(t, lam, gamma):
     return _ode1_fill_np(t, lam, float(gamma))
 
 
-def ode1_grads(t, lam, gamma):
-    """(v, dv/dgamma, dv/dlam) for a first-order operator."""
-    t = np.ascontiguousarray(t, dtype=float)
-    lam = np.ascontiguousarray(lam, dtype=float)
-    if _BACKEND == "numba":
-        return _ode1_grads_nb(t, lam, float(gamma))
-    return _ode1_grads_np(t, lam, float(gamma))
-
-
 def ode2_fill(t, lam, mass, s1, s2):
     """Feature values for a second-order operator with roots s1, s2."""
     t = np.ascontiguousarray(t, dtype=float)
@@ -239,14 +131,88 @@ def ode2_fill(t, lam, mass, s1, s2):
     return _ode2_fill_np(t, lam, float(mass), complex(s1), complex(s2))
 
 
-def ode2_grads(t, lam, mass, damper, spring, s1, s2):
-    """(v, dv/dm, dv/dc, dv/db, dv/dlam) for a second-order operator."""
+# ---------------------------------------------------------------------------
+# gradient contractions
+#
+# Every response block is a residue sum over the system roots s_1..s_P and
+# the excitation root x = j*lam,
+#     v = (1/a_0) [sum_p A_p e^{s_p t} + A_x e^{x t}],
+#     A_p = R_p / (s_p - x),  R_p = 1 / prod_{n != p} (s_p - s_n),
+#     A_x = 1 / prod_p (x - s_p).
+# Differentiating a residue sum in one of its roots r_m gives
+#     (t - D_m) A_m e^{r_m t} + sum_{n != m} A_n / (r_n - r_m) e^{r_n t},
+# D_m = sum_{n != m} 1 / (r_m - r_n), so its contraction with a block h
+# needs only F_p = h^T e_p and Ft_p = h^T (t e_p), which are small matrix
+# products, and the e^{x t} sums X = colsum(h * E), Xt = colsum(h * t E).
+# A_x X and A_x Xt are read off a_0 colsum(h * v) and a_0 colsum(h * t v)
+# less the system terms, so the only full-size pass is h * v.  Operator
+# coefficients follow by the implicit function theorem on the
+# characteristic polynomial a(s) = sum_i a_i s^(P-i):
+#     ds_p/da_i = -s_p^(P-i) / a'(s_p),  a'(s_p) = a_0 / R_p,
+# plus -v/a_0 for a_0, which also divides the sum.
+
+
+def residue_grads(t, lam, roots, leading, h, v):
+    """Per-column contractions of ``h`` against a response block's derivatives.
+
+    ``v`` is the (len(t), len(lam)) response of an operator with distinct
+    characteristic ``roots`` and leading coefficient a_0 = ``leading`` to
+    exp(j*lam*t), the block a fill returned; ``h`` has its shape.  Returns
+    (hv, dcoeffs, dlam), where for column k
+
+        hv[k]         = Re sum_i h[i, k] v[i, k],
+        dcoeffs[i, k] = Re sum_i h[i, k] dv[i, k]/da_i   (i = 0..P),
+        dlam[k]       = Re sum_i h[i, k] dv[i, k]/dlam_k.
+    """
     t = np.ascontiguousarray(t, dtype=float)
-    lam = np.ascontiguousarray(lam, dtype=float)
-    if _BACKEND == "numba":
-        return _ode2_grads_nb(
-            t, lam, float(mass), float(damper), float(spring), complex(s1), complex(s2)
-        )
-    return _ode2_grads_np(
-        t, lam, float(mass), float(damper), float(spring), complex(s1), complex(s2)
+    s = np.asarray(roots, dtype=complex)
+    x = 1j * np.asarray(lam, dtype=float)
+    p_count = s.size
+    diff = s[:, None] - s[None, :]
+    np.fill_diagonal(diff, 1.0)
+    res = 1.0 / np.prod(diff, axis=1)  # R_p
+    inv_diff = 1.0 / diff
+    np.fill_diagonal(inv_diff, 0.0)
+    inv_sx = 1.0 / (s[:, None] - x[None, :])  # (P, S)
+    a_sys = res[:, None] * inv_sx  # A_p
+
+    e = np.exp(np.outer(t, s))
+    f_all = np.concatenate([e, t[:, None] * e], axis=1).T @ h  # (2P, S)
+    f, ft = f_all[:p_count], f_all[p_count:]
+    hv_all = np.stack([np.ones_like(t), t]) @ (h * v)  # colsum(h v), colsum(h t v)
+    hv, hvt = hv_all[0], hv_all[1]
+    af = a_sys * f
+    y = leading * hv - af.sum(axis=0)  # A_x X
+    yt = leading * hvt - (a_sys * ft).sum(axis=0)  # A_x Xt
+
+    # contractions with df/ds_p (holomorphic in each root) and df/dx
+    d_sys = inv_diff.sum(axis=1)[:, None] + inv_sx
+    c_sys = a_sys * (ft - d_sys * f) - inv_diff @ af - inv_sx * y[None, :]
+    c_exc = yt + inv_sx.sum(axis=0) * y + (inv_sx * af).sum(axis=0)
+
+    powers = s[:, None] ** np.arange(p_count, -1, -1)[None, :]  # s_p^(P-i)
+    ds_da = -powers * (res / leading)[:, None]  # (P, P+1)
+    dcoeffs = (ds_da.T @ c_sys).real / leading
+    dcoeffs[0] -= hv.real / leading
+    dlam = -c_exc.imag / leading  # Re(j c_exc) / a_0
+    return hv.real, dcoeffs, dlam
+
+
+def ode1_grads(t, lam, gamma, h, v):
+    """(hv, h.dv/dgamma, h.dv/dlam): per-column contractions, see residue_grads.
+
+    ``v`` is ``ode1_fill(t, lam, gamma)``.
+    """
+    hv, dcoeffs, dlam = residue_grads(t, lam, [-float(gamma)], 1.0, h, v)
+    return hv, dcoeffs[1], dlam
+
+
+def ode2_grads(t, lam, mass, s1, s2, h, v):
+    """(hv, h.dv/dm, h.dv/dc, h.dv/db, h.dv/dlam) per column, see residue_grads.
+
+    ``v`` is ``ode2_fill(t, lam, mass, s1, s2)``.
+    """
+    hv, dcoeffs, dlam = residue_grads(
+        t, lam, [complex(s1), complex(s2)], float(mass), h, v
     )
+    return hv, dcoeffs[0], dcoeffs[1], dcoeffs[2], dlam

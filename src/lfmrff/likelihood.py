@@ -3,10 +3,12 @@
 The low-rank evaluation rewrites the usual GP objective through the matrix
 inversion and determinant lemmas around A = I + Phi_c^T Sigma^-1 Phi_c,
 so cost is linear in the number of observations at fixed feature count.
-Gradients chain through the closed-form feature derivatives (first and
-second order operators), through the frequency reparameterization
-lam = sqrt(2) z / ell, and through per-output noise variances; general
-operator coefficients fall back to finite differences on feature entries.
+The gradient contracts dL/dPhi against each feature block's analytic
+derivatives without forming them: ``backends`` reduces a block to
+per-column sums, in closed form for every operator order through the
+characteristic roots, and the chain rules through the frequency
+reparameterization lam = sqrt(2) z / ell, the log-transformed parameters
+and the per-output noise variances act on those sums.
 """
 
 from __future__ import annotations
@@ -24,18 +26,19 @@ from .features import (
     FrequencyDraws,
     NumericsWarning,
     force_frequencies,
+    ode_roots,
     ode2_roots,
     perturb_collisions,
     rfrf_general,
 )
 from .model import (
+    DataError,
     Dataset,
     LfmSpec,
     MogpSpec,
     NumericalError,
     Ode1Params,
     Ode2Params,
-    OdeOperator,
     HyperParamVector,
     NOISE_FLOOR,
     pack,
@@ -100,7 +103,8 @@ def low_rank_log_marginal(phi, noise, y):
     """Log marginal likelihood of y under N(0, Phi_c Phi_c^T + Sigma).
 
     Returns (value, LowRankState).  Cost is O(N R^2) for R = 2QS feature
-    columns; no N x N matrix is formed.
+    columns; no N x N matrix is formed.  Raises NumericalError when Phi is
+    not finite or A is not positive definite.
     """
     phi_c = _phi_c_of(phi)
     y = np.asarray(y, dtype=float)
@@ -116,6 +120,9 @@ def low_rank_log_marginal(phi, noise, y):
     a = phi_c.T @ u
     a[np.diag_indices(r)] += 1.0
     a = 0.5 * (a + a.T)
+    # a non-finite entry of Phi makes its column's diagonal of A non-finite
+    if not np.all(np.isfinite(np.diag(a))):
+        raise NumericalError("feature matrix Phi is not finite")
     try:
         chol, _ = cho_factor(a, lower=True)
     except LinAlgError as exc:
@@ -160,19 +167,13 @@ def full_log_marginal(cov, noise, y):
 # packed-space objective with analytic gradient
 
 
-def _fd_feature_blocks(t_d, op, lam, keys):
-    """Central differences of the general-operator feature block."""
-    out = {}
-    for i, key in enumerate(keys):
-        h = 1e-6 * (1.0 + abs(op.coeffs[i]))
-        lo = list(op.coeffs)
-        hi = list(op.coeffs)
-        lo[i] -= h
-        hi[i] += h
-        v_hi = rfrf_general(t_d, OdeOperator(tuple(hi)), lam)
-        v_lo = rfrf_general(t_d, OdeOperator(tuple(lo)), lam)
-        out[key] = np.atleast_2d(v_hi - v_lo) / (2.0 * h)
-    return out
+def _op_size(op) -> int:
+    """Packed slots of one output's operator parameters."""
+    if isinstance(op, Ode1Params):
+        return 1
+    if isinstance(op, Ode2Params):
+        return 3
+    return len(op.coeffs)
 
 
 class LmlObjective:
@@ -205,96 +206,110 @@ class LmlObjective:
         }
 
     # -- feature blocks -----------------------------------------------------
+    #
+    # A block entry holds the response block v of output d to force q and
+    # what its gradient contraction needs: the frequencies v was filled at
+    # (after collision perturbation) and, for operators other than ODE1,
+    # the characteristic roots.
 
-    def _op_keys(self, op):
-        if isinstance(op, Ode1Params):
-            return ("log_gamma",)
-        if isinstance(op, Ode2Params):
-            return ("log_mass", "log_damper", "log_spring")
-        return tuple(f"coeff_a{i}" for i in range(len(op.coeffs)))
-
-    def _lfm_blocks(self, spec, want_grads):
+    def _lfm_blocks(self, spec):
         blocks = {}
         for q in range(1, spec.num_forces + 1):
             lam_q = force_frequencies(self.draws, q, spec.lengthscales[q - 1])
             for d, rows in self._rows.items():
                 op = spec.outputs[d - 1]
                 t_d = self.data.inputs[rows]
-                entry = {}
                 if isinstance(op, Ode1Params):
-                    lam = lam_q
-                    if want_grads:
-                        v, dg, dl = backends.ode1_grads(t_d, lam, op.gamma)
-                        entry["log_gamma"] = op.gamma * dg
-                        entry["dlogell"] = dl * (-lam)[None, :]
-                    else:
-                        v = backends.ode1_fill(t_d, lam, op.gamma)
+                    entry = {"v": backends.ode1_fill(t_d, lam_q, op.gamma), "lam": lam_q}
                 elif isinstance(op, Ode2Params):
                     s1, s2 = ode2_roots(op)
                     lam = perturb_collisions(lam_q, np.array([s1, s2]))
-                    if want_grads:
-                        v, dm, dc, db, dl = backends.ode2_grads(
-                            t_d, lam, op.mass, op.damper, op.spring, s1, s2
-                        )
-                        entry["log_mass"] = op.mass * dm
-                        entry["log_damper"] = op.damper * dc
-                        entry["log_spring"] = op.spring * db
-                        entry["dlogell"] = dl * (-lam)[None, :]
-                    else:
-                        v = backends.ode2_fill(t_d, lam, op.mass, s1, s2)
+                    v = backends.ode2_fill(t_d, lam, op.mass, s1, s2)
+                    entry = {"v": v, "lam": lam, "roots": (s1, s2)}
                 else:
-                    lam = lam_q
-                    v = np.atleast_2d(rfrf_general(t_d, op, lam))
-                    if want_grads:
-                        entry.update(
-                            _fd_feature_blocks(t_d, op, lam, self._op_keys(op))
-                        )
-                        h = 1e-6 * (1.0 + np.abs(lam))
-                        v_hi = np.atleast_2d(rfrf_general(t_d, op, lam + h))
-                        v_lo = np.atleast_2d(rfrf_general(t_d, op, lam - h))
-                        dl = (v_hi - v_lo) / (2.0 * h)[None, :]
-                        entry["dlogell"] = dl * (-lam)[None, :]
-                entry["v"] = v
+                    v = np.atleast_2d(rfrf_general(t_d, op, lam_q))
+                    roots = ode_roots(op).roots
+                    # the frequencies rfrf_general filled at; it has warned
+                    # about any collision already
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore", NumericsWarning)
+                        lam = perturb_collisions(lam_q, roots)
+                    entry = {"v": v, "lam": lam, "roots": roots}
                 blocks[(d, q)] = entry
         return blocks
 
-    def _mogp_blocks(self, spec, want_grads):
+    def _mogp_blocks(self, spec):
         blocks = {}
         p = spec.input_dim
-        x = self.data.inputs
-        if x.ndim == 1:
-            x = x[:, None]
+        x = self._mogp_inputs()
         for q in range(1, spec.num_forces + 1):
             lam = mogp_frequencies(self.draws, q, spec.lengthscales[q - 1])
             b = np.sum(lam * lam, axis=1)
             for d, rows in self._rows.items():
                 prec = spec.inv_widths[d - 1]
-                proj = x[rows] @ lam.T
-                phase = np.exp(1j * proj)
+                phase = np.exp(1j * (x[rows] @ lam.T))
                 amp = (2.0 * math.pi / prec) ** (p / 2.0) * np.exp(-b / (2.0 * prec))
-                v = amp[None, :] * phase
-                entry = {"v": v}
-                if want_grads:
-                    entry["log_inv_width"] = v * (-0.5 * p + b / (2.0 * prec))[None, :]
-                    entry["dlogell"] = v * ((b / prec)[None, :] - 1j * proj)
-                blocks[(d, q)] = entry
+                blocks[(d, q)] = {"v": amp[None, :] * phase, "lam": lam, "b": b}
         return blocks
 
-    def _assemble(self, spec, want_grads):
+    def _mogp_inputs(self):
+        x = self.data.inputs
+        return x[:, None] if x.ndim == 1 else x
+
+    def _assemble(self, spec):
+        """Real widening Phi_c = [Re Phi, Im Phi] and the block entries."""
         if isinstance(spec, LfmSpec):
-            blocks = self._lfm_blocks(spec, want_grads)
+            blocks = self._lfm_blocks(spec)
         else:
-            blocks = self._mogp_blocks(spec, want_grads)
-        n = len(self.data)
+            blocks = self._mogp_blocks(spec)
         s_count = self.draws.num_samples
         root_s = 1.0 / math.sqrt(s_count)
-        phi = np.zeros((n, spec.num_forces * s_count), dtype=complex)
+        r = spec.num_forces * s_count
+        phi_c = np.zeros((len(self.data), 2 * r))
         for (d, q), entry in blocks.items():
             rows = self._rows[d]
-            scale = spec.sensitivities[d - 1, q - 1] * root_s
-            cols = slice((q - 1) * s_count, q * s_count)
-            phi[rows, cols.start : cols.stop] = scale * entry["v"]
-        return phi, blocks
+            block = spec.sensitivities[d - 1, q - 1] * root_s * entry["v"]
+            c0 = (q - 1) * s_count
+            phi_c[rows, c0 : c0 + s_count] = block.real
+            phi_c[rows, r + c0 : r + c0 + s_count] = block.imag
+        return phi_c, blocks
+
+    # -- block gradients ------------------------------------------------------
+    #
+    # Each returns (Re sum h v, contractions with dv/d(packed operator
+    # slots), contraction with dv/dlog ell) for h = conj(dL/dPhi) on the
+    # block, all unscaled by the block's sensitivity.
+
+    def _lfm_block_grads(self, op, d, entry, h):
+        t_d = self.data.inputs[self._rows[d]]
+        v, lam = entry["v"], entry["lam"]
+        if isinstance(op, Ode1Params):
+            hv, dg, dl = backends.ode1_grads(t_d, lam, op.gamma, h, v)
+            dops = [op.gamma * dg]
+        elif isinstance(op, Ode2Params):
+            s1, s2 = entry["roots"]
+            hv, dm, dc, db, dl = backends.ode2_grads(t_d, lam, op.mass, s1, s2, h, v)
+            dops = [op.mass * dm, op.damper * dc, op.spring * db]
+        else:
+            hv, dops, dl = backends.residue_grads(
+                t_d, lam, entry["roots"], op.coeffs[0], h, v
+            )
+        # lam = sqrt(2) z / ell, so dlam/dlog ell = -lam
+        return float(np.sum(hv)), np.sum(dops, axis=1), -float(dl @ lam)
+
+    def _mogp_block_grads(self, spec, d, entry, h):
+        # v = amp(|lam|^2, P_d) exp(j x.lam): dv/dlog P_d = v (b/(2 P_d) - p/2)
+        # and dv/dlog ell = v (b/P_d - j x.lam), so colsum(h v) and
+        # colsum(h v x_j) are all the data-sized work.
+        x_d = self._mogp_inputs()[self._rows[d]]
+        v, lam, b = entry["v"], entry["lam"], entry["b"]
+        prec = spec.inv_widths[d - 1]
+        weights = np.concatenate([np.ones((x_d.shape[0], 1)), x_d], axis=1)
+        stats = weights.T @ (h * v)
+        hv = stats[0].real
+        d_width = float(hv @ (b / (2.0 * prec) - 0.5 * spec.input_dim))
+        dlogell = float(hv @ (b / prec) + np.sum(lam.T * stats[1:].imag))
+        return float(np.sum(hv)), np.array([d_width]), dlogell
 
     # -- evaluations ----------------------------------------------------------
 
@@ -303,88 +318,61 @@ class LmlObjective:
 
     def value(self, theta) -> float:
         spec = self._spec_of(theta)
-        phi, _ = self._assemble(spec, want_grads=False)
-        phi_c = np.concatenate([phi.real, phi.imag], axis=1)
+        phi_c, _ = self._assemble(spec)
         noise = noise_vector(spec, self.data.output_ids)
         val, _ = low_rank_log_marginal(phi_c, noise, self.data.y)
         return val
 
     def value_and_gradient(self, theta):
         spec = self._spec_of(theta)
-        phi, blocks = self._assemble(spec, want_grads=True)
-        phi_c = np.concatenate([phi.real, phi.imag], axis=1)
+        phi_c, blocks = self._assemble(spec)
         noise = noise_vector(spec, self.data.output_ids)
-        y = self.data.y
-        value, state = low_rank_log_marginal(phi_c, noise, y)
+        value, state = low_rank_log_marginal(phi_c, noise, self.data.y)
 
-        # dL/dPhi_c = beta beta^T Phi_c - Sigma^-1 Phi_c A^-1; fold the real
-        # widening back into one complex matrix for the block contractions.
-        t_mat = state.solve_a(state.u_mat.T).T
-        g_real = np.outer(state.beta, state.beta @ phi_c) - t_mat
-        r = phi.shape[1]
-        g_cplx = g_real[:, :r] + 1j * g_real[:, r:]
-
-        s_count = self.draws.num_samples
-        root_s = 1.0 / math.sqrt(s_count)
-        grad = np.zeros(len(self.labels))
-
-        def contract(d, q, dblock, scale):
-            rows = self._rows.get(d)
-            if rows is None or rows.size == 0:
-                return 0.0
-            g_blk = g_cplx[rows, (q - 1) * s_count : q * s_count]
-            return scale * float(
-                np.sum(g_blk.real * dblock.real) + np.sum(g_blk.imag * dblock.imag)
-            )
-
-        pos = 0
-        op_key_lists = (
-            [self._op_keys(op) for op in spec.outputs]
-            if isinstance(spec, LfmSpec)
-            else [("log_inv_width",)] * spec.num_outputs
-        )
-        for d, keys in enumerate(op_key_lists, start=1):
-            for key in keys:
-                total = 0.0
-                if d in self._rows:
-                    for q in range(1, spec.num_forces + 1):
-                        total += contract(
-                            d,
-                            q,
-                            blocks[(d, q)][key],
-                            spec.sensitivities[d - 1, q - 1] * root_s,
-                        )
-                grad[pos] = total
-                pos += 1
-        for q in range(1, spec.num_forces + 1):
-            total = 0.0
-            for d in self._rows:
-                total += contract(
-                    d,
-                    q,
-                    blocks[(d, q)]["dlogell"],
-                    spec.sensitivities[d - 1, q - 1] * root_s,
-                )
-            grad[pos] = total
-            pos += 1
-
+        # dL/dPhi_c = beta beta^T Phi_c - T with T = Sigma^-1 Phi_c A^-1;
+        # A^-1 is formed once (R x R), so T is a single GEMM.
+        r2 = phi_c.shape[1]
+        t_mat = state.u_mat @ state.solve_a(np.eye(r2))
         # noise: dL/dSigma_ii = (beta_i^2 - (K+Sigma)^-1_ii) / 2, then the
         # log chain; floored variances have zero derivative through max().
-        minv_diag = 1.0 / noise - np.sum(state.u_mat * t_mat, axis=1)
+        minv_diag = 1.0 / noise - np.einsum("ij,ij->i", state.u_mat, t_mat)
         row_grad = 0.5 * (state.beta**2 - minv_diag)
-        for d in range(1, spec.num_outputs + 1):
-            rows = self._rows.get(d)
+        g_real = np.outer(state.beta, state.beta @ phi_c)
+        g_real -= t_mat
+        del t_mat
+
+        n_out, n_q = spec.num_outputs, spec.num_forces
+        s_count = self.draws.num_samples
+        root_s = 1.0 / math.sqrt(s_count)
+        r = r2 // 2
+        lfm = isinstance(spec, LfmSpec)
+        op_sizes = [_op_size(op) for op in spec.outputs] if lfm else [1] * n_out
+        op_grad = [np.zeros(k) for k in op_sizes]
+        ell_grad = np.zeros(n_q)
+        noise_grad = np.zeros(n_out)
+        sens_grad = np.zeros((n_out, n_q))
+        for d, rows in self._rows.items():
+            # conj(dL/dPhi) on output d's rows, all forces' columns
+            g_d = g_real[rows]
+            h_d = np.empty((rows.size, r), dtype=complex)
+            h_d.real = g_d[:, :r]
+            np.negative(g_d[:, r:], out=h_d.imag)
+            for q in range(1, n_q + 1):
+                entry = blocks[(d, q)]
+                h = h_d[:, (q - 1) * s_count : q * s_count]
+                if lfm:
+                    hv, dops, dlogell = self._lfm_block_grads(spec.outputs[d - 1], d, entry, h)
+                else:
+                    hv, dops, dlogell = self._mogp_block_grads(spec, d, entry, h)
+                scale = spec.sensitivities[d - 1, q - 1] * root_s
+                op_grad[d - 1] += scale * dops
+                ell_grad[q - 1] += scale * dlogell
+                sens_grad[d - 1, q - 1] = root_s * hv
             sig2 = spec.noise_vars[d - 1]
-            chain = sig2 if sig2 > NOISE_FLOOR else 0.0
-            grad[pos] = chain * float(np.sum(row_grad[rows])) if rows is not None else 0.0
-            pos += 1
+            if sig2 > NOISE_FLOOR:
+                noise_grad[d - 1] = sig2 * float(np.sum(row_grad[rows]))
 
-        for d in range(1, spec.num_outputs + 1):
-            for q in range(1, spec.num_forces + 1):
-                if (d, q) in blocks:
-                    grad[pos] = contract(d, q, blocks[(d, q)]["v"], root_s)
-                pos += 1
-
+        grad = np.concatenate([*op_grad, ell_grad, noise_grad, sens_grad.ravel()])
         if not np.all(np.isfinite(grad)):
             i = int(np.argmax(~np.isfinite(grad)))
             raise NumericalError(
@@ -480,7 +468,9 @@ def optimize(init, data: Dataset, draws, config: OptimizerConfig | None = None, 
                 # non-finite checks below turn it into a shorter step.
                 with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                     f_new, g_new = obj.value_and_gradient(trial)
-            except NumericalError:
+            except (NumericalError, DataError, OverflowError):
+                # exp over- or underflow while unpacking the trial point, or
+                # a non-finite feature matrix
                 f_new = -np.inf
             if np.isfinite(f_new) and -f_new <= -f + cfg.armijo_c * step * slope:
                 accepted = True

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from lfmrff.features import sample_frequencies
+from lfmrff.features import FrequencyDraws, NumericsWarning, sample_frequencies
 from lfmrff.kernels import feature_matrix
 from lfmrff.likelihood import (
+    FitResult,
     LmlObjective,
     OptimizerConfig,
     full_log_marginal,
@@ -85,6 +86,12 @@ class TestLowRank:
             low_rank_log_marginal(np.zeros((3, 2)), np.ones(2), np.zeros(3))
         with pytest.raises(ValueError, match="positive"):
             low_rank_log_marginal(np.zeros((2, 2)), np.array([1.0, 0.0]), np.zeros(2))
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_features_are_numerical_errors(self, bad):
+        phi_c = np.array([[1.0, 0.0], [bad, 0.5]])
+        with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match="not finite"):
+            low_rank_log_marginal(phi_c, np.ones(2), np.zeros(2))
 
 
 class TestDense:
@@ -163,13 +170,48 @@ class TestGradient:
         check_gradient(spec, data, sample_frequencies(5, 1, seed=5))
 
     def test_general_operator_third_order(self):
-        # Coefficient derivatives for the generic operator come from central
-        # differences internally; the packed gradient must still line up.
+        # Coefficient derivatives for the generic operator come from the
+        # implicit-function root derivatives ds_p/da_i = -s_p^(P-i) / a'(s_p).
         spec = LfmSpec((OdeOperator((1.0, 6.0, 11.0, 6.0)),), 1, [1.0],
                        [[1.0]], [0.2])
         data = lfm_data(3)
         data = Dataset(np.ones_like(data.output_ids), data.inputs, data.y)
         check_gradient(spec, data, sample_frequencies(4, 1, seed=6))
+
+    def test_general_operator_leading_coefficient_complex_roots(self):
+        # (2s + 1)(s^2 + s + 4): a_0 != 1 and a complex root pair
+        spec = LfmSpec((OdeOperator((2.0, 3.0, 9.0, 4.0)),), 1, [1.0],
+                       [[1.0]], [0.2])
+        data = lfm_data(3)
+        data = Dataset(np.ones_like(data.output_ids), data.inputs, data.y)
+        check_gradient(spec, data, sample_frequencies(4, 1, seed=6))
+
+    def test_near_critical_ode2_warns(self):
+        # c^2 = 4mb: the spring is perturbed and the gradient is taken at the
+        # perturbed roots, which differences of value() still confirm.
+        spec = LfmSpec((Ode1Params(0.7), Ode2Params(1.0, 2.0, 1.0)), 1, [1.3],
+                       [[0.9], [0.6]], [0.25, 0.2])
+        data = lfm_data(2)
+        draws = sample_frequencies(5, 1, seed=5)
+        obj = LmlObjective(data, spec, draws)
+        with pytest.warns(NumericsWarning, match="critical damping"):
+            obj.value_and_gradient(pack(spec).values)
+        with pytest.warns(NumericsWarning, match="critical damping"):
+            check_gradient(spec, data, draws)
+
+    def test_ode2_frequency_collision(self):
+        # One frequency sits at the resonance of a lightly damped ODE2, so
+        # j*lam meets a root and is perturbed.  Many samples keep the one
+        # near-singular column's roundoff inside the difference tolerance.
+        damper, spring = 1e-7, 4.0
+        base = np.random.default_rng(1).normal(size=(128, 1))
+        base[1, 0] = math.sqrt(spring - damper**2 / 4.0) / math.sqrt(2.0)
+        draws = FrequencyDraws(base, 0, 128)
+        spec = LfmSpec((Ode2Params(1.0, damper, spring),), 1, [1.0], [[0.9]], [0.25])
+        data = lfm_data(2)
+        data = Dataset(np.ones_like(data.output_ids), data.inputs, data.y)
+        with pytest.warns(NumericsWarning, match="collide"):
+            check_gradient(spec, data, draws)
 
     def test_mogp_two_dim(self):
         spec = MogpSpec(2, [1.4, 0.8], 2, [1.0, 0.7],
@@ -275,6 +317,21 @@ class TestOptimize:
         start = obj.value(pack(init).values)
         fit = optimize(init, data, draws, OptimizerConfig(max_iters=2))
         assert fit.final_lml >= start - 1e-12
+
+    def test_first_step_underflow_backtracks(self):
+        # Large targets give a raw gradient in the hundreds, so the first unit
+        # step takes log_lengthscale below exp's range; unpacking that trial
+        # point fails, which must count as a failed trial, not escape.
+        init, data, draws = fit_problem()
+        data = Dataset(data.output_ids, data.inputs, 10.0 * data.y)
+        theta = pack(init).values
+        g = LmlObjective(data, init, draws).gradient(theta)
+        slot = pack(init).labels.index("log_lengthscale[q=1]")
+        assert math.exp(theta[slot] + g[slot]) == 0.0
+        fit = optimize(init, data, draws, OptimizerConfig(max_iters=3))
+        assert isinstance(fit, FitResult)
+        assert fit.iterations >= 1
+        assert fit.final_lml > fit.trace[0][1]
 
     def test_refit_from_result_matches_final(self):
         init, data, draws = fit_problem()
