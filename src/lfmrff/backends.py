@@ -1,144 +1,72 @@
-"""Hot inner loops: feature fills and gradient contractions.
+"""Hot inner loops: the response-feature fill and its gradient contraction.
 
-Each value fill exists twice, a ``@njit`` version and a pure-numpy
-broadcasting version computing identical formulas.  Selection is
-process-wide via the ``LFMRFF_BACKEND`` environment variable (``numba`` or
-``numpy``); the default is numba when importable.
+Every response block is a residue sum over the operator's characteristic
+roots s_1..s_P and the excitation root x = j*lam,
 
-The gradient contractions exist once, in numpy.  They never form a
-derivative block: each reduces a block to a few per-column statistics with
-matrix products and then works on vectors of length S, so there is no
-elementwise loop for a compiler to speed up.
+    v = (1/a_0) [sum_p A_p e^{s_p t} + A_x e^{x t}],
+    A_p = R_p / (s_p - x),  R_p = 1 / prod_{n != p} (s_p - s_n),
+    A_x = 1 / prod_p (x - s_p),
+
+so one fill, ``residue_fill``, serves operators of every order, and one
+contraction, ``residue_grads``, reduces a block's derivatives against
+dL/dPhi to per-column sums without forming them.  ``ode1_fill``,
+``ode2_fill``, ``ode1_grads`` and ``ode2_grads`` are thin entry points for
+the two named operators.  Everything is numpy: the work is exponentials
+and matrix products, with no elementwise loop for a compiler to speed up.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is an optional extra
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        return wrap
-
-
-def _select_backend():
-    env = os.environ.get("LFMRFF_BACKEND", "").strip().lower()
-    if env in ("numpy", "python"):
-        return "numpy"
-    if env == "numba":
-        if not HAVE_NUMBA:
-            raise ImportError("LFMRFF_BACKEND=numba but numba is not importable")
-        return "numba"
-    if env:
-        raise ValueError(f"unknown LFMRFF_BACKEND value: {env!r}")
-    return "numba" if HAVE_NUMBA else "numpy"
-
-
-_BACKEND = _select_backend()
 
 
 def backend_name() -> str:
-    """Active backend, ``numba`` or ``numpy``."""
-    return _BACKEND
+    """Array backend of the fills and contractions; always ``numpy``."""
+    # kept for the benchmark, which reports it
+    return "numpy"
 
 
-# ---------------------------------------------------------------------------
-# ODE1: v = (exp(j*lam*t) - exp(-gamma*t)) / (gamma + j*lam)
+def _residues(s, x):
+    """(R_p, 1/(s_p - s_n) with a zero diagonal, 1/(s_p - x), A_p) for roots s."""
+    diff = s[:, None] - s[None, :]
+    np.fill_diagonal(diff, 1.0)
+    res = 1.0 / np.prod(diff, axis=1)
+    inv_diff = 1.0 / diff
+    np.fill_diagonal(inv_diff, 0.0)
+    inv_sx = 1.0 / (s[:, None] - x[None, :])  # (P, S)
+    return res, inv_diff, inv_sx, res[:, None] * inv_sx
 
 
-def _ode1_fill_np(t, lam, gamma):
-    den = gamma + 1j * lam[None, :]
-    return (np.exp(1j * np.outer(t, lam)) - np.exp(-gamma * t)[:, None]) / den
+def residue_fill(t, lam, roots, leading):
+    """Response to exp(j*lam*t) from rest, shape (len(t), len(lam)).
 
-
-@njit(cache=True)
-def _ode1_fill_nb(t, lam, gamma):  # pragma: no cover - exercised via dispatch
-    out = np.empty((t.size, lam.size), dtype=np.complex128)
-    for i in range(t.size):
-        e_gam = np.exp(-gamma * t[i])
-        for k in range(lam.size):
-            den = gamma + 1j * lam[k]
-            out[i, k] = (np.exp(1j * lam[k] * t[i]) - e_gam) / den
-    return out
-
-
-# ---------------------------------------------------------------------------
-# ODE2: v = (A1 e^{s1 t} + A2 e^{s2 t} + A3 e^{s3 t}) / m,  s3 = j*lam.
-# Partial-fraction coefficients over the three pairwise-distinct roots.
-
-
-def _ode2_fill_np(t, lam, mass, s1, s2):
-    s3 = 1j * lam[None, :]
-    d12 = s1 - s2
-    d13 = s1 - s3
-    d23 = s2 - s3
-    a1 = 1.0 / (d12 * d13)
-    a2 = -1.0 / (d12 * d23)
-    a3 = 1.0 / (d13 * d23)
-    tc = t[:, None]
-    return (a1 * np.exp(s1 * tc) + a2 * np.exp(s2 * tc) + a3 * np.exp(s3 * tc)) / mass
-
-
-@njit(cache=True)
-def _ode2_fill_nb(t, lam, mass, s1, s2):  # pragma: no cover
-    n, m = t.size, lam.size
-    out = np.empty((n, m), dtype=np.complex128)
-    d12 = s1 - s2
-    for i in range(n):
-        ti = t[i]
-        e1 = np.exp(s1 * ti)
-        e2 = np.exp(s2 * ti)
-        for k in range(m):
-            s3 = 1j * lam[k]
-            d13 = s1 - s3
-            d23 = s2 - s3
-            a1 = 1.0 / (d12 * d13)
-            a2 = -1.0 / (d12 * d23)
-            a3 = 1.0 / (d13 * d23)
-            out[i, k] = (a1 * e1 + a2 * e2 + a3 * np.exp(s3 * ti)) / mass
-    return out
-
-
-# ---------------------------------------------------------------------------
-# dispatch
+    ``roots`` are the operator's distinct characteristic roots and
+    ``leading`` its leading coefficient a_0.
+    """
+    t = np.ascontiguousarray(t, dtype=float)
+    s = np.asarray(roots, dtype=complex)
+    x = 1j * np.asarray(lam, dtype=float)
+    a_sys = _residues(s, x)[3]
+    a_exc = 1.0 / np.prod(x[None, :] - s[:, None], axis=0)
+    v = np.exp(np.outer(t, x))
+    v *= a_exc / leading
+    v += np.exp(np.outer(t, s)) @ (a_sys / leading)
+    return v
 
 
 def ode1_fill(t, lam, gamma):
-    """Feature values for a first-order operator, shape (len(t), len(lam))."""
-    t = np.ascontiguousarray(t, dtype=float)
-    lam = np.ascontiguousarray(lam, dtype=float)
-    if _BACKEND == "numba":
-        return _ode1_fill_nb(t, lam, float(gamma))
-    return _ode1_fill_np(t, lam, float(gamma))
+    """Response of a first-order operator, (e^{j lam t} - e^{-gamma t}) / (gamma + j lam)."""
+    return residue_fill(t, lam, [-float(gamma)], 1.0)
 
 
 def ode2_fill(t, lam, mass, s1, s2):
-    """Feature values for a second-order operator with roots s1, s2."""
-    t = np.ascontiguousarray(t, dtype=float)
-    lam = np.ascontiguousarray(lam, dtype=float)
-    if _BACKEND == "numba":
-        return _ode2_fill_nb(t, lam, float(mass), complex(s1), complex(s2))
-    return _ode2_fill_np(t, lam, float(mass), complex(s1), complex(s2))
+    """Response of a second-order operator with mass ``mass`` and roots s1, s2."""
+    return residue_fill(t, lam, [complex(s1), complex(s2)], float(mass))
 
 
 # ---------------------------------------------------------------------------
 # gradient contractions
 #
-# Every response block is a residue sum over the system roots s_1..s_P and
-# the excitation root x = j*lam,
-#     v = (1/a_0) [sum_p A_p e^{s_p t} + A_x e^{x t}],
-#     A_p = R_p / (s_p - x),  R_p = 1 / prod_{n != p} (s_p - s_n),
-#     A_x = 1 / prod_p (x - s_p).
 # Differentiating a residue sum in one of its roots r_m gives
 #     (t - D_m) A_m e^{r_m t} + sum_{n != m} A_n / (r_n - r_m) e^{r_n t},
 # D_m = sum_{n != m} 1 / (r_m - r_n), so its contraction with a block h
@@ -168,13 +96,7 @@ def residue_grads(t, lam, roots, leading, h, v):
     s = np.asarray(roots, dtype=complex)
     x = 1j * np.asarray(lam, dtype=float)
     p_count = s.size
-    diff = s[:, None] - s[None, :]
-    np.fill_diagonal(diff, 1.0)
-    res = 1.0 / np.prod(diff, axis=1)  # R_p
-    inv_diff = 1.0 / diff
-    np.fill_diagonal(inv_diff, 0.0)
-    inv_sx = 1.0 / (s[:, None] - x[None, :])  # (P, S)
-    a_sys = res[:, None] * inv_sx  # A_p
+    res, inv_diff, inv_sx, a_sys = _residues(s, x)
 
     e = np.exp(np.outer(t, s))
     f_all = np.concatenate([e, t[:, None] * e], axis=1).T @ h  # (2P, S)

@@ -586,7 +586,7 @@ def cmd_sample_features(args) -> int:
     input_dim = 1 if grid.ndim == 1 else grid.shape[1]
     spec = build_spec(cfg, d_count, input_dim)
     draws = _draws_for_spec(spec, cfg)
-    fm = _features_for(spec, draws, grid, ids) if ids.size else None
+    phi = _features_for(spec, draws, grid, ids).phi if ids.size else None
     n_cols = spec.num_forces * cfg.samples
     header = ["output_id"] + _input_header(grid)
     for k in range(1, n_cols + 1):
@@ -595,7 +595,7 @@ def cmd_sample_features(args) -> int:
     for i in range(ids.size):
         row = [int(ids[i])] + _input_cols(grid, i)
         for k in range(n_cols):
-            row += [float(fm.phi[i, k].real), float(fm.phi[i, k].imag)]
+            row += [float(phi[i, k].real), float(phi[i, k].imag)]
         rows.append(row)
     path = _out_path(cfg, "features.csv")
     _write_csv(path, header, rows)

@@ -5,7 +5,13 @@ complex excitation exp(j*lam*t), integrated from rest at time 0.  For an
 operator with Laplace-domain roots s_1..s_P and the extra excitation root
 s_{P+1} = j*lam, the response is a partial-fraction sum of exponentials;
 inner products of these features across sampled frequencies approximate the
-model covariance.
+model covariance.  The convolved MOGP's feature is a Gaussian amplitude
+times exp(j*lam.x).
+
+``feature_blocks`` is the one provider of feature blocks, for every model
+type, and ``write_phi_c`` the one writer that places them into the real
+feature matrix Phi_c; ``feature_matrix``, ``mogp_feature_matrix`` and the
+likelihood objective all assemble through them.
 """
 
 from __future__ import annotations
@@ -18,16 +24,20 @@ from functools import lru_cache
 import numpy as np
 
 from . import backends
-from .model import NumericalError, Ode1Params, Ode2Params, OdeOperator
+from .model import LfmSpec, NumericalError, Ode1Params, Ode2Params, OdeOperator
 
 __all__ = [
     "NumericsWarning",
     "FrequencyDraws",
+    "SpectralDraws",
     "RootSet",
     "sample_frequencies",
+    "sample_spectral",
     "force_frequencies",
+    "mogp_frequencies",
     "ode_roots",
     "ode2_roots",
+    "operator_roots",
     "residue_coeffs",
     "rfrf_general",
     "rfrf_ode1",
@@ -35,6 +45,9 @@ __all__ = [
     "latent_feature",
     "perturb_collisions",
     "to_operator",
+    "output_rows",
+    "feature_blocks",
+    "write_phi_c",
 ]
 
 # Roots closer than SEPARATION_RTOL * (1 + max |root|) count as repeated.
@@ -96,6 +109,51 @@ def force_frequencies(draws: FrequencyDraws, q, lengthscale):
     if lengthscale <= 0:
         raise ValueError(f"lengthscale must be positive, got {lengthscale}")
     return (math.sqrt(2.0) / lengthscale) * draws.base[:, q - 1]
+
+
+@dataclass(frozen=True)
+class SpectralDraws:
+    """Standard-normal base draws, one (S, p) block per force, stacked.
+
+    ``base`` has shape (Q, S, p); force q uses base[q-1] scaled by
+    sqrt(2)/ell_q, keeping frequencies differentiable in the lengthscale.
+    """
+
+    base: np.ndarray
+    seed: int
+    num_samples: int
+
+    def __post_init__(self):
+        b = np.array(self.base, dtype=float)
+        if b.ndim != 3 or b.shape[1] != self.num_samples:
+            raise ValueError(f"base must be (Q, {self.num_samples}, p), got {b.shape}")
+        b.flags.writeable = False
+        object.__setattr__(self, "base", b)
+
+    @property
+    def num_forces(self) -> int:
+        return self.base.shape[0]
+
+    @property
+    def input_dim(self) -> int:
+        return self.base.shape[2]
+
+
+def sample_spectral(num_samples, num_forces, input_dim, seed) -> SpectralDraws:
+    if num_samples < 1 or num_forces < 1 or input_dim < 1:
+        raise ValueError("num_samples, num_forces and input_dim must be >= 1")
+    rng = np.random.default_rng(seed)
+    base = rng.standard_normal((int(num_forces), int(num_samples), int(input_dim)))
+    return SpectralDraws(base, int(seed), int(num_samples))
+
+
+def mogp_frequencies(draws: SpectralDraws, q, lengthscale):
+    """Frequency matrix (S, p) for force q (1-based): sqrt(2)/ell * base."""
+    if not 1 <= q <= draws.num_forces:
+        raise ValueError(f"force index {q} outside 1..{draws.num_forces}")
+    if lengthscale <= 0:
+        raise ValueError(f"lengthscale must be positive, got {lengthscale}")
+    return (math.sqrt(2.0) / lengthscale) * draws.base[q - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -179,6 +237,19 @@ def ode2_roots(params: Ode2Params):
     return complex(s1), complex(s2)
 
 
+def operator_roots(params) -> RootSet:
+    """Characteristic roots and a_0 of an ODE1, ODE2 or general operator.
+
+    ODE2 roots come from ``ode2_roots``, which perturbs near-critical
+    damping with a warning; a general operator's repeated roots raise.
+    """
+    if isinstance(params, Ode1Params):
+        return RootSet([-params.gamma], 1.0)
+    if isinstance(params, Ode2Params):
+        return RootSet(ode2_roots(params), params.mass)
+    return ode_roots(params)
+
+
 def residue_coeffs(roots):
     """Partial-fraction coefficients A_p = 1 / prod_{i != p} (s_p - s_i).
 
@@ -244,25 +315,8 @@ def rfrf_general(t, op: OdeOperator, lam):
     lam_arr = np.atleast_1d(np.asarray(lam, dtype=float))
     lam_arr = perturb_collisions(lam_arr, rs.roots)
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    v = _general_fill(t_arr, lam_arr, rs.roots, rs.leading)
+    v = backends.residue_fill(t_arr, lam_arr, rs.roots, rs.leading)
     return _squeeze_tl(v, t, lam)
-
-
-def _general_fill(t, lam, roots, leading):
-    """Vectorized (len(t), len(lam)) response for a general root set."""
-    s_exc = 1j * lam
-    # residues of the P system roots, with the lam-dependent excitation factor
-    n = roots.size
-    out = np.zeros((t.size, lam.size), dtype=complex)
-    e_roots = np.exp(np.outer(t, roots))  # (n_t, P)
-    for p in range(n):
-        diff = roots[p] - np.delete(roots, p)
-        a_sys = 1.0 / np.prod(diff)
-        a_p = a_sys / (roots[p] - s_exc)  # (n_lam,)
-        out += e_roots[:, p : p + 1] * a_p[None, :]
-    a_exc = 1.0 / np.prod(s_exc[:, None] - roots[None, :], axis=1)
-    out += np.exp(np.outer(t, s_exc)) * a_exc[None, :]
-    return out / leading
 
 
 def rfrf_ode1(t, params: Ode1Params, lam):
@@ -303,3 +357,65 @@ def _squeeze_tl(v, t, lam):
     if lam_scalar:
         return v[:, 0]
     return v
+
+
+# ---------------------------------------------------------------------------
+# feature blocks and their assembly
+
+
+def output_rows(output_ids):
+    """Row indices of each output id present, in increasing id order."""
+    output_ids = np.asarray(output_ids, dtype=int)
+    return {int(d): np.flatnonzero(output_ids == d) for d in np.unique(output_ids)}
+
+
+def feature_blocks(inputs, rows, spec, draws):
+    """Unscaled feature blocks of every output d and force q.
+
+    ``rows`` maps each output id d to its rows of ``inputs`` (see
+    ``output_rows``).  Yields ((d, q), entry), where entry["v"] is the
+    (len(rows[d]), S) block and entry["lam"] the frequencies it was filled
+    at.  An LFM entry adds the operator's "roots" and "leading"
+    coefficient; its frequencies are perturbed off the roots here, once,
+    with a NumericsWarning per colliding block.  A MOGP entry adds
+    "b" = |lam|^2 per sample.
+    """
+    if isinstance(spec, LfmSpec):
+        for d, r in rows.items():
+            rs = operator_roots(spec.outputs[d - 1])
+            t = inputs[r]
+            for q in range(1, spec.num_forces + 1):
+                lam = force_frequencies(draws, q, spec.lengthscales[q - 1])
+                lam = perturb_collisions(lam, rs.roots)
+                v = backends.residue_fill(t, lam, rs.roots, rs.leading)
+                yield (d, q), {"v": v, "lam": lam, "roots": rs.roots, "leading": rs.leading}
+        return
+    x = inputs[:, None] if inputs.ndim == 1 else inputs
+    p = spec.input_dim
+    for q in range(1, spec.num_forces + 1):
+        lam = mogp_frequencies(draws, q, spec.lengthscales[q - 1])
+        b = np.sum(lam * lam, axis=1)
+        for d, r in rows.items():
+            prec = spec.inv_widths[d - 1]
+            amp = (2.0 * math.pi / prec) ** (p / 2.0) * np.exp(-b / (2.0 * prec))
+            v = amp[None, :] * np.exp(1j * (x[r] @ lam.T))
+            yield (d, q), {"v": v, "lam": lam, "b": b}
+
+
+def write_phi_c(n, rows, spec, num_samples, blocks):
+    """Real feature matrix Phi_c = [Re Phi, Im Phi], (n, 2QS), from blocks.
+
+    ``blocks`` iterates ((d, q), entry) pairs as ``feature_blocks`` yields
+    them.  Phi has force-major column blocks: column (q-1)*S + s holds
+    sample s of force q, and block (d, q) enters output d's rows scaled by
+    S_{d,q}/sqrt(S).
+    """
+    r = spec.num_forces * num_samples
+    root_s = 1.0 / math.sqrt(num_samples)
+    phi_c = np.zeros((n, 2 * r))
+    for (d, q), entry in blocks:
+        block = spec.sensitivities[d - 1, q - 1] * root_s * entry["v"]
+        c0 = (q - 1) * num_samples
+        phi_c[rows[d], c0 : c0 + num_samples] = block.real
+        phi_c[rows[d], r + c0 : r + c0 + num_samples] = block.imag
+    return phi_c

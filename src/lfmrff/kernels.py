@@ -21,14 +21,15 @@ from scipy.integrate import quad
 from .features import (
     NumericsWarning,
     FrequencyDraws,
+    feature_blocks,
     force_frequencies,
     ode_roots,
     ode2_roots,
+    output_rows,
     residue_coeffs,
-    rfrf_general,
-    rfrf_ode1,
-    rfrf_ode2,
+    rfrf_general,  # not used here; the benchmark's tracer wraps this name
     to_operator,
+    write_phi_c,
 )
 from .model import LfmSpec, Ode1Params, Ode2Params, OdeOperator
 
@@ -52,28 +53,22 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class FeatureMatrix:
-    """Complex feature matrix, (N, Q*S), force-major column blocks.
+    """Feature matrix Phi, (N, Q*S) complex, force-major column blocks.
 
-    Column (q-1)*S + s holds sample s of force q.  ``phi_c`` is the real
-    widening [Re Phi, Im Phi] whose Gram matrix equals Re(Phi Phi^H).
+    Column (q-1)*S + s holds sample s of force q.  It is stored as its real
+    widening ``phi_c`` = [Re Phi, Im Phi], whose Gram matrix equals
+    Re(Phi Phi^H); ``phi`` rebuilds the complex matrix.
     """
 
-    phi: np.ndarray
+    phi_c: np.ndarray
     output_ids: np.ndarray | None
     num_forces: int
     num_samples: int
 
     @property
-    def phi_c(self) -> np.ndarray:
-        return np.concatenate([self.phi.real, self.phi.imag], axis=1)
-
-
-def _response_values(times, params, lam):
-    if isinstance(params, Ode1Params):
-        return np.atleast_2d(rfrf_ode1(times, params, lam))
-    if isinstance(params, Ode2Params):
-        return np.atleast_2d(rfrf_ode2(times, params, lam))
-    return np.atleast_2d(rfrf_general(times, params, lam))
+    def phi(self) -> np.ndarray:
+        r = self.phi_c.shape[1] // 2
+        return self.phi_c[:, :r] + 1j * self.phi_c[:, r:]
 
 
 def feature_matrix(times, output_ids, spec: LfmSpec, draws: FrequencyDraws) -> FeatureMatrix:
@@ -90,19 +85,11 @@ def feature_matrix(times, output_ids, spec: LfmSpec, draws: FrequencyDraws) -> F
     output_ids = np.asarray(output_ids, dtype=int)
     if times.shape != output_ids.shape:
         raise ValueError("times and output_ids must have matching shapes")
-    n = times.size
+    rows = output_rows(output_ids)
+    blocks = feature_blocks(times, rows, spec, draws)
     s_count = draws.num_samples
-    phi = np.empty((n, spec.num_forces * s_count), dtype=complex)
-    root_s = 1.0 / math.sqrt(s_count)
-    for d in np.unique(output_ids):
-        rows = np.flatnonzero(output_ids == d)
-        params = spec.outputs[d - 1]
-        for q in range(1, spec.num_forces + 1):
-            lam = force_frequencies(draws, q, spec.lengthscales[q - 1])
-            block = _response_values(times[rows], params, lam)
-            scale = spec.sensitivities[d - 1, q - 1] * root_s
-            phi[np.ix_(rows, range((q - 1) * s_count, q * s_count))] = scale * block
-    return FeatureMatrix(phi, output_ids, spec.num_forces, s_count)
+    phi_c = write_phi_c(times.size, rows, spec, s_count, blocks)
+    return FeatureMatrix(phi_c, output_ids, spec.num_forces, s_count)
 
 
 def latent_feature_matrix(times, q, spec: LfmSpec, draws: FrequencyDraws) -> FeatureMatrix:
@@ -116,17 +103,20 @@ def latent_feature_matrix(times, q, spec: LfmSpec, draws: FrequencyDraws) -> Fea
         raise ValueError(f"force index {q} outside 1..{spec.num_forces}")
     times = np.asarray(times, dtype=float)
     s_count = draws.num_samples
+    r = spec.num_forces * s_count
     lam = force_frequencies(draws, q, spec.lengthscales[q - 1])
-    phi = np.zeros((times.size, spec.num_forces * s_count), dtype=complex)
     block = np.exp(1j * np.outer(times, lam)) / math.sqrt(s_count)
-    phi[:, (q - 1) * s_count : q * s_count] = block
-    return FeatureMatrix(phi, None, spec.num_forces, s_count)
+    phi_c = np.zeros((times.size, 2 * r))
+    c0 = (q - 1) * s_count
+    phi_c[:, c0 : c0 + s_count] = block.real
+    phi_c[:, r + c0 : r + c0 + s_count] = block.imag
+    return FeatureMatrix(phi_c, None, spec.num_forces, s_count)
 
 
 def approx_cov(fm: FeatureMatrix, fm2: FeatureMatrix | None = None) -> np.ndarray:
     """Low-rank covariance Re(Phi1 Phi2^H); symmetrized when fm2 is omitted."""
     other = fm if fm2 is None else fm2
-    k = fm.phi.real @ other.phi.real.T + fm.phi.imag @ other.phi.imag.T
+    k = fm.phi_c @ other.phi_c.T
     if fm2 is None:
         k = 0.5 * (k + k.T)
     return k

@@ -3,9 +3,12 @@
 The low-rank evaluation rewrites the usual GP objective through the matrix
 inversion and determinant lemmas around A = I + Phi_c^T Sigma^-1 Phi_c,
 so cost is linear in the number of observations at fixed feature count.
+The objective assembles Phi_c from ``features.feature_blocks`` and
+``features.write_phi_c``, the same provider and writer ``feature_matrix``
+and ``mogp_feature_matrix`` use, and keeps the blocks for the gradient.
 The gradient contracts dL/dPhi against each feature block's analytic
-derivatives without forming them: ``backends`` reduces a block to
-per-column sums, in closed form for every operator order through the
+derivatives without forming them: ``backends.residue_grads`` reduces an
+LFM block of any operator order to per-column sums through the
 characteristic roots, and the chain rules through the frequency
 reparameterization lam = sqrt(2) z / ell, the log-transformed parameters
 and the per-output noise variances act on those sums.
@@ -25,11 +28,10 @@ from . import backends
 from .features import (
     FrequencyDraws,
     NumericsWarning,
-    force_frequencies,
-    ode_roots,
-    ode2_roots,
-    perturb_collisions,
-    rfrf_general,
+    feature_blocks,
+    output_rows,
+    rfrf_general,  # not used here; the benchmark's tracer wraps this name
+    write_phi_c,
 )
 from .model import (
     DataError,
@@ -45,7 +47,7 @@ from .model import (
     unpack,
     validate_dataset,
 )
-from .mogp import SpectralDraws, mogp_frequencies
+from .mogp import SpectralDraws
 
 __all__ = [
     "LowRankState",
@@ -200,79 +202,17 @@ class LmlObjective:
         self.template = template
         self.draws = draws
         self.labels = pack(template).labels
-        self._rows = {
-            int(d): np.flatnonzero(data.output_ids == d)
-            for d in np.unique(data.output_ids)
-        }
+        self._rows = output_rows(data.output_ids)
 
-    # -- feature blocks -----------------------------------------------------
-    #
-    # A block entry holds the response block v of output d to force q and
-    # what its gradient contraction needs: the frequencies v was filled at
-    # (after collision perturbation) and, for operators other than ODE1,
-    # the characteristic roots.
+    def _blocks(self, spec):
+        return feature_blocks(self.data.inputs, self._rows, spec, self.draws)
 
-    def _lfm_blocks(self, spec):
-        blocks = {}
-        for q in range(1, spec.num_forces + 1):
-            lam_q = force_frequencies(self.draws, q, spec.lengthscales[q - 1])
-            for d, rows in self._rows.items():
-                op = spec.outputs[d - 1]
-                t_d = self.data.inputs[rows]
-                if isinstance(op, Ode1Params):
-                    entry = {"v": backends.ode1_fill(t_d, lam_q, op.gamma), "lam": lam_q}
-                elif isinstance(op, Ode2Params):
-                    s1, s2 = ode2_roots(op)
-                    lam = perturb_collisions(lam_q, np.array([s1, s2]))
-                    v = backends.ode2_fill(t_d, lam, op.mass, s1, s2)
-                    entry = {"v": v, "lam": lam, "roots": (s1, s2)}
-                else:
-                    v = np.atleast_2d(rfrf_general(t_d, op, lam_q))
-                    roots = ode_roots(op).roots
-                    # the frequencies rfrf_general filled at; it has warned
-                    # about any collision already
-                    with warnings.catch_warnings():
-                        warnings.simplefilter("ignore", NumericsWarning)
-                        lam = perturb_collisions(lam_q, roots)
-                    entry = {"v": v, "lam": lam, "roots": roots}
-                blocks[(d, q)] = entry
-        return blocks
-
-    def _mogp_blocks(self, spec):
-        blocks = {}
-        p = spec.input_dim
-        x = self._mogp_inputs()
-        for q in range(1, spec.num_forces + 1):
-            lam = mogp_frequencies(self.draws, q, spec.lengthscales[q - 1])
-            b = np.sum(lam * lam, axis=1)
-            for d, rows in self._rows.items():
-                prec = spec.inv_widths[d - 1]
-                phase = np.exp(1j * (x[rows] @ lam.T))
-                amp = (2.0 * math.pi / prec) ** (p / 2.0) * np.exp(-b / (2.0 * prec))
-                blocks[(d, q)] = {"v": amp[None, :] * phase, "lam": lam, "b": b}
-        return blocks
+    def _phi_c(self, spec, blocks):
+        return write_phi_c(len(self.data), self._rows, spec, self.draws.num_samples, blocks)
 
     def _mogp_inputs(self):
         x = self.data.inputs
         return x[:, None] if x.ndim == 1 else x
-
-    def _assemble(self, spec):
-        """Real widening Phi_c = [Re Phi, Im Phi] and the block entries."""
-        if isinstance(spec, LfmSpec):
-            blocks = self._lfm_blocks(spec)
-        else:
-            blocks = self._mogp_blocks(spec)
-        s_count = self.draws.num_samples
-        root_s = 1.0 / math.sqrt(s_count)
-        r = spec.num_forces * s_count
-        phi_c = np.zeros((len(self.data), 2 * r))
-        for (d, q), entry in blocks.items():
-            rows = self._rows[d]
-            block = spec.sensitivities[d - 1, q - 1] * root_s * entry["v"]
-            c0 = (q - 1) * s_count
-            phi_c[rows, c0 : c0 + s_count] = block.real
-            phi_c[rows, r + c0 : r + c0 + s_count] = block.imag
-        return phi_c, blocks
 
     # -- block gradients ------------------------------------------------------
     #
@@ -282,18 +222,18 @@ class LmlObjective:
 
     def _lfm_block_grads(self, op, d, entry, h):
         t_d = self.data.inputs[self._rows[d]]
-        v, lam = entry["v"], entry["lam"]
+        lam = entry["lam"]
+        hv, dcoeffs, dl = backends.residue_grads(
+            t_d, lam, entry["roots"], entry["leading"], h, entry["v"]
+        )
+        # packed slots: log gamma (a_0 = 1 is fixed), log (m, c, b), or the
+        # raw coefficients of a general operator
         if isinstance(op, Ode1Params):
-            hv, dg, dl = backends.ode1_grads(t_d, lam, op.gamma, h, v)
-            dops = [op.gamma * dg]
+            dops = op.gamma * dcoeffs[1:]
         elif isinstance(op, Ode2Params):
-            s1, s2 = entry["roots"]
-            hv, dm, dc, db, dl = backends.ode2_grads(t_d, lam, op.mass, s1, s2, h, v)
-            dops = [op.mass * dm, op.damper * dc, op.spring * db]
+            dops = np.array([[op.mass], [op.damper], [op.spring]]) * dcoeffs
         else:
-            hv, dops, dl = backends.residue_grads(
-                t_d, lam, entry["roots"], op.coeffs[0], h, v
-            )
+            dops = dcoeffs
         # lam = sqrt(2) z / ell, so dlam/dlog ell = -lam
         return float(np.sum(hv)), np.sum(dops, axis=1), -float(dl @ lam)
 
@@ -318,14 +258,15 @@ class LmlObjective:
 
     def value(self, theta) -> float:
         spec = self._spec_of(theta)
-        phi_c, _ = self._assemble(spec)
+        phi_c = self._phi_c(spec, self._blocks(spec))
         noise = noise_vector(spec, self.data.output_ids)
         val, _ = low_rank_log_marginal(phi_c, noise, self.data.y)
         return val
 
     def value_and_gradient(self, theta):
         spec = self._spec_of(theta)
-        phi_c, blocks = self._assemble(spec)
+        blocks = dict(self._blocks(spec))
+        phi_c = self._phi_c(spec, blocks.items())
         noise = noise_vector(spec, self.data.output_ids)
         value, state = low_rank_log_marginal(phi_c, noise, self.data.y)
 

@@ -15,11 +15,20 @@ convolution definition; both serve as oracles for the feature product.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import dblquad
 
+# SpectralDraws, sample_spectral and mogp_frequencies live in features, next
+# to the LFM's draws and the block provider; this module re-exports them.
+from .features import (
+    SpectralDraws,
+    feature_blocks,
+    mogp_frequencies,
+    output_rows,
+    sample_spectral,
+    write_phi_c,
+)
 from .kernels import FeatureMatrix
 from .model import MogpSpec
 
@@ -31,51 +40,6 @@ __all__ = [
     "mogp_cov_exact",
     "mogp_cov_quadrature",
 ]
-
-
-@dataclass(frozen=True)
-class SpectralDraws:
-    """Standard-normal base draws, one (S, p) block per force, stacked.
-
-    ``base`` has shape (Q, S, p); force q uses base[q-1] scaled by
-    sqrt(2)/ell_q, keeping frequencies differentiable in the lengthscale.
-    """
-
-    base: np.ndarray
-    seed: int
-    num_samples: int
-
-    def __post_init__(self):
-        b = np.array(self.base, dtype=float)
-        if b.ndim != 3 or b.shape[1] != self.num_samples:
-            raise ValueError(f"base must be (Q, {self.num_samples}, p), got {b.shape}")
-        b.flags.writeable = False
-        object.__setattr__(self, "base", b)
-
-    @property
-    def num_forces(self) -> int:
-        return self.base.shape[0]
-
-    @property
-    def input_dim(self) -> int:
-        return self.base.shape[2]
-
-
-def sample_spectral(num_samples, num_forces, input_dim, seed) -> SpectralDraws:
-    if num_samples < 1 or num_forces < 1 or input_dim < 1:
-        raise ValueError("num_samples, num_forces and input_dim must be >= 1")
-    rng = np.random.default_rng(seed)
-    base = rng.standard_normal((int(num_forces), int(num_samples), int(input_dim)))
-    return SpectralDraws(base, int(seed), int(num_samples))
-
-
-def mogp_frequencies(draws: SpectralDraws, q, lengthscale):
-    """Frequency matrix (S, p) for force q (1-based): sqrt(2)/ell * base."""
-    if not 1 <= q <= draws.num_forces:
-        raise ValueError(f"force index {q} outside 1..{draws.num_forces}")
-    if lengthscale <= 0:
-        raise ValueError(f"lengthscale must be positive, got {lengthscale}")
-    return (math.sqrt(2.0) / lengthscale) * draws.base[q - 1]
 
 
 def mogp_feature_matrix(x, output_ids, spec: MogpSpec, draws: SpectralDraws) -> FeatureMatrix:
@@ -92,25 +56,11 @@ def mogp_feature_matrix(x, output_ids, spec: MogpSpec, draws: SpectralDraws) -> 
     if x.ndim == 1:
         x = x[:, None]
     output_ids = np.asarray(output_ids, dtype=int)
-    n, p = x.shape
+    rows = output_rows(output_ids)
+    blocks = feature_blocks(x, rows, spec, draws)
     s_count = draws.num_samples
-    phi = np.empty((n, spec.num_forces * s_count), dtype=complex)
-    root_s = 1.0 / math.sqrt(s_count)
-    for q in range(1, spec.num_forces + 1):
-        lam = mogp_frequencies(draws, q, spec.lengthscales[q - 1])
-        b = np.sum(lam * lam, axis=1)
-        phase = np.exp(1j * (x @ lam.T))
-        cols = slice((q - 1) * s_count, q * s_count)
-        for d in np.unique(output_ids):
-            rows = np.flatnonzero(output_ids == d)
-            prec = spec.inv_widths[d - 1]
-            c_d = (2.0 * math.pi / prec) ** (p / 2.0)
-            amp = c_d * np.exp(-b / (2.0 * prec))
-            scale = spec.sensitivities[d - 1, q - 1] * root_s
-            phi[np.ix_(rows, range(cols.start, cols.stop))] = scale * (
-                amp[None, :] * phase[rows]
-            )
-    return FeatureMatrix(phi, output_ids, spec.num_forces, s_count)
+    phi_c = write_phi_c(x.shape[0], rows, spec, s_count, blocks)
+    return FeatureMatrix(phi_c, output_ids, spec.num_forces, s_count)
 
 
 def mogp_cov_exact(xr, dr, xc=None, dc=None, spec: MogpSpec | None = None) -> np.ndarray:

@@ -1,42 +1,12 @@
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from lfmrff import backends
 
-needs_numba = pytest.mark.skipif(not backends.HAVE_NUMBA, reason="numba unavailable")
-
 RNG = np.random.default_rng(8)
 T = np.sort(RNG.uniform(0.0, 3.0, 37))
 LAM = RNG.normal(scale=2.0, size=23)
-
-
-@needs_numba
-def test_ode1_fill_backends_agree():
-    a = backends._ode1_fill_np(T, LAM, 1.3)
-    b = backends._ode1_fill_nb(T, LAM, 1.3)
-    assert_allclose(a, b, rtol=1e-13, atol=1e-15)
-
-
-@needs_numba
-@pytest.mark.parametrize(
-    "mass,damper,spring",
-    [(1.0, 3.0, 2.0), (1.0, 2.0, 5.0), (0.7, 1.1, 0.4)],
-)
-def test_ode2_backends_agree(mass, damper, spring):
-    disc = complex(damper * damper / (4 * mass * mass) - spring / mass)
-    root = np.sqrt(disc)
-    s1 = -damper / (2 * mass) + root
-    s2 = -damper / (2 * mass) - root
-    assert_allclose(
-        backends._ode2_fill_np(T, LAM, mass, s1, s2),
-        backends._ode2_fill_nb(T, LAM, mass, s1, s2),
-        rtol=1e-13,
-        atol=1e-15,
-    )
 
 
 def test_dispatchers_return_expected_shapes():
@@ -139,6 +109,41 @@ def residue_blocks(t, lam, coeffs):
     return v, dv, 1j * df[p_count] / a0
 
 
+# ---------------------------------------------------------------------------
+# value fills against the closed forms
+
+
+def ode2_test_roots(mass, damper, spring):
+    root = np.sqrt(complex(damper * damper / (4 * mass * mass) - spring / mass))
+    return -damper / (2 * mass) + root, -damper / (2 * mass) - root
+
+
+def assert_fill_matches(got, ref):
+    assert got.shape == ref.shape and got.dtype == np.complex128
+    assert_allclose(got, ref, rtol=0, atol=1e-13 * np.max(np.abs(ref)))
+
+
+def test_ode1_fill_matches_closed_form():
+    assert_fill_matches(backends.ode1_fill(T, LAM, 0.6), ode1_blocks(T, LAM, 0.6)[0])
+
+
+@pytest.mark.parametrize(
+    "mass,damper,spring",
+    [(1.0, 3.0, 2.0), (0.7, 1.1, 0.4), (1.0, 2.0, 5.0), (1.4, 0.5, 3.0)],
+    ids=["overdamped", "overdamped-m", "underdamped", "underdamped-m"],
+)
+def test_ode2_fill_matches_closed_form(mass, damper, spring):
+    s1, s2 = ode2_test_roots(mass, damper, spring)
+    got = backends.ode2_fill(T, LAM, mass, s1, s2)
+    assert_fill_matches(got, ode2_blocks(T, LAM, mass, s1, s2)[0])
+
+
+def test_third_order_fill_matches_term_by_term_sum():
+    coeffs = np.polymul([2.0, 1.0], [1.0, 1.0, 4.0])
+    got = backends.residue_fill(T, LAM, np.roots(coeffs), coeffs[0])
+    assert_fill_matches(got, residue_blocks(T, LAM, coeffs)[0])
+
+
 def contract(h, block):
     return np.sum((h * block).real, axis=0)
 
@@ -164,9 +169,7 @@ def test_ode1_contractions_match_blocks():
     ids=["overdamped", "overdamped-m", "underdamped", "underdamped-m"],
 )
 def test_ode2_contractions_match_blocks(mass, damper, spring):
-    root = np.sqrt(complex(damper * damper / (4 * mass * mass) - spring / mass))
-    s1 = -damper / (2 * mass) + root
-    s2 = -damper / (2 * mass) - root
+    s1, s2 = ode2_test_roots(mass, damper, spring)
     v = backends.ode2_fill(T, LAM, mass, s1, s2)
     got = backends.ode2_grads(T, LAM, mass, s1, s2, H, v)
     assert_columns_match(got, ode2_blocks(T, LAM, mass, s1, s2), H)
@@ -186,67 +189,3 @@ def test_third_order_contractions_match_blocks():
         assert_allclose(dv[i], fd, rtol=0, atol=1e-7 * np.max(np.abs(fd)))
     hv, dcoeffs, dlam = backends.residue_grads(T, LAM, np.roots(coeffs), coeffs[0], H, v)
     assert_columns_match([hv, *dcoeffs, dlam], [v, *dv, dv_dlam], H)
-
-
-def _run_with_backend(value):
-    code = (
-        "from lfmrff import backends\n"
-        "print(backends.backend_name())\n"
-    )
-    env = {"LFMRFF_BACKEND": value} if value else {}
-    import os
-
-    full_env = dict(os.environ)
-    full_env.pop("LFMRFF_BACKEND", None)
-    full_env.update(env)
-    return subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=full_env
-    )
-
-
-def test_env_flag_selects_numpy():
-    result = _run_with_backend("numpy")
-    assert result.returncode == 0
-    assert result.stdout.strip() == "numpy"
-
-
-@needs_numba
-def test_env_flag_selects_numba():
-    result = _run_with_backend("numba")
-    assert result.returncode == 0
-    assert result.stdout.strip() == "numba"
-
-
-def test_env_flag_rejects_unknown():
-    result = _run_with_backend("cuda")
-    assert result.returncode != 0
-    assert "LFMRFF_BACKEND" in result.stderr
-
-
-def test_numpy_backend_full_pipeline():
-    """The pure-numpy path must run the whole fit, not just the fills."""
-    code = (
-        "import numpy as np\n"
-        "from lfmrff import backends\n"
-        "assert backends.backend_name() == 'numpy'\n"
-        "from lfmrff.model import LfmSpec, Ode2Params, Dataset\n"
-        "from lfmrff.features import sample_frequencies\n"
-        "from lfmrff.likelihood import optimize, OptimizerConfig\n"
-        "spec = LfmSpec((Ode2Params(1.0, 3.0, 2.0),), 1, [1.0], [[1.0]], [0.1])\n"
-        "t = np.linspace(0, 3, 12)\n"
-        "data = Dataset(np.ones(12, int), t, np.sin(t))\n"
-        "fit = optimize(spec, data, sample_frequencies(8, 1, 0),"
-        " OptimizerConfig(max_iters=3))\n"
-        "assert fit.final_lml >= fit.trace[0][1]\n"
-        "print('ok')\n"
-    )
-    result = _run_with_backend("numpy")
-    import os
-
-    env = dict(os.environ)
-    env["LFMRFF_BACKEND"] = "numpy"
-    result = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env
-    )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "ok"

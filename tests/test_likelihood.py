@@ -1,6 +1,7 @@
 """Low-rank marginal likelihood, its analytic gradient, and the optimizer."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from lfmrff.model import (
     OdeOperator,
     pack,
 )
-from lfmrff.mogp import sample_spectral
+from lfmrff.mogp import mogp_feature_matrix, sample_spectral
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -122,6 +123,57 @@ def test_noise_vector_maps_outputs():
 
 
 # ---------------------------------------------------------------------------
+# the objective assembles the same Phi as the public feature matrices
+
+
+def lfm_data(seed=0, n=10):
+    rng = np.random.default_rng(seed)
+    t = np.sort(rng.uniform(0.05, 3.0, n))
+    ids = rng.integers(1, 3, size=n)
+    y = rng.normal(size=n)
+    return Dataset(ids, t, y)
+
+
+def mogp_data(seed=7, n=9):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1.0, 1.0, size=(n, 2))
+    return Dataset(rng.integers(1, 3, size=n), x, rng.normal(size=n))
+
+
+@pytest.mark.parametrize(
+    "spec,data,draws,assemble",
+    [
+        (
+            LfmSpec((Ode1Params(1.1), Ode2Params(1.0, 3.0, 2.0)), 2, [0.9, 1.7],
+                    [[0.7, 0.2], [-0.5, 1.1]], [0.3, 0.1]),
+            lfm_data(1, n=40),
+            sample_frequencies(7, 2, seed=4),
+            feature_matrix,
+        ),
+        (
+            LfmSpec((OdeOperator((2.0, 3.0, 9.0, 4.0)), Ode2Params(1.3, 0.8, 5.0)), 1,
+                    [1.2], [[1.0], [0.6]], [0.2, 0.25]),
+            lfm_data(3, n=40),
+            sample_frequencies(9, 1, seed=6),
+            feature_matrix,
+        ),
+        (
+            MogpSpec(2, [1.4, 0.8], 2, [1.0, 0.7], [[1.0, 0.2], [0.4, 0.9]], [0.15, 0.3]),
+            mogp_data(),
+            sample_spectral(5, 2, 2, seed=8),
+            mogp_feature_matrix,
+        ),
+    ],
+    ids=["ode1-ode2-interleaved", "order3-ode2", "mogp-2d"],
+)
+def test_objective_value_matches_feature_matrix(spec, data, draws, assemble):
+    fm = assemble(data.inputs, data.output_ids, spec, draws)
+    ref, _ = low_rank_log_marginal(fm, noise_vector(spec, data.output_ids), data.y)
+    got = LmlObjective(data, spec, draws).value(pack(spec).values)
+    assert_allclose(got, ref, rtol=1e-12)
+
+
+# ---------------------------------------------------------------------------
 # analytic gradient vs central differences
 
 
@@ -142,14 +194,6 @@ def check_gradient(spec, data, draws):
     _, analytic = obj.value_and_gradient(theta)
     numeric = fd_gradient(obj, theta)
     assert_allclose(analytic, numeric, rtol=1e-5, atol=1e-7)
-
-
-def lfm_data(seed=0, n=10):
-    rng = np.random.default_rng(seed)
-    t = np.sort(rng.uniform(0.05, 3.0, n))
-    ids = rng.integers(1, 3, size=n)
-    y = rng.normal(size=n)
-    return Dataset(ids, t, y)
 
 
 class TestGradient:
@@ -210,6 +254,26 @@ class TestGradient:
         spec = LfmSpec((Ode2Params(1.0, damper, spring),), 1, [1.0], [[0.9]], [0.25])
         data = lfm_data(2)
         data = Dataset(np.ones_like(data.output_ids), data.inputs, data.y)
+        with pytest.warns(NumericsWarning, match="collide"):
+            check_gradient(spec, data, draws)
+
+    def test_general_operator_frequency_collision(self):
+        # (s + 1)(s^2 + 1e-7 s + 4) has poles at -5e-8 +- 2j; one frequency
+        # sits on the upper one.  The order-3 output collides, the ODE2 output
+        # does not, so exactly one block warns per evaluation.
+        coeffs = tuple(np.polymul([1.0, 1.0], [1.0, 1e-7, 4.0]))
+        base = np.random.default_rng(1).normal(size=(128, 1))
+        base[1, 0] = float(np.max(np.roots(coeffs).imag)) / math.sqrt(2.0)
+        draws = FrequencyDraws(base, 0, 128)
+        spec = LfmSpec((OdeOperator(coeffs), Ode2Params(1.0, 3.0, 2.0)), 1, [1.0],
+                       [[0.9], [0.5]], [0.25, 0.2])
+        data = lfm_data(2)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            LmlObjective(data, spec, draws).value_and_gradient(pack(spec).values)
+        collide = [w for w in caught
+                   if issubclass(w.category, NumericsWarning) and "collide" in str(w.message)]
+        assert len(collide) == 1
         with pytest.warns(NumericsWarning, match="collide"):
             check_gradient(spec, data, draws)
 
