@@ -410,12 +410,6 @@ def cmd_train(args) -> int:
     validate_dataset(data, init)
     draws = _draws_for_spec(init, cfg)
 
-    objective = LmlObjective(data, init, draws)
-    theta0 = pack(init).values
-    t0 = perf_counter()
-    objective.value_and_gradient(theta0)
-    eval_seconds = perf_counter() - t0
-
     fit = optimize(
         init,
         data,
@@ -427,10 +421,11 @@ def cmd_train(args) -> int:
     trace_path = _out_path(cfg, "trace.csv")
     _write_csv(
         trace_path,
-        ["iter", "lml", "grad_norm", "elapsed_s"],
-        [(it, float(lml), float(gn), float(el)) for it, lml, gn, el in fit.trace],
+        ["iter", "lml", "grad_norm", "elapsed_s", "evals"],
+        [(it, float(lml), float(gn), float(el), ev) for it, lml, gn, el, ev in fit.trace],
     )
-    print(f"objective+gradient evaluation: {eval_seconds:.4f} s")
+    # the first trace row times optimize's evaluation at the initial point
+    print(f"objective+gradient evaluation: {fit.trace[0][3]:.4f} s")
     print(
         f"fit: status={fit.status} iterations={fit.iterations} "
         f"lml {fit.trace[0][1]:.6g} -> {fit.final_lml:.6g}"

@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import backends
-from .model import LfmSpec, NumericalError, Ode1Params, Ode2Params, OdeOperator
+from .model import DataError, LfmSpec, NumericalError, Ode1Params, Ode2Params, OdeOperator
 
 __all__ = [
     "NumericsWarning",
@@ -215,13 +215,23 @@ def ode2_roots(params: Ode2Params):
     """Roots -c/2m +- sqrt(c^2/4m^2 - b/m) of a second-order operator.
 
     Critical damping (coincident roots) is perturbed away by growing the
-    spring constant by a relative 1e-6, with a NumericsWarning.
+    spring constant by a relative 1e-6, with a NumericsWarning.  Raises
+    NumericalError when the discriminant overflows (a vanishing mass).
     """
     m, c, b = params.mass, params.damper, params.spring
-    disc = c * c / (4.0 * m * m) - b / m
-    root = np.sqrt(complex(disc))
-    s1 = -c / (2.0 * m) + root
-    s2 = -c / (2.0 * m) - root
+    half = c / (2.0 * m)
+
+    def roots(b):
+        disc = half * half - b / m
+        if not math.isfinite(disc):
+            raise NumericalError(
+                f"ODE2 roots overflow: mass {m:.6g} is too small against "
+                f"damper {c:.6g} and spring {b:.6g}"
+            )
+        root = np.sqrt(complex(disc))
+        return -half + root, -half - root
+
+    s1, s2 = roots(b)
     scale = 1.0 + max(abs(s1), abs(s2))
     if abs(s1 - s2) < SEPARATION_RTOL * scale:
         warnings.warn(
@@ -230,10 +240,7 @@ def ode2_roots(params: Ode2Params):
             NumericsWarning,
             stacklevel=2,
         )
-        b = b * (1.0 + 1e-6)
-        root = np.sqrt(complex(c * c / (4.0 * m * m) - b / m))
-        s1 = -c / (2.0 * m) + root
-        s2 = -c / (2.0 * m) - root
+        s1, s2 = roots(b * (1.0 + 1e-6))
     return complex(s1), complex(s2)
 
 
@@ -378,8 +385,12 @@ def feature_blocks(inputs, rows, spec, draws):
     at.  An LFM entry adds the operator's "roots" and "leading"
     coefficient; its frequencies are perturbed off the roots here, once,
     with a NumericsWarning per colliding block.  A MOGP entry adds
-    "b" = |lam|^2 per sample.
+    "b" = |lam|^2 per sample.  Raises DataError for an output id outside
+    1..D.
     """
+    bad = [d for d in rows if not 1 <= d <= spec.num_outputs]
+    if bad:
+        raise DataError(f"output_id {bad[0]} outside 1..{spec.num_outputs}")
     if isinstance(spec, LfmSpec):
         for d, r in rows.items():
             rs = operator_roots(spec.outputs[d - 1])

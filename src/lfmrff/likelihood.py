@@ -3,6 +3,8 @@
 The low-rank evaluation rewrites the usual GP objective through the matrix
 inversion and determinant lemmas around A = I + Phi_c^T Sigma^-1 Phi_c,
 so cost is linear in the number of observations at fixed feature count.
+The data-fit term is y^T beta with beta = (K + Sigma)^-1 y, which avoids
+the cancellation between y^T Sigma^-1 y and alpha^T A^-1 alpha.
 The objective assembles Phi_c from ``features.feature_blocks`` and
 ``features.write_phi_c``, the same provider and writer ``feature_matrix``
 and ``mogp_feature_matrix`` use, and keeps the blocks for the gradient.
@@ -12,6 +14,10 @@ LFM block of any operator order to per-column sums through the
 characteristic roots, and the chain rules through the frequency
 reparameterization lam = sqrt(2) z / ell, the log-transformed parameters
 and the per-output noise variances act on those sums.
+
+``optimize`` maximizes the objective over the packed parameters with
+scipy's L-BFGS-B, one ``value_and_gradient`` per evaluation, and stops on
+the 2-norm of the gradient.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ from time import perf_counter
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.optimize import minimize
 
 from . import backends
 from .features import (
@@ -131,12 +138,12 @@ def low_rank_log_marginal(phi, noise, y):
         raise NumericalError(f"A = I + Phi^T Sigma^-1 Phi not SPD: {exc}") from None
     alpha = u.T @ y
     ainv_alpha = cho_solve((chol, True), alpha)
-    data_fit = float(y @ (sinv * y) - alpha @ ainv_alpha)
+    beta = sinv * (y - phi_c @ ainv_alpha)
+    data_fit = float(y @ beta)
     log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
     value = -0.5 * (
         data_fit + log_det + float(np.sum(np.log(noise))) + n * LOG_2PI
     )
-    beta = sinv * (y - phi_c @ ainv_alpha)
     state = LowRankState(
         a_mat=a,
         alpha=alpha,
@@ -340,22 +347,24 @@ def lml_gradient(theta, data: Dataset, draws, template):
 
 @dataclass(frozen=True)
 class OptimizerConfig:
+    """``max_iters`` bounds the accepted steps; the fit converges once the
+    Euclidean norm of the packed gradient is at most ``grad_tol``."""
+
     max_iters: int = 500
     grad_tol: float = 1e-5
-    initial_step: float = 1.0
-    armijo_c: float = 1e-4
-    backtrack: float = 0.5
-    max_backtracks: int = 30
 
 
 @dataclass(frozen=True, eq=False)
 class FitResult:
     """Outcome of a hyperparameter fit.
 
-    ``trace`` rows are (iteration, lml, grad_norm, elapsed_s); the lml
-    column is non-decreasing because every accepted step passes an Armijo
-    test.  ``status`` is one of converged, max_iters, line_search_failed;
-    the returned spec is always the best point seen, never worse than init.
+    ``trace`` rows are (iteration, lml, grad_norm, elapsed_s, evals), one
+    per accepted step after the initial point; evals counts objective and
+    gradient evaluations so far, rejected line-search trials included.  The
+    lml column is non-decreasing because L-BFGS-B accepts only steps that
+    pass its sufficient-decrease test.  ``status`` is one of converged,
+    max_iters, line_search_failed; the returned spec is the last accepted
+    point, so never worse than init.
     """
 
     spec: object
@@ -368,96 +377,81 @@ class FitResult:
     status: str
 
 
-def optimize(init, data: Dataset, draws, config: OptimizerConfig | None = None, callback=None) -> FitResult:
-    """Maximize the log marginal likelihood by BFGS ascent in packed space.
+def optimize(init, data: Dataset, draws, config: OptimizerConfig | None = None) -> FitResult:
+    """Maximize the log marginal likelihood with scipy's L-BFGS-B.
 
-    Quasi-Newton direction on the negated objective with backtracking
-    Armijo line search; inverse-Hessian updates are skipped when curvature
-    is not positive.  Steps that raise numerical errors or produce
-    non-finite values are treated as failed trials and backtracked.
+    L-BFGS-B minimizes the negated objective in packed space.  It stops
+    when the gradient's 2-norm reaches ``grad_tol`` (its own tolerances are
+    off), after ``max_iters`` steps, or when its line search fails.  Trial
+    points that raise numerical errors count as infinitely bad, so the line
+    search backtracks from them.
     """
     cfg = config or OptimizerConfig()
     obj = LmlObjective(data, init, draws)
-    theta = pack(init).values.copy()
-    n_par = theta.size
     started = perf_counter()
+    evals = 0
+    trace = []
+    last = best = None  # (theta, lml, gradient) of the latest / accepted point
 
-    f, g = obj.value_and_gradient(theta)
-    trace = [(0, f, float(np.linalg.norm(g)), perf_counter() - started)]
-    best_f, best_theta = f, theta.copy()
-    h_inv = np.eye(n_par)
-    gmin = -g
-    status = "max_iters"
-    iterations = 0
+    def evaluate(theta):
+        nonlocal evals, last
+        evals += 1
+        f, g = obj.value_and_gradient(theta)
+        last = (theta.copy(), f, g)
 
-    for it in range(1, cfg.max_iters + 1):
-        if np.linalg.norm(g) <= cfg.grad_tol:
-            status = "converged"
-            break
-        direction = -(h_inv @ gmin)
-        slope = float(direction @ gmin)
-        if slope >= 0.0:
-            h_inv = np.eye(n_par)
-            direction = -gmin
-            slope = -float(gmin @ gmin)
-        step = cfg.initial_step
-        accepted = False
-        for _ in range(cfg.max_backtracks):
-            trial = theta + step * direction
+    def accept(intermediate_result=None):
+        # L-BFGS-B reports a new iterate right after evaluating it, so the
+        # latest evaluation is that iterate
+        nonlocal best
+        best = last
+        trace.append((len(trace), best[1], float(np.linalg.norm(best[2])),
+                      perf_counter() - started, evals))
+        if trace[-1][2] <= cfg.grad_tol:
+            raise StopIteration
+
+    def negated(theta):
+        if not np.array_equal(theta, last[0]):
             try:
-                # Overflow in a rejected trial point is routine; the
-                # non-finite checks below turn it into a shorter step.
+                # Overflow in a rejected trial point is routine; an infinite
+                # value makes the line search shorten the step.
                 with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                    f_new, g_new = obj.value_and_gradient(trial)
+                    evaluate(theta)
             except (NumericalError, DataError, OverflowError):
                 # exp over- or underflow while unpacking the trial point, or
                 # a non-finite feature matrix
-                f_new = -np.inf
-            if np.isfinite(f_new) and -f_new <= -f + cfg.armijo_c * step * slope:
-                accepted = True
-                break
-            step *= cfg.backtrack
-        if not accepted:
-            status = "line_search_failed"
-            warnings.warn(
-                f"line search failed at iteration {it}; returning best point seen",
-                NumericsWarning,
-                stacklevel=2,
-            )
-            break
-        s_vec = step * direction
-        y_vec = -g_new - gmin
-        sy = float(y_vec @ s_vec)
-        if sy > 1e-10 * np.linalg.norm(s_vec) * np.linalg.norm(y_vec):
-            rho = 1.0 / sy
-            outer = np.outer(s_vec, y_vec)
-            h_inv = (
-                h_inv
-                - rho * (outer @ h_inv + h_inv @ outer.T)
-                + rho * rho * (y_vec @ (h_inv @ y_vec)) * np.outer(s_vec, s_vec)
-                + rho * np.outer(s_vec, s_vec)
-            )
-        theta = theta + s_vec
-        f, g = f_new, g_new
-        gmin = -g
-        iterations = it
-        if f > best_f:
-            best_f, best_theta = f, theta.copy()
-        trace.append((it, f, float(np.linalg.norm(g)), perf_counter() - started))
-        if callback is not None:
-            callback(it, f, float(np.linalg.norm(g)))
-    else:
-        if np.linalg.norm(g) <= cfg.grad_tol:
-            status = "converged"
+                return math.inf, np.zeros_like(theta)
+        return -last[1], -last[2]
 
-    spec = unpack(best_theta, init)
+    evaluate(pack(init).values)
+    try:
+        accept()
+    except StopIteration:  # converged at the initial point
+        pass
+    else:
+        if cfg.max_iters > 0:
+            # scipy's own stopping tests are off; each line search is bounded,
+            # so max_iters also bounds the evaluations
+            minimize(negated, best[0], jac=True, method="L-BFGS-B", callback=accept,
+                     options={"maxiter": cfg.max_iters, "maxfun": math.inf,
+                              "ftol": 0.0, "gtol": 0.0})
+    if trace[-1][2] <= cfg.grad_tol:
+        status = "converged"
+    elif len(trace) - 1 >= cfg.max_iters:
+        status = "max_iters"
+    else:
+        status = "line_search_failed"
+        warnings.warn(
+            f"line search failed at iteration {len(trace)}; returning best point seen",
+            NumericsWarning,
+            stacklevel=2,
+        )
     return FitResult(
-        spec=spec,
-        packed=HyperParamVector(best_theta, obj.labels),
-        final_lml=best_f,
+        spec=unpack(best[0], init),
+        packed=HyperParamVector(best[0], obj.labels),
+        final_lml=best[1],
         trace=tuple(trace),
         seed=draws.seed,
         num_samples=draws.num_samples,
-        iterations=iterations,
+        iterations=len(trace) - 1,
         status=status,
     )

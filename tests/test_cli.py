@@ -51,7 +51,7 @@ class TestTrain:
         assert fit["num_samples"] == 20 and fit["seed"] == 3
         assert fit["status"] in ("converged", "max_iters", "line_search_failed")
         rows = read_rows(out / "trace.csv")
-        assert rows[0] == ["iter", "lml", "grad_norm", "elapsed_s"]
+        assert rows[0] == ["iter", "lml", "grad_norm", "elapsed_s", "evals"]
         lmls = [float(r[1]) for r in rows[1:]]
         assert all(b >= a - 1e-12 for a, b in zip(lmls, lmls[1:]))
         captured = capsys.readouterr()
@@ -255,6 +255,12 @@ class TestExitCodes:
         cfg = _cfg(tmp_path, "model=odeP\ncoeffs1=1,2,1\ncoeffs2=1,2,1")
         assert run(["train", train_csv, "--config", cfg]) == 3
         assert "repeated" in capsys.readouterr().err
+
+    def test_numerical_error_vanishing_ode2_mass(self, tmp_path, train_csv, capsys):
+        # Roots that overflow are a numerical failure, not a usage error.
+        cfg = _cfg(tmp_path, "model=ode2\nmass1=1e-170")
+        assert run(["train", train_csv, "--config", cfg]) == 3
+        assert "mass" in capsys.readouterr().err
 
     def test_success_is_zero(self, tmp_path, train_csv):
         out = tmp_path / "o"

@@ -57,6 +57,12 @@ class TestRoots:
             s1, s2 = ode2_roots(Ode2Params(1.0, 2.0, 1.0))
         assert s1 != s2
 
+    @pytest.mark.parametrize("mass", [1e-160, 1e-170])
+    def test_ode2_vanishing_mass_is_numerical_error(self, mass):
+        # (c/2m)^2 overflows, so the roots cannot be represented.
+        with pytest.raises(NumericalError, match="mass"):
+            ode2_roots(Ode2Params(mass, 1.0, 1.0))
+
     def test_general_matches_ode2(self):
         rs = ode_roots(OdeOperator((1.0, 3.0, 2.0)))
         assert_allclose(sorted(rs.roots.real), [-2.0, -1.0], atol=1e-12)

@@ -16,7 +16,7 @@ from lfmrff.kernels import (
     latent_feature_matrix,
     response_quadrature,
 )
-from lfmrff.model import LfmSpec, Ode1Params, Ode2Params, OdeOperator
+from lfmrff.model import DataError, LfmSpec, Ode1Params, Ode2Params, OdeOperator
 
 TWO_OUTPUT_SPEC = LfmSpec(
     (Ode1Params(1.0), Ode2Params(1.0, 3.0, 2.0)),
@@ -117,6 +117,12 @@ class TestFeatureMatrix:
         t, ids, _ = small_problem()
         with pytest.raises(ValueError):
             feature_matrix(t, ids, TWO_OUTPUT_SPEC, sample_frequencies(8, 1, seed=0))
+
+    @pytest.mark.parametrize("bad_id", [0, 3])
+    def test_output_id_outside_range_is_data_error(self, bad_id):
+        _, _, draws = small_problem()
+        with pytest.raises(DataError, match=f"output_id {bad_id}"):
+            feature_matrix([0.5, 1.0], [1, bad_id], TWO_OUTPUT_SPEC, draws)
 
 
 class TestLatentFeatures:

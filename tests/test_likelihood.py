@@ -363,9 +363,42 @@ class TestOptimize:
         fit = optimize(init, data, draws, OptimizerConfig(max_iters=3))
         for i, row in enumerate(fit.trace):
             assert row[0] == i
-            assert len(row) == 4
+            assert len(row) == 5
         elapsed = [row[3] for row in fit.trace]
         assert all(b >= a for a, b in zip(elapsed, elapsed[1:]))
+        evals = [row[4] for row in fit.trace]
+        assert evals[0] == 1 and all(b > a for a, b in zip(evals, evals[1:]))
+
+    def test_trace_counts_every_evaluation(self, monkeypatch):
+        calls = []
+        original = LmlObjective.value_and_gradient
+
+        def counted(self, theta):
+            calls.append(1)
+            return original(self, theta)
+
+        monkeypatch.setattr(LmlObjective, "value_and_gradient", counted)
+        init, data, draws = fit_problem()
+        fit = optimize(init, data, draws, OptimizerConfig(max_iters=40))
+        assert fit.trace[-1][4] == len(calls)
+        # some line searches take more than one trial, and those count too
+        assert len(calls) > len(fit.trace)
+
+    def test_iteration_limit_status(self):
+        init, data, draws = fit_problem()
+        fit = optimize(init, data, draws, OptimizerConfig(max_iters=3))
+        assert fit.status == "max_iters"
+        assert fit.iterations == 3
+        assert len(fit.trace) == 4
+
+    def test_converged_means_gradient_norm_within_tolerance(self):
+        init, data, draws = fit_problem()
+        cfg = OptimizerConfig()
+        fit = optimize(init, data, draws, cfg)
+        assert fit.status == "converged"
+        g = LmlObjective(data, init, draws).gradient(fit.packed.values)
+        assert np.linalg.norm(g) <= cfg.grad_tol
+        assert fit.trace[-1][2] == np.linalg.norm(g)
 
     def test_zero_iterations_when_already_converged(self):
         init, data, draws = fit_problem()
@@ -374,6 +407,16 @@ class TestOptimize:
         assert fit.status == "converged"
         assert len(fit.trace) == 1
         assert_allclose(fit.packed.values, pack(init).values, rtol=0)
+
+    def test_stalled_line_search_status(self):
+        # No gradient reaches norm 0, so the fit ends when no step along the
+        # search direction measurably raises the lml.
+        init, data, draws = fit_problem()
+        with pytest.warns(NumericsWarning, match="line search failed"):
+            fit = optimize(init, data, draws, OptimizerConfig(grad_tol=0.0))
+        assert fit.status == "line_search_failed"
+        assert fit.iterations < OptimizerConfig().max_iters
+        assert fit.final_lml == max(row[1] for row in fit.trace)
 
     def test_never_returns_worse_than_init(self):
         init, data, draws = fit_problem()

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from lfmrff.kernels import approx_cov
-from lfmrff.model import MogpSpec
+from lfmrff.model import DataError, MogpSpec
 from lfmrff.mogp import (
     mogp_cov_exact,
     mogp_cov_quadrature,
@@ -61,6 +61,12 @@ class TestFeatures:
         draws = sample_spectral(4, 1, 2, seed=0)
         with pytest.raises(ValueError):
             mogp_feature_matrix(np.zeros((3, 2)), np.ones(3, int), SPEC_2D, draws)
+
+    @pytest.mark.parametrize("bad_id", [0, 3])
+    def test_output_id_outside_range_is_data_error(self, bad_id):
+        draws = sample_spectral(4, 2, 2, seed=0)
+        with pytest.raises(DataError, match=f"output_id {bad_id}"):
+            mogp_feature_matrix(np.zeros((2, 2)), [1, bad_id], SPEC_2D, draws)
 
 
 class TestExactCov:
