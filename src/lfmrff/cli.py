@@ -46,6 +46,7 @@ from .model import (
     pack,
     read_dataset_csv,
     validate_dataset,
+    write_csv_columns,
 )
 from .mogp import mogp_cov_exact, mogp_feature_matrix, sample_spectral
 from .predict import draws_for, predict_latent_forces, predict_outputs
@@ -319,14 +320,6 @@ def _out_path(cfg, name):
     return os.path.join(cfg.out_dir, name)
 
 
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(x) if isinstance(x, float) else x for x in row])
-
-
 def _read_grid(path, cfg):
     """Evaluation grid: a dataset CSV without y, or a bare t/x1..xp list.
 
@@ -389,10 +382,15 @@ def _input_header(data_inputs):
     return [f"x{i}" for i in range(1, data_inputs.shape[1] + 1)]
 
 
-def _input_cols(inputs, i):
-    if inputs.ndim == 1:
-        return [float(inputs[i])]
-    return [float(v) for v in inputs[i]]
+def _input_columns(inputs):
+    """One 1-D column per input dimension: ``t`` or ``x1..xp``."""
+    return list(np.atleast_2d(inputs.T))
+
+
+def _posterior_columns(post):
+    """mean, var, lower2sd and upper2sd columns of a posterior."""
+    sd2 = 2.0 * np.sqrt(post.variance)
+    return [post.mean, post.variance, post.mean - sd2, post.mean + sd2]
 
 
 # ---------------------------------------------------------------------------
@@ -419,10 +417,8 @@ def cmd_train(args) -> int:
     fit_path = _out_path(cfg, "fit.json")
     write_fit_file(fit_path, fit, cfg.model, args.train_csv)
     trace_path = _out_path(cfg, "trace.csv")
-    _write_csv(
-        trace_path,
-        ["iter", "lml", "grad_norm", "elapsed_s", "evals"],
-        [(it, float(lml), float(gn), float(el), ev) for it, lml, gn, el, ev in fit.trace],
+    write_csv_columns(
+        trace_path, ["iter", "lml", "grad_norm", "elapsed_s", "evals"], zip(*fit.trace)
     )
     # the first trace row times optimize's evaluation at the initial point
     print(f"objective+gradient evaluation: {fit.trace[0][3]:.4f} s")
@@ -438,6 +434,12 @@ def cmd_train(args) -> int:
 def cmd_predict(args) -> int:
     cfg = _resolve_config(args)
     fit, doc = read_fit_file(args.fit_file)
+    q = cfg.latent_force
+    if q is not None:
+        if not isinstance(fit.spec, LfmSpec):
+            raise DataError("latent_force output requires an LFM fit")
+        if not 1 <= q <= fit.spec.num_forces:
+            raise DataError(f"latent_force {q} outside 1..{fit.spec.num_forces}")
     train = read_dataset_csv(doc["train_csv"])
     validate_dataset(train, fit.spec)
     draws = draws_for(fit)
@@ -450,53 +452,28 @@ def cmd_predict(args) -> int:
     pred_path = _out_path(cfg, "predictions.csv")
     header = ["output_id"] + _input_header(test.inputs if len(test) else train.inputs)
     header += ["mean", "var", "lower2sd", "upper2sd"]
-    rows = []
+    columns = []
     if len(test):
         post = predict_outputs(fit, state, test, include_noise=cfg.include_noise)
-        sd2 = 2.0 * np.sqrt(post.variance)
-        for i in range(len(test)):
-            rows.append(
-                [int(test.output_ids[i])]
-                + _input_cols(test.inputs, i)
-                + [
-                    float(post.mean[i]),
-                    float(post.variance[i]),
-                    float(post.mean[i] - sd2[i]),
-                    float(post.mean[i] + sd2[i]),
-                ]
-            )
-    _write_csv(pred_path, header, rows)
+        columns = [test.output_ids, *_input_columns(test.inputs), *_posterior_columns(post)]
+    write_csv_columns(pred_path, header, columns)
     print(f"wrote {pred_path}")
 
-    if cfg.latent_force is not None:
-        if not isinstance(fit.spec, LfmSpec):
-            raise DataError("latent_force output requires an LFM fit")
+    if q is not None:
         times = np.unique(test.inputs if len(test) else train.inputs)
-        post = predict_latent_forces(fit, state, times, cfg.latent_force)
-        sd2 = 2.0 * np.sqrt(post.variance)
+        post = predict_latent_forces(fit, state, times, q)
         latent_path = _out_path(cfg, "latent_forces.csv")
-        _write_csv(
+        write_csv_columns(
             latent_path,
             ["force_id", "t", "mean", "var", "lower2sd", "upper2sd"],
-            [
-                (
-                    cfg.latent_force,
-                    float(times[i]),
-                    float(post.mean[i]),
-                    float(post.variance[i]),
-                    float(post.mean[i] - sd2[i]),
-                    float(post.mean[i] + sd2[i]),
-                )
-                for i in range(times.size)
-            ],
+            [np.full(times.size, q), times, *_posterior_columns(post)],
         )
         print(f"wrote {latent_path}")
     return EXIT_OK
 
 
 def _kernel_csv(path, k):
-    header = [f"c{j}" for j in range(1, k.shape[1] + 1)]
-    _write_csv(path, header, [[float(v) for v in row] for row in k])
+    write_csv_columns(path, [f"c{j}" for j in range(1, k.shape[1] + 1)], k.T)
 
 
 def cmd_kernel_eval(args) -> int:
@@ -546,9 +523,10 @@ def cmd_benchmark(args) -> int:
     rng = np.random.default_rng(cfg.seed)
     theta0 = pack(spec).values
 
-    rows = []
-    means = []
-    for n in cfg.benchmark_sizes:
+    sizes = np.asarray(cfg.benchmark_sizes, dtype=int)
+    mean_s = np.empty(sizes.size)
+    std_s = np.empty(sizes.size)
+    for i, n in enumerate(cfg.benchmark_sizes):
         per_output = n // cfg.outputs
         t = np.tile(np.linspace(0.0, 3.0, per_output), cfg.outputs)
         ids = np.repeat(np.arange(1, cfg.outputs + 1), per_output)
@@ -560,15 +538,12 @@ def cmd_benchmark(args) -> int:
             t0 = perf_counter()
             objective.value_and_gradient(theta0)
             times.append(perf_counter() - t0)
-        rows.append((n, float(np.mean(times)), float(np.std(times))))
-        means.append(np.mean(times))
-    slope = float(
-        np.polyfit(np.log(np.asarray(cfg.benchmark_sizes, float)), np.log(means), 1)[0]
-    )
+        mean_s[i], std_s[i] = np.mean(times), np.std(times)
+    slope = float(np.polyfit(np.log(sizes.astype(float)), np.log(mean_s), 1)[0])
     path = _out_path(cfg, "benchmark.csv")
-    _write_csv(path, ["N", "mean_s", "std_s"], rows)
-    for n, mean_s, std_s in rows:
-        print(f"N={n}: {mean_s:.4f} s (+/- {std_s:.4f})")
+    write_csv_columns(path, ["N", "mean_s", "std_s"], [sizes, mean_s, std_s])
+    for n, m, sd in zip(cfg.benchmark_sizes, mean_s, std_s):
+        print(f"N={n}: {m:.4f} s (+/- {sd:.4f})")
     print(f"log-log slope: {slope:.3f}", file=sys.stderr)
     print(f"wrote {path}")
     return EXIT_OK
@@ -586,14 +561,12 @@ def cmd_sample_features(args) -> int:
     header = ["output_id"] + _input_header(grid)
     for k in range(1, n_cols + 1):
         header += [f"feat{k}_re", f"feat{k}_im"]
-    rows = []
-    for i in range(ids.size):
-        row = [int(ids[i])] + _input_cols(grid, i)
-        for k in range(n_cols):
-            row += [float(phi[i, k].real), float(phi[i, k].imag)]
-        rows.append(row)
+    columns = []
+    if ids.size:
+        re_im = np.stack((phi.real, phi.imag), 2).reshape(ids.size, -1).T
+        columns = [ids, *_input_columns(grid), *re_im]
     path = _out_path(cfg, "features.csv")
-    _write_csv(path, header, rows)
+    write_csv_columns(path, header, columns)
     print(f"wrote {path}")
     return EXIT_OK
 

@@ -33,6 +33,7 @@ __all__ = [
     "validate_dataset",
     "read_dataset_csv",
     "write_dataset_csv",
+    "write_csv_columns",
     "NOISE_FLOOR",
 ]
 
@@ -510,15 +511,30 @@ def read_dataset_csv(path, require_y=True) -> Dataset:
     return Dataset(ids, x, np.array(ys, dtype=float))
 
 
+def write_csv_columns(path, header, columns) -> None:
+    """Write a CSV table given as a header and equal-length 1-D columns.
+
+    Each column is an array or a sequence that converts to one.
+    Float columns are written with ``repr`` (the shortest string that
+    reads back to the same double), other columns with ``str``; lines end
+    in CRLF.  For the numeric cells and plain header names written here
+    the bytes equal those of ``csv.writer`` with ``repr``-formatted floats.
+    No rows (or no columns) writes the header line only.
+    """
+    cells = [
+        map(repr if col.dtype.kind == "f" else str, col.tolist())
+        for col in map(np.asarray, columns)
+    ]
+    if cells:
+        cells[-1] = map("{}\r\n".format, cells[-1])
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(map(",".join, zip(*cells)))
+
+
 def write_dataset_csv(path, data: Dataset) -> None:
     """Write a dataset in the canonical CSV layout."""
     p = data.input_dim
     scalar = data.inputs.ndim == 1
     header = ["output_id"] + (["t"] if scalar else [f"x{i}" for i in range(1, p + 1)]) + ["y"]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(len(data)):
-            x = [data.inputs[i]] if scalar else list(data.inputs[i])
-            writer.writerow([int(data.output_ids[i])] + [repr(float(v)) for v in x]
-                            + [repr(float(data.y[i]))])
+    write_csv_columns(path, header, [data.output_ids, *np.atleast_2d(data.inputs.T), data.y])

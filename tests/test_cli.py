@@ -262,6 +262,33 @@ class TestExitCodes:
         assert run(["train", train_csv, "--config", cfg]) == 3
         assert "mass" in capsys.readouterr().err
 
+    def test_latent_force_on_mogp_fit_is_data_error(self, tmp_path, capsys):
+        rng = np.random.default_rng(2)
+        x = rng.uniform(-1, 1, size=(20, 2))
+        ids = rng.integers(1, 3, size=20)
+        data = tmp_path / "mogp.csv"
+        write_dataset_csv(data, Dataset(ids, x, np.sin(x[:, 0])))
+        out = tmp_path / "o"
+        assert run(["train", str(data), "--model", "mogp", "--samples", "5",
+                    "--out-dir", str(out), "--config", _cfg(tmp_path, "max_iters=0")]) == 0
+        cfg = _cfg(tmp_path, "latent_force=1", name="lf.cfg")
+        assert run(["predict", str(out / "fit.json"), str(data), "--out-dir", str(out),
+                    "--config", cfg]) == 2
+        assert "LFM" in capsys.readouterr().err
+        assert not (out / "predictions.csv").exists()
+
+    def test_latent_force_outside_forces_is_data_error(self, tmp_path, train_csv, capsys):
+        out = tmp_path / "o"
+        assert run(["train", train_csv, "--samples", "5", "--out-dir", str(out),
+                    "--config", _cfg(tmp_path, "max_iters=0")]) == 0
+        test_csv = tmp_path / "test.csv"
+        write_csv(test_csv, ["output_id", "t"], [[1, 0.5]])
+        cfg = _cfg(tmp_path, "latent_force=3", name="lf.cfg")
+        assert run(["predict", str(out / "fit.json"), str(test_csv), "--out-dir", str(out),
+                    "--config", cfg]) == 2
+        assert "1..1" in capsys.readouterr().err
+        assert not (out / "predictions.csv").exists()
+
     def test_success_is_zero(self, tmp_path, train_csv):
         out = tmp_path / "o"
         assert run(["train", train_csv, "--out-dir", str(out), "--samples", "5",

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from lfmrff.model import (
     read_dataset_csv,
     unpack,
     validate_dataset,
+    write_csv_columns,
     write_dataset_csv,
 )
 
@@ -209,3 +211,41 @@ class TestCsv:
         assert len(data) == 2
         with pytest.raises(DataError, match="missing y"):
             read_dataset_csv(path)
+
+
+def csv_writer_reference(path, header, rows):
+    """Row-wise writer: ``csv.writer`` with floats formatted by ``repr``."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([repr(x) if isinstance(x, float) else x for x in row])
+
+
+class TestColumnWriter:
+    def test_bytes_match_csv_writer(self, tmp_path):
+        ids = np.array([1, 2, 3, 10, 2, 1])
+        vals = np.array([-0.0, 5e-324, 0.1, 1e22, np.nan, np.inf])
+        write_csv_columns(tmp_path / "cols.csv", ["id", "v"], [ids, vals])
+        csv_writer_reference(tmp_path / "rows.csv", ["id", "v"],
+                             zip(ids.tolist(), vals.tolist()))
+        got = (tmp_path / "cols.csv").read_bytes()
+        assert got == (tmp_path / "rows.csv").read_bytes()
+        assert b"-0.0\r\n" in got and b"5e-324" in got and b"1e+22" in got
+
+    def test_mogp_dataset_bytes_match_csv_writer(self, tmp_path):
+        rng = np.random.default_rng(4)
+        data = Dataset(rng.integers(1, 4, 7), rng.normal(size=(7, 3)), rng.normal(size=7))
+        write_dataset_csv(tmp_path / "cols.csv", data)
+        csv_writer_reference(
+            tmp_path / "rows.csv", ["output_id", "x1", "x2", "x3", "y"],
+            ([int(d), *x, y] for d, x, y in
+             zip(data.output_ids, data.inputs.tolist(), data.y.tolist())),
+        )
+        assert (tmp_path / "cols.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+    @pytest.mark.parametrize("columns", [[], [np.empty(0, int), np.empty(0)]],
+                             ids=["no-columns", "no-rows"])
+    def test_empty_table_is_header_only(self, tmp_path, columns):
+        write_csv_columns(tmp_path / "e.csv", ["output_id", "t"], columns)
+        assert (tmp_path / "e.csv").read_bytes() == b"output_id,t\r\n"

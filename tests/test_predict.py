@@ -1,12 +1,14 @@
 """Posterior prediction, metrics, and agreement with the dense GP formulas."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
+from scipy.linalg import cho_solve
 
-from lfmrff.features import sample_frequencies
+from lfmrff.features import NumericsWarning, sample_frequencies
 from lfmrff.kernels import approx_cov, feature_matrix, latent_feature_matrix
 from lfmrff.likelihood import FitResult, low_rank_log_marginal, noise_vector
 from lfmrff.model import Dataset, LfmSpec, MogpSpec, Ode1Params, pack
@@ -77,6 +79,52 @@ class TestAgainstDenseGp:
         cov_dense = k_uu - k_cross @ np.linalg.solve(m, k_cross.T)
         assert_allclose(post.mean, mean_dense, atol=1e-8)
         assert_allclose(post.variance, np.diag(cov_dense), atol=1e-8)
+
+
+def n_rhs_variance(phi_c, state):
+    """phi A^-1 phi^T through a Cholesky solve with N right-hand sides."""
+    return np.einsum("ij,ji->i", phi_c, cho_solve((state.chol_a, True), phi_c.T))
+
+
+class TestVarianceFromInverseFactor:
+    def test_outputs_match_n_rhs_solve(self):
+        _, draws, state = trained_state()
+        t_star = np.linspace(0.05, 3.5, 31)
+        ids_star = np.tile([1, 2], 16)[:31]
+        test = Dataset(ids_star, t_star, np.zeros(31))
+        post = predict_outputs(make_fit(), state, test, include_noise=False)
+        phi_c = feature_matrix(t_star, ids_star, SPEC, draws).phi_c
+        assert_allclose(post.variance, n_rhs_variance(phi_c, state), rtol=1e-12)
+        assert_array_equal(post.mean, phi_c @ state.solve_a(state.alpha))
+
+    def test_latent_forces_match_n_rhs_solve(self):
+        _, draws, state = trained_state()
+        times = np.linspace(0.0, 3.5, 29)
+        post = predict_latent_forces(make_fit(), state, times, 1)
+        phi_c = latent_feature_matrix(times, 1, SPEC, draws).phi_c
+        assert_allclose(post.variance, n_rhs_variance(phi_c, state), rtol=1e-12)
+        assert_array_equal(post.mean, phi_c @ state.solve_a(state.alpha))
+
+    def test_near_singular_variances_nonnegative_without_warning(self):
+        # Duplicated rows with noise 1e-10 make A = I + Phi^T Sigma^-1 Phi
+        # ill-conditioned; rowsum(W^2) still cannot go below zero.
+        spec = LfmSpec(SPEC.outputs, 1, SPEC.lengthscales, SPEC.sensitivities,
+                       [1e-10, 1e-10])
+        rng = np.random.default_rng(3)
+        t = np.tile(np.sort(rng.uniform(0.05, 3.0, 40)), 2)
+        ids = np.tile(rng.integers(1, 3, size=40), 2)
+        draws = sample_frequencies(100, 1, SEED)
+        fm = feature_matrix(t, ids, spec, draws)
+        _, state = low_rank_log_marginal(fm, np.full(t.size, 1e-10), np.sin(1.3 * t))
+        fit = make_fit(spec=spec, s=100)
+        grid = np.linspace(0.0, 3.0, 61)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", NumericsWarning)
+            outs = predict_outputs(fit, state, Dataset(ids, t, np.zeros(t.size)),
+                                   include_noise=False)
+            latent = predict_latent_forces(fit, state, grid, 1)
+        assert np.all(outs.variance >= 0)
+        assert np.all(latent.variance >= 0)
 
 
 class TestPosteriorProperties:
