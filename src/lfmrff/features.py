@@ -47,6 +47,7 @@ __all__ = [
     "to_operator",
     "output_rows",
     "feature_blocks",
+    "write_phi_block",
     "write_phi_c",
 ]
 
@@ -413,20 +414,29 @@ def feature_blocks(inputs, rows, spec, draws):
             yield (d, q), {"v": v, "lam": lam, "b": b}
 
 
+def write_phi_block(out, rows, spec, num_samples, d, q, v):
+    """Write block (d, q) of Phi_c = [Re Phi, Im Phi] into ``out[rows]``.
+
+    ``v`` is the unscaled block (``feature_blocks``' entry["v"], or a row
+    slice of it) and ``rows`` indexes the rows of ``out`` it fills.  Phi
+    has force-major column blocks: column (q-1)*S + s holds sample s of
+    force q, and the block enters scaled by S_{d,q}/sqrt(S).
+    """
+    r = spec.num_forces * num_samples
+    root_s = 1.0 / math.sqrt(num_samples)
+    block = spec.sensitivities[d - 1, q - 1] * root_s * v
+    c0 = (q - 1) * num_samples
+    out[rows, c0 : c0 + num_samples] = block.real
+    out[rows, r + c0 : r + c0 + num_samples] = block.imag
+
+
 def write_phi_c(n, rows, spec, num_samples, blocks):
     """Real feature matrix Phi_c = [Re Phi, Im Phi], (n, 2QS), from blocks.
 
     ``blocks`` iterates ((d, q), entry) pairs as ``feature_blocks`` yields
-    them.  Phi has force-major column blocks: column (q-1)*S + s holds
-    sample s of force q, and block (d, q) enters output d's rows scaled by
-    S_{d,q}/sqrt(S).
+    them; each is written by ``write_phi_block``.
     """
-    r = spec.num_forces * num_samples
-    root_s = 1.0 / math.sqrt(num_samples)
-    phi_c = np.zeros((n, 2 * r))
+    phi_c = np.zeros((n, 2 * spec.num_forces * num_samples))
     for (d, q), entry in blocks:
-        block = spec.sensitivities[d - 1, q - 1] * root_s * entry["v"]
-        c0 = (q - 1) * num_samples
-        phi_c[rows[d], c0 : c0 + num_samples] = block.real
-        phi_c[rows[d], r + c0 : r + c0 + num_samples] = block.imag
+        write_phi_block(phi_c, rows[d], spec, num_samples, d, q, entry["v"])
     return phi_c

@@ -5,15 +5,24 @@ inversion and determinant lemmas around A = I + Phi_c^T Sigma^-1 Phi_c,
 so cost is linear in the number of observations at fixed feature count.
 The data-fit term is y^T beta with beta = (K + Sigma)^-1 y, which avoids
 the cancellation between y^T Sigma^-1 y and alpha^T A^-1 alpha.
-The objective assembles Phi_c from ``features.feature_blocks`` and
-``features.write_phi_c``, the same provider and writer ``feature_matrix``
-and ``mogp_feature_matrix`` use, and keeps the blocks for the gradient.
-The gradient contracts dL/dPhi against each feature block's analytic
-derivatives without forming them: ``backends.residue_grads`` reduces an
+
+Every objective evaluation streams over fixed chunks of ``CHUNK_ROWS``
+rows in two passes.  Pass 1 accumulates A and alpha = Phi_c^T Sigma^-1 y
+and factors A once.  Pass 2 forms beta on each chunk from m = A^-1 alpha
+and sums the data-fit term.  ``low_rank_log_marginal`` accumulates A the
+same way over the Phi_c it is given.  The objective keeps only the complex feature blocks of
+``features.feature_blocks``, filled once per evaluation, and rebuilds
+each chunk's rows of Phi_c from them with ``features.write_phi_block``,
+the writer ``feature_matrix`` and ``mogp_feature_matrix`` use; no N x R
+array is formed besides those blocks.  In pass 2 the gradient takes
+dL/dPhi_c = beta m^T - Sigma^-1 Phi_c A^-1 on each chunk (Phi_c^T beta
+equals m) and contracts it against the chunk's rows of each feature
+block without forming derivatives: ``backends.residue_grads`` reduces an
 LFM block of any operator order to per-column sums through the
 characteristic roots, and the chain rules through the frequency
 reparameterization lam = sqrt(2) z / ell, the log-transformed parameters
-and the per-output noise variances act on those sums.
+and the per-output noise variances act on those sums.  The sums are
+linear in dL/dPhi_c, so they add over chunks.
 
 ``optimize`` maximizes the objective over the packed parameters with
 scipy's L-BFGS-B, one ``value_and_gradient`` per evaluation, and stops on
@@ -28,7 +37,7 @@ from dataclasses import dataclass, field
 from time import perf_counter
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg import LinAlgError, cho_factor, cho_solve, solve_triangular
 from scipy.optimize import minimize
 
 from . import backends
@@ -38,7 +47,7 @@ from .features import (
     feature_blocks,
     output_rows,
     rfrf_general,  # not used here; the benchmark's tracer wraps this name
-    write_phi_c,
+    write_phi_block,
 )
 from .model import (
     DataError,
@@ -70,6 +79,13 @@ __all__ = [
 
 LOG_2PI = math.log(2.0 * math.pi)
 
+# Rows per chunk of the two-pass evaluations.  It bounds the temporaries of
+# an evaluation to a few CHUNK_ROWS x R arrays, 1.6 MB each at R = 200, small
+# enough to stay in cache (512 to 2048 rows ran equally fast, 4096 slower);
+# being fixed, it also fixes the summation order, so results repeat bit for
+# bit.
+CHUNK_ROWS = 1024
+
 
 def noise_vector(spec, output_ids) -> np.ndarray:
     """Per-row noise variances sigma_d^2 picked by each row's output id."""
@@ -85,9 +101,9 @@ class LowRankState:
     """Factorized quantities of one low-rank likelihood evaluation.
 
     a_mat is A = I + Phi_c^T Sigma^-1 Phi_c (symmetric positive definite),
-    alpha = Phi_c^T Sigma^-1 y, chol_a its lower Cholesky factor.  beta is
-    (K + Sigma)^-1 y computed without forming K, and u_mat = Sigma^-1 Phi_c;
-    both are reused by gradients and posterior prediction.
+    alpha = Phi_c^T Sigma^-1 y, chol_a its lower Cholesky factor, and beta
+    = (K + Sigma)^-1 y, computed without forming K.  Posterior prediction
+    reads chol_a and alpha.
     """
 
     a_mat: np.ndarray
@@ -97,7 +113,6 @@ class LowRankState:
     log_det: float
     value: float
     beta: np.ndarray
-    u_mat: np.ndarray
     noise_rows: np.ndarray
 
     def solve_a(self, b):
@@ -108,12 +123,45 @@ def _phi_c_of(phi):
     return phi.phi_c if hasattr(phi, "phi_c") else np.asarray(phi, dtype=float)
 
 
+def _factor(chunks, r2):
+    """Pass 1: A = I + Phi_c^T Sigma^-1 Phi_c, alpha = Phi_c^T Sigma^-1 y.
+
+    ``chunks`` yields (w, z) per row chunk: its rows of Sigma^-1/2 Phi_c
+    and of Sigma^-1/2 y.  Returns (A, alpha, lower Cholesky factor of A).
+    Raises NumericalError when Phi is not finite or A is not positive
+    definite.
+    """
+    a = np.zeros((r2, r2))
+    alpha = np.zeros(r2)
+    for w, z in chunks:
+        a += w.T @ w  # numpy runs W^T W as a SYRK
+        alpha += w.T @ z
+    a[np.diag_indices(r2)] += 1.0
+    a = 0.5 * (a + a.T)
+    # a non-finite entry of Phi makes its column's diagonal of A non-finite
+    if not np.all(np.isfinite(np.diag(a))):
+        raise NumericalError("feature matrix Phi is not finite")
+    try:
+        chol, _ = cho_factor(a, lower=True)
+    except LinAlgError as exc:
+        raise NumericalError(f"A = I + Phi^T Sigma^-1 Phi not SPD: {exc}") from None
+    return a, alpha, chol
+
+
+def _lml(data_fit, chol, noise):
+    """(log det A, log marginal likelihood) given y^T beta and chol(A)."""
+    log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
+    value = -0.5 * (data_fit + log_det + float(np.sum(np.log(noise))) + noise.size * LOG_2PI)
+    return log_det, value
+
+
 def low_rank_log_marginal(phi, noise, y):
     """Log marginal likelihood of y under N(0, Phi_c Phi_c^T + Sigma).
 
     Returns (value, LowRankState).  Cost is O(N R^2) for R = 2QS feature
-    columns; no N x N matrix is formed.  Raises NumericalError when Phi is
-    not finite or A is not positive definite.
+    columns; A is accumulated over chunks of ``CHUNK_ROWS`` rows, so no
+    N x N or N x R array is formed besides Phi_c.  Raises NumericalError
+    when Phi is not finite or A is not positive definite.
     """
     phi_c = _phi_c_of(phi)
     y = np.asarray(y, dtype=float)
@@ -123,27 +171,17 @@ def low_rank_log_marginal(phi, noise, y):
         raise ValueError("phi, noise and y must agree on the number of rows")
     if np.any(noise <= 0):
         raise ValueError("noise variances must be positive")
-    r = phi_c.shape[1]
     sinv = 1.0 / noise
-    u = phi_c * sinv[:, None]
-    a = phi_c.T @ u
-    a[np.diag_indices(r)] += 1.0
-    a = 0.5 * (a + a.T)
-    # a non-finite entry of Phi makes its column's diagonal of A non-finite
-    if not np.all(np.isfinite(np.diag(a))):
-        raise NumericalError("feature matrix Phi is not finite")
-    try:
-        chol, _ = cho_factor(a, lower=True)
-    except LinAlgError as exc:
-        raise NumericalError(f"A = I + Phi^T Sigma^-1 Phi not SPD: {exc}") from None
-    alpha = u.T @ y
-    ainv_alpha = cho_solve((chol, True), alpha)
-    beta = sinv * (y - phi_c @ ainv_alpha)
-    data_fit = float(y @ beta)
-    log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
-    value = -0.5 * (
-        data_fit + log_det + float(np.sum(np.log(noise))) + n * LOG_2PI
+    root = np.sqrt(sinv)
+    chunks = (
+        (phi_c[lo : lo + CHUNK_ROWS] * root[lo : lo + CHUNK_ROWS, None],
+         root[lo : lo + CHUNK_ROWS] * y[lo : lo + CHUNK_ROWS])
+        for lo in range(0, n, CHUNK_ROWS)
     )
+    a, alpha, chol = _factor(chunks, phi_c.shape[1])
+    beta = sinv * (y - phi_c @ cho_solve((chol, True), alpha))
+    data_fit = float(y @ beta)
+    log_det, value = _lml(data_fit, chol, noise)
     state = LowRankState(
         a_mat=a,
         alpha=alpha,
@@ -152,7 +190,6 @@ def low_rank_log_marginal(phi, noise, y):
         log_det=log_det,
         value=value,
         beta=beta,
-        u_mat=u,
         noise_rows=noise,
     )
     return value, state
@@ -190,7 +227,9 @@ class LmlObjective:
 
     Frequencies are held fixed across evaluations (common random numbers),
     so the objective is smooth in the lengthscales through the
-    reparameterization of the draws rather than stochastic.
+    reparameterization of the draws rather than stochastic.  Evaluations
+    reuse the objective's chunk work arrays, so one objective must not be
+    evaluated from two threads at once.
     """
 
     def __init__(self, data: Dataset, template, draws):
@@ -209,30 +248,55 @@ class LmlObjective:
         self.template = template
         self.draws = draws
         self.labels = pack(template).labels
+        self._op_sizes = (
+            [_op_size(op) for op in template.outputs]
+            if isinstance(template, LfmSpec) else [1] * template.num_outputs
+        )
         self._rows = output_rows(data.output_ids)
+        # each output's inputs and targets, in its blocks' row order
+        self._x = {d: data.inputs[r] for d, r in self._rows.items()}
+        self._y = {d: data.y[r] for d, r in self._rows.items()}
+        # Chunk work arrays, reused by every evaluation: a chunk's rows of
+        # Phi_c, of T = Sigma^-1 Phi_c A^-1, and of one block of dL/dPhi.
+        # Fresh chunk-sized arrays would page-fault again on every chunk,
+        # a large share of an evaluation at a few thousand rows.
+        chunk = min(CHUNK_ROWS, max((r.size for r in self._rows.values()), default=0))
+        self._phi_buf = np.empty((chunk, 2 * template.num_forces * draws.num_samples))
+        self._t_buf = np.empty_like(self._phi_buf)
+        self._h_buf = np.empty((chunk, draws.num_samples), dtype=complex)
 
     def _blocks(self, spec):
-        return feature_blocks(self.data.inputs, self._rows, spec, self.draws)
+        return dict(feature_blocks(self.data.inputs, self._rows, spec, self.draws))
 
-    def _phi_c(self, spec, blocks):
-        return write_phi_c(len(self.data), self._rows, spec, self.draws.num_samples, blocks)
+    def _chunks(self, spec, blocks):
+        """Yield (d, rows, phi) for each chunk of each output's rows.
 
-    def _mogp_inputs(self):
-        x = self.data.inputs
-        return x[:, None] if x.ndim == 1 else x
+        ``rows`` slices output d's blocks, inputs and targets, and ``phi``
+        holds those rows of Phi_c.  Every chunk is written into the same
+        work array, so ``phi`` is valid until the next chunk.
+        """
+        s_count = self.draws.num_samples
+        step = self._phi_buf.shape[0]
+        for d, rows in self._rows.items():
+            for lo in range(0, rows.size, step):
+                sl = slice(lo, lo + step)
+                phi = self._phi_buf[: min(step, rows.size - lo)]
+                for q in range(1, spec.num_forces + 1):
+                    v = blocks[(d, q)]["v"][sl]
+                    write_phi_block(phi, slice(None), spec, s_count, d, q, v)
+                yield d, sl, phi
 
     # -- block gradients ------------------------------------------------------
     #
     # Each returns (Re sum h v, contractions with dv/d(packed operator
-    # slots), contraction with dv/dlog ell) for h = conj(dL/dPhi) on the
-    # block, all unscaled by the block's sensitivity.
+    # slots), contraction with dv/dlog ell) for h = conj(dL/dPhi) on rows of
+    # a block, v the block's same rows and x their inputs, all unscaled by
+    # the block's sensitivity.
 
-    def _lfm_block_grads(self, op, d, entry, h):
-        t_d = self.data.inputs[self._rows[d]]
+    def _lfm_block_grads(self, spec, d, x, entry, h, v):
+        op = spec.outputs[d - 1]
         lam = entry["lam"]
-        hv, dcoeffs, dl = backends.residue_grads(
-            t_d, lam, entry["roots"], entry["leading"], h, entry["v"]
-        )
+        hv, dcoeffs, dl = backends.residue_grads(x, lam, entry["roots"], entry["leading"], h, v)
         # packed slots: log gamma (a_0 = 1 is fixed), log (m, c, b), or the
         # raw coefficients of a general operator
         if isinstance(op, Ode1Params):
@@ -244,14 +308,14 @@ class LmlObjective:
         # lam = sqrt(2) z / ell, so dlam/dlog ell = -lam
         return float(np.sum(hv)), np.sum(dops, axis=1), -float(dl @ lam)
 
-    def _mogp_block_grads(self, spec, d, entry, h):
+    def _mogp_block_grads(self, spec, d, x, entry, h, v):
         # v = amp(|lam|^2, P_d) exp(j x.lam): dv/dlog P_d = v (b/(2 P_d) - p/2)
         # and dv/dlog ell = v (b/P_d - j x.lam), so colsum(h v) and
         # colsum(h v x_j) are all the data-sized work.
-        x_d = self._mogp_inputs()[self._rows[d]]
-        v, lam, b = entry["v"], entry["lam"], entry["b"]
+        x = x.reshape(x.shape[0], -1)
+        lam, b = entry["lam"], entry["b"]
         prec = spec.inv_widths[d - 1]
-        weights = np.concatenate([np.ones((x_d.shape[0], 1)), x_d], axis=1)
+        weights = np.concatenate([np.ones((x.shape[0], 1)), x], axis=1)
         stats = weights.T @ (h * v)
         hv = stats[0].real
         d_width = float(hv @ (b / (2.0 * prec) - 0.5 * spec.input_dim))
@@ -264,69 +328,88 @@ class LmlObjective:
         return unpack(theta, self.template)
 
     def value(self, theta) -> float:
-        spec = self._spec_of(theta)
-        phi_c = self._phi_c(spec, self._blocks(spec))
-        noise = noise_vector(spec, self.data.output_ids)
-        val, _ = low_rank_log_marginal(phi_c, noise, self.data.y)
-        return val
+        return self._evaluate(theta, gradient=False)[0]
 
     def value_and_gradient(self, theta):
+        return self._evaluate(theta, gradient=True)
+
+    def _evaluate(self, theta, gradient):
         spec = self._spec_of(theta)
-        blocks = dict(self._blocks(spec))
-        phi_c = self._phi_c(spec, blocks.items())
-        noise = noise_vector(spec, self.data.output_ids)
-        value, state = low_rank_log_marginal(phi_c, noise, self.data.y)
-
-        # dL/dPhi_c = beta beta^T Phi_c - T with T = Sigma^-1 Phi_c A^-1;
-        # A^-1 is formed once (R x R), so T is a single GEMM.
-        r2 = phi_c.shape[1]
-        t_mat = state.u_mat @ state.solve_a(np.eye(r2))
-        # noise: dL/dSigma_ii = (beta_i^2 - (K+Sigma)^-1_ii) / 2, then the
-        # log chain; floored variances have zero derivative through max().
-        minv_diag = 1.0 / noise - np.einsum("ij,ij->i", state.u_mat, t_mat)
-        row_grad = 0.5 * (state.beta**2 - minv_diag)
-        g_real = np.outer(state.beta, state.beta @ phi_c)
-        g_real -= t_mat
-        del t_mat
-
-        n_out, n_q = spec.num_outputs, spec.num_forces
-        s_count = self.draws.num_samples
-        root_s = 1.0 / math.sqrt(s_count)
-        r = r2 // 2
-        lfm = isinstance(spec, LfmSpec)
-        op_sizes = [_op_size(op) for op in spec.outputs] if lfm else [1] * n_out
-        op_grad = [np.zeros(k) for k in op_sizes]
-        ell_grad = np.zeros(n_q)
-        noise_grad = np.zeros(n_out)
-        sens_grad = np.zeros((n_out, n_q))
-        for d, rows in self._rows.items():
-            # conj(dL/dPhi) on output d's rows, all forces' columns
-            g_d = g_real[rows]
-            h_d = np.empty((rows.size, r), dtype=complex)
-            h_d.real = g_d[:, :r]
-            np.negative(g_d[:, r:], out=h_d.imag)
-            for q in range(1, n_q + 1):
-                entry = blocks[(d, q)]
-                h = h_d[:, (q - 1) * s_count : q * s_count]
-                if lfm:
-                    hv, dops, dlogell = self._lfm_block_grads(spec.outputs[d - 1], d, entry, h)
-                else:
-                    hv, dops, dlogell = self._mogp_block_grads(spec, d, entry, h)
-                scale = spec.sensitivities[d - 1, q - 1] * root_s
-                op_grad[d - 1] += scale * dops
-                ell_grad[q - 1] += scale * dlogell
-                sens_grad[d - 1, q - 1] = root_s * hv
-            sig2 = spec.noise_vars[d - 1]
-            if sig2 > NOISE_FLOOR:
-                noise_grad[d - 1] = sig2 * float(np.sum(row_grad[rows]))
-
-        grad = np.concatenate([*op_grad, ell_grad, noise_grad, sens_grad.ravel()])
+        blocks = self._blocks(spec)
+        r2 = self._phi_buf.shape[1]
+        sinvs = 1.0 / spec.noise_vars
+        roots = np.sqrt(sinvs)
+        # pass 1 whitens each chunk in place; pass 2 writes it again
+        _, alpha, chol = _factor(
+            ((np.multiply(phi, roots[d - 1], out=phi), roots[d - 1] * self._y[d][sl])
+             for d, sl, phi in self._chunks(spec, blocks)),
+            r2,
+        )
+        m = cho_solve((chol, True), alpha)
+        if gradient:
+            # A^-1 = L^-T L^-1 is formed once (R x R), so T is one GEMM per chunk
+            l_inv = solve_triangular(chol, np.eye(r2), lower=True)
+            a_inv = l_inv.T @ l_inv
+            grad = np.zeros(len(self.labels))
+        data_fit = 0.0
+        for d, sl, phi in self._chunks(spec, blocks):
+            y = self._y[d][sl]
+            beta = sinvs[d - 1] * (y - phi @ m)
+            data_fit += float(y @ beta)
+            if gradient:
+                grad += self._chunk_gradient(spec, blocks, d, sl, phi, beta, m, a_inv)
+        _, value = _lml(data_fit, chol, noise_vector(spec, self.data.output_ids))
+        if not gradient:
+            return value, None
         if not np.all(np.isfinite(grad)):
             i = int(np.argmax(~np.isfinite(grad)))
             raise NumericalError(
                 f"non-finite gradient at packed slot {i} ({self.labels[i]})"
             )
         return value, grad
+
+    def _chunk_gradient(self, spec, blocks, d, sl, phi, beta, m, a_inv):
+        """Packed-gradient terms of output d's rows ``sl``.
+
+        ``phi`` holds those rows of Phi_c, ``beta`` their entries of
+        (K + Sigma)^-1 y, and m = A^-1 alpha = Phi_c^T beta.
+        """
+        s_count, n_q = self.draws.num_samples, spec.num_forces
+        root_s = 1.0 / math.sqrt(s_count)
+        r = n_q * s_count
+        op_grad = [np.zeros(k) for k in self._op_sizes]
+        ell_grad = np.zeros(n_q)
+        noise_grad = np.zeros(spec.num_outputs)
+        sens_grad = np.zeros((spec.num_outputs, n_q))
+
+        # dL/dPhi_c = beta beta^T Phi_c - T = beta m^T - T on these rows,
+        # with T = Sigma^-1 Phi_c A^-1
+        sig2 = spec.noise_vars[d - 1]
+        t_mat = np.matmul(phi, a_inv, out=self._t_buf[: phi.shape[0]])
+        t_mat /= sig2
+        # noise: dL/dSigma_ii = (beta_i^2 - (K+Sigma)^-1_ii) / 2, then the
+        # log chain; floored variances have zero derivative through max().
+        if sig2 > NOISE_FLOOR:
+            minv_diag = (1.0 - np.einsum("ij,ij->i", phi, t_mat)) / sig2
+            noise_grad[d - 1] = sig2 * float(np.sum(0.5 * (beta**2 - minv_diag)))
+
+        block_grads = self._lfm_block_grads if isinstance(spec, LfmSpec) else self._mogp_block_grads
+        h = self._h_buf[: phi.shape[0]]
+        for q in range(1, n_q + 1):
+            re = slice((q - 1) * s_count, q * s_count)
+            im = slice(r + re.start, r + re.stop)
+            # h = conj(dL/dPhi) on block (d, q)
+            np.multiply.outer(beta, m[re], out=h.real)
+            h.real -= t_mat[:, re]
+            np.multiply.outer(beta, -m[im], out=h.imag)
+            h.imag += t_mat[:, im]
+            entry = blocks[(d, q)]
+            hv, dops, dlogell = block_grads(spec, d, self._x[d][sl], entry, h, entry["v"][sl])
+            scale = spec.sensitivities[d - 1, q - 1] * root_s
+            op_grad[d - 1] += scale * dops
+            ell_grad[q - 1] += scale * dlogell
+            sens_grad[d - 1, q - 1] = root_s * hv
+        return np.concatenate([*op_grad, ell_grad, noise_grad, sens_grad.ravel()])
 
     def gradient(self, theta):
         return self.value_and_gradient(theta)[1]

@@ -12,7 +12,9 @@ CSV convention (``output_id,t,y``).  Internal array indices are 0-based.
 from __future__ import annotations
 
 import csv
+import io
 import math
+import warnings
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -487,28 +489,52 @@ def read_dataset_csv(path, require_y=True) -> Dataset:
             raise DataError(f"{path}: no input columns")
         if in_cols != ["t"] and in_cols != [f"x{i}" for i in range(1, len(in_cols) + 1)]:
             raise DataError(f"{path}: input columns must be t or x1..xp, got {in_cols}")
-        scalar_time = in_cols == ["t"]
-        width = len(header)
-        ids, xs, ys = [], [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != width:
-                raise DataError(
-                    f"{path}:{lineno}: expected {width} fields, got {len(row)}"
+        body = fh.read()
+    ids, fields = _read_rows(path, body, len(header))
+    x = fields[:, : len(in_cols)]
+    x = np.ascontiguousarray(x[:, 0] if in_cols == ["t"] else x)
+    y = np.ascontiguousarray(fields[:, -1]) if has_y else np.zeros(len(ids))
+    return Dataset(ids, x, y)
+
+
+# Characters outside the C-parsed path: numpy reads some non-ASCII digits
+# as other numbers and strips \x1c-\x1f as blanks, where int() and float()
+# refuse both.
+_CONTROL = "".join(chr(c) for c in [*range(32), 127] if chr(c) not in "\t\n\r")
+
+
+def _read_rows(path, body, width):
+    """(output ids, remaining fields) of the data lines after the header.
+
+    numpy's C parser reads a well-formed body.  On any failure (a malformed
+    or whitespace-only line, a quoted field, no rows) the lines are parsed
+    again one by one, which skips blank lines and names the line at fault.
+    On the input the C parser accepts, both give the same arrays bit for
+    bit.
+    """
+    if body.isascii() and not any(c in body for c in _CONTROL):
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # "input contained no data"
+                table = np.loadtxt(
+                    io.StringIO(body, newline=""), delimiter=",", comments=None, ndmin=1,
+                    dtype=[("id", int), ("fields", float, (width - 1,))],
                 )
-            try:
-                ids.append(int(row[0]))
-                vals = [float(s) for s in row[1:]]
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from None
-            xs.append(vals[: len(in_cols)])
-            ys.append(vals[-1] if has_y else 0.0)
-    ids = np.array(ids, dtype=int)
-    x = np.array(xs, dtype=float).reshape(len(ids), len(in_cols))
-    if scalar_time:
-        x = x[:, 0] if len(ids) else x.reshape(0)
-    return Dataset(ids, x, np.array(ys, dtype=float))
+            return table["id"].copy(), table["fields"].copy()
+        except (ValueError, Warning):
+            pass
+    ids, fields = [], []
+    for lineno, row in enumerate(csv.reader(io.StringIO(body, newline="")), start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != width:
+            raise DataError(f"{path}:{lineno}: expected {width} fields, got {len(row)}")
+        try:
+            ids.append(int(row[0]))
+            fields.append([float(s) for s in row[1:]])
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from None
+    return np.array(ids, dtype=int), np.array(fields, dtype=float).reshape(len(ids), width - 1)
 
 
 def write_csv_columns(path, header, columns) -> None:

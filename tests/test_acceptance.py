@@ -5,13 +5,18 @@ measured figure, and enforces the runtime budget it was given.  Run with
 ``pytest tests/test_acceptance.py -v -s`` to see the lines as they pass.
 """
 
+import json
 import math
+import os
+import subprocess
+import sys
 from time import perf_counter
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import lfmrff
 from lfmrff.features import sample_frequencies
 from lfmrff.kernels import (
     approx_cov,
@@ -228,33 +233,59 @@ def test_criterion_5_assembled_kernels_are_psd():
           f"negative eigenvalue {worst:.2e} ({elapsed:.1f} s)")
 
 
+# Criterion 6 times value_and_gradient in a child process whose BLAS runs
+# one thread, set before numpy is imported: BLAS threads competing with the
+# rest of a busy machine made the measured slope swing between 0.5 and 1.2.
+# The sizes are timed in turn, not one after another, so that a slowdown of
+# the machine lasting a few seconds cannot land on one size alone.
+CRITERION_6_TIMING = """
+import json
+from time import perf_counter
+
+import numpy as np
+
+from lfmrff.features import sample_frequencies
+from lfmrff.likelihood import LmlObjective
+from lfmrff.model import Dataset, LfmSpec, Ode1Params, Ode2Params, pack
+
+spec = LfmSpec(
+    (Ode1Params(1.0), Ode2Params(1.0, 3.0, 2.0)),
+    2,
+    [1.0, 0.7],
+    [[1.0, 0.5], [0.6, 1.0]],
+    [0.1, 0.1],
+)
+draws = sample_frequencies(50, 2, 0)
+rng = np.random.default_rng(0)
+theta = pack(spec).values
+objectives = []
+for n in (1000, 2000, 4000, 8000):
+    t = np.tile(np.linspace(0.0, 3.0, n // 2), 2)
+    ids = np.repeat([1, 2], n // 2)
+    objectives.append(LmlObjective(Dataset(ids, t, rng.normal(size=n)), spec, draws))
+    objectives[-1].value_and_gradient(theta)  # warm-up
+reps = [[] for _ in objectives]
+for _ in range(5):
+    for obj, times in zip(objectives, reps):
+        t0 = perf_counter()
+        obj.value_and_gradient(theta)
+        times.append(perf_counter() - t0)
+medians = [float(np.median(times)) for times in reps]
+print(json.dumps(medians))
+"""
+
+
 def test_criterion_6_objective_scales_linearly():
     """Objective+gradient wall time grows linearly in the number of rows."""
     started = perf_counter()
-    spec = LfmSpec(
-        (Ode1Params(1.0), Ode2Params(1.0, 3.0, 2.0)),
-        2,
-        [1.0, 0.7],
-        [[1.0, 0.5], [0.6, 1.0]],
-        [0.1, 0.1],
-    )
-    draws = sample_frequencies(50, 2, 0)
-    rng = np.random.default_rng(0)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lfmrff.__file__)))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    child = subprocess.run([sys.executable, "-c", CRITERION_6_TIMING], env=env,
+                           capture_output=True, text=True, timeout=300, check=True)
     sizes = [1000, 2000, 4000, 8000]
-    medians = []
-    for n in sizes:
-        t = np.tile(np.linspace(0.0, 3.0, n // 2), 2)
-        ids = np.repeat([1, 2], n // 2)
-        data = Dataset(ids, t, rng.normal(size=n))
-        obj = LmlObjective(data, spec, draws)
-        theta = pack(spec).values
-        obj.value_and_gradient(theta)  # warm-up
-        reps = []
-        for _ in range(5):
-            t0 = perf_counter()
-            obj.value_and_gradient(theta)
-            reps.append(perf_counter() - t0)
-        medians.append(float(np.median(reps)))
+    medians = json.loads(child.stdout.splitlines()[-1])
     slope = float(np.polyfit(np.log(sizes), np.log(medians), 1)[0])
     elapsed = perf_counter() - started
     assert 0.8 <= slope <= 1.3

@@ -1,12 +1,14 @@
 """Low-rank marginal likelihood, its analytic gradient, and the optimizer."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from lfmrff import likelihood
 from lfmrff.features import FrequencyDraws, NumericsWarning, sample_frequencies
 from lfmrff.kernels import feature_matrix
 from lfmrff.likelihood import (
@@ -64,6 +66,21 @@ class TestLowRank:
             lr, _ = low_rank_log_marginal(phi_c, noise, y)
             dense = full_log_marginal(phi_c @ phi_c.T, noise, y)
             assert_allclose(lr, dense, rtol=1e-12)
+
+    @pytest.mark.parametrize("n", [6, 7, 8, 17])
+    def test_chunk_boundaries_match_dense(self, monkeypatch, n):
+        # chunks of 7 rows: n = chunk - 1, chunk, chunk + 1, 2 chunk + 3
+        monkeypatch.setattr(likelihood, "CHUNK_ROWS", 7)
+        rng = np.random.default_rng(n)
+        phi_c = rng.normal(size=(n, 5))
+        noise = rng.uniform(0.1, 2.0, size=n)
+        y = rng.normal(size=n)
+        value, state = low_rank_log_marginal(phi_c, noise, y)
+        assert_allclose(value, full_log_marginal(phi_c @ phi_c.T, noise, y), rtol=1e-12)
+        assert_allclose(state.a_mat, np.eye(5) + phi_c.T @ (phi_c / noise[:, None]),
+                        rtol=1e-13)
+        assert_allclose(state.beta, np.linalg.solve(phi_c @ phi_c.T + np.diag(noise), y),
+                        rtol=1e-10)
 
     def test_accepts_feature_matrix_object(self):
         spec = LfmSpec((Ode1Params(1.0),), 1, [1.0], [[1.0]], [0.1])
@@ -140,33 +157,39 @@ def mogp_data(seed=7, n=9):
     return Dataset(rng.integers(1, 3, size=n), x, rng.normal(size=n))
 
 
+# (spec, draws, assembly of the public feature matrix) per objective case
+OBJECTIVE_CASES = {
+    "ode1-ode2-interleaved": (
+        LfmSpec((Ode1Params(1.1), Ode2Params(1.0, 3.0, 2.0)), 2, [0.9, 1.7],
+                [[0.7, 0.2], [-0.5, 1.1]], [0.3, 0.1]),
+        sample_frequencies(7, 2, seed=4),
+        feature_matrix,
+    ),
+    "order3-ode2": (
+        LfmSpec((OdeOperator((2.0, 3.0, 9.0, 4.0)), Ode2Params(1.3, 0.8, 5.0)), 1,
+                [1.2], [[1.0], [0.6]], [0.2, 0.25]),
+        sample_frequencies(9, 1, seed=6),
+        feature_matrix,
+    ),
+    "mogp-2d": (
+        MogpSpec(2, [1.4, 0.8], 2, [1.0, 0.7], [[1.0, 0.2], [0.4, 0.9]], [0.15, 0.3]),
+        sample_spectral(5, 2, 2, seed=8),
+        mogp_feature_matrix,
+    ),
+}
+
+
 @pytest.mark.parametrize(
-    "spec,data,draws,assemble",
+    "case,data",
     [
-        (
-            LfmSpec((Ode1Params(1.1), Ode2Params(1.0, 3.0, 2.0)), 2, [0.9, 1.7],
-                    [[0.7, 0.2], [-0.5, 1.1]], [0.3, 0.1]),
-            lfm_data(1, n=40),
-            sample_frequencies(7, 2, seed=4),
-            feature_matrix,
-        ),
-        (
-            LfmSpec((OdeOperator((2.0, 3.0, 9.0, 4.0)), Ode2Params(1.3, 0.8, 5.0)), 1,
-                    [1.2], [[1.0], [0.6]], [0.2, 0.25]),
-            lfm_data(3, n=40),
-            sample_frequencies(9, 1, seed=6),
-            feature_matrix,
-        ),
-        (
-            MogpSpec(2, [1.4, 0.8], 2, [1.0, 0.7], [[1.0, 0.2], [0.4, 0.9]], [0.15, 0.3]),
-            mogp_data(),
-            sample_spectral(5, 2, 2, seed=8),
-            mogp_feature_matrix,
-        ),
+        ("ode1-ode2-interleaved", lfm_data(1, n=40)),
+        ("order3-ode2", lfm_data(3, n=40)),
+        ("mogp-2d", mogp_data()),
     ],
     ids=["ode1-ode2-interleaved", "order3-ode2", "mogp-2d"],
 )
-def test_objective_value_matches_feature_matrix(spec, data, draws, assemble):
+def test_objective_value_matches_feature_matrix(case, data):
+    spec, draws, assemble = OBJECTIVE_CASES[case]
     fm = assemble(data.inputs, data.output_ids, spec, draws)
     ref, _ = low_rank_log_marginal(fm, noise_vector(spec, data.output_ids), data.y)
     got = LmlObjective(data, spec, draws).value(pack(spec).values)
@@ -194,6 +217,67 @@ def check_gradient(spec, data, draws):
     _, analytic = obj.value_and_gradient(theta)
     numeric = fd_gradient(obj, theta)
     assert_allclose(analytic, numeric, rtol=1e-5, atol=1e-7)
+
+
+# ---------------------------------------------------------------------------
+# chunked evaluations: results do not depend on where chunks end
+
+CHUNK = 7
+
+
+def two_output_data(rows, mogp, seed=11):
+    """``rows`` rows per output, output ids alternating 1, 2, 1, 2, ..."""
+    rng = np.random.default_rng(seed)
+    n = 2 * rows
+    x = rng.uniform(-1.0, 1.0, size=(n, 2)) if mogp else rng.uniform(0.05, 3.0, n)
+    return Dataset(np.tile([1, 2], rows), x, rng.normal(size=n))
+
+
+@pytest.mark.parametrize("rows", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3])
+@pytest.mark.parametrize("case", list(OBJECTIVE_CASES))
+def test_chunked_objective_matches_dense(monkeypatch, case, rows):
+    spec, draws, assemble = OBJECTIVE_CASES[case]
+    data = two_output_data(rows, isinstance(spec, MogpSpec))
+    theta = pack(spec).values
+    _, one_chunk = LmlObjective(data, spec, draws).value_and_gradient(theta)
+    monkeypatch.setattr(likelihood, "CHUNK_ROWS", CHUNK)
+    obj = LmlObjective(data, spec, draws)
+    value, grad = obj.value_and_gradient(theta)
+    fm = assemble(data.inputs, data.output_ids, spec, draws)
+    dense = full_log_marginal(fm.phi_c @ fm.phi_c.T, noise_vector(spec, data.output_ids), data.y)
+    assert_allclose(value, dense, rtol=1e-12)
+    assert obj.value(theta) == value
+    assert np.linalg.norm(grad - one_chunk) <= 1e-12 * np.linalg.norm(one_chunk)
+    check_gradient(spec, data, draws)
+
+
+def test_evaluation_memory_is_linear_with_small_constant():
+    # Q=2, S=50 (R=200), N=16000.  The complex feature blocks the objective
+    # keeps take 1.6 KB per row; everything else is chunk-sized.
+    spec = LfmSpec((Ode1Params(1.0), Ode2Params(1.0, 3.0, 2.0)), 2, [1.0, 0.7],
+                   [[1.0, 0.5], [0.6, 1.0]], [0.1, 0.1])
+    n = 16000
+    data = Dataset(np.repeat([1, 2], n // 2), np.tile(np.linspace(0.0, 3.0, n // 2), 2),
+                   np.random.default_rng(0).normal(size=n))
+    draws = sample_frequencies(50, 2, 0)
+    obj = LmlObjective(data, spec, draws)
+    theta = pack(spec).values
+    obj.value_and_gradient(theta)  # warm-up
+    fm = feature_matrix(data.inputs, data.output_ids, spec, draws)
+    noise = noise_vector(spec, data.output_ids)
+
+    def peak(fn, *args):
+        tracemalloc.start()
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(obj.value_and_gradient, theta) <= 3000 * n
+    assert peak(obj.value, theta) <= 3000 * n
+    # no N x R temporary besides the input Phi_c (1.6 KB per row)
+    assert peak(low_rank_log_marginal, fm, noise, data.y) <= 500 * n
 
 
 class TestGradient:

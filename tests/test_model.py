@@ -1,5 +1,6 @@
 import csv
 import math
+import re
 
 import numpy as np
 import pytest
@@ -211,6 +212,110 @@ class TestCsv:
         assert len(data) == 2
         with pytest.raises(DataError, match="missing y"):
             read_dataset_csv(path)
+
+
+def refuse_c_parser(*args, **kwargs):
+    raise ValueError("C parser disabled")
+
+
+class TestCsvParsers:
+    """The C-parsed read and the per-line parser it falls back to agree."""
+
+    @staticmethod
+    def read_both(path, monkeypatch, **kw):
+        """(dataset via numpy's parser, dataset via the per-line parser, whether
+        numpy's parser served the first)."""
+        loadtxt = np.loadtxt
+        served = []
+
+        def spy(*args, **kwargs):
+            table = loadtxt(*args, **kwargs)
+            served.append(len(table))
+            return table
+
+        monkeypatch.setattr(np, "loadtxt", spy)
+        fast = read_dataset_csv(path, **kw)
+        monkeypatch.setattr(np, "loadtxt", refuse_c_parser)
+        slow = read_dataset_csv(path, **kw)
+        return fast, slow, bool(served)
+
+    @staticmethod
+    def assert_same(a, b):
+        for x, y in [(a.output_ids, b.output_ids), (a.inputs, b.inputs), (a.y, b.y)]:
+            assert x.dtype == y.dtype and x.shape == y.shape
+            assert x.flags.c_contiguous and y.flags.c_contiguous
+            assert x.tobytes() == y.tobytes()  # nan payloads and signed zeros too
+
+    @pytest.mark.parametrize(
+        "text,kw",
+        [
+            ("output_id,t,y\r\n1,0.5,1.0\r\n2,1.5,-2.25\r\n", {}),
+            ("output_id,t,y\n1,0.5,1.0\n\n2,1.5,3\n\n", {}),
+            ("output_id,t,y\r1,0.5,1.0\r2,1.5,3\r", {}),
+            ("output_id , t , y \n 1 , 0.5 ,\t1.0 \n+2, 01.5 ,-0.0\n", {}),
+            ("output_id,t,y\n1,nan,inf\n2,-Infinity,-nan\n1,1e-320,1e400\n", {}),
+            ("output_id,x1,x2,x3,y\n1,0.1,-0.2,3e5,1.0\n2,0.3,0.4,-5,2.0\n", {}),
+            ("output_id,t\n1,0.5\n2,1.5\n", {"require_y": False}),
+            ("output_id,x1,x2\n1,0.5,1\n2,1.5,2", {"require_y": False}),
+        ],
+        ids=["crlf", "blank-lines", "cr", "padded", "nan-inf", "mogp", "no-y", "mogp-no-y"],
+    )
+    def test_c_parser_reads_like_per_line_parser(self, tmp_path, monkeypatch, text, kw):
+        path = tmp_path / "d.csv"
+        path.write_bytes(text.encode())
+        fast, slow, served = self.read_both(path, monkeypatch, **kw)
+        assert served  # numpy's parser read this file
+        self.assert_same(fast, slow)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "output_id,t,y\n",
+            "output_id,t,y\n1,0.5,1.0\n   \n2,1.5,3\n",
+            'output_id,t,y\n"1","0.5",1.0\n',
+            "output_id,t,y\n\u0661,0.5,1.0\n",
+            "output_id,t,y\n1,1_0,2\n",
+        ],
+        ids=["header-only", "whitespace-line", "quoted", "non-ascii-digit", "underscore"],
+    )
+    def test_fallback_reads_what_the_c_parser_refuses(self, tmp_path, monkeypatch, text):
+        path = tmp_path / "d.csv"
+        path.write_bytes(text.encode())
+        fast, slow, served = self.read_both(path, monkeypatch)
+        assert not served
+        self.assert_same(fast, slow)
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("output_id,t,y\n1,0.5,1.0\n1,oops,2.0\n",
+             "d.csv:3: could not convert string to float: 'oops'"),
+            ("output_id,t,y\n1,0.5\n", "d.csv:2: expected 3 fields, got 2"),
+            ("output_id,t,y\n1,0.5,1,4\n", "d.csv:2: expected 3 fields, got 4"),
+            ("output_id,t,y\n1.0,0.5,1\n",
+             "d.csv:2: invalid literal for int() with base 10: '1.0'"),
+            ("output_id,t,y\n1,0.5,1\n2,,1\n", "d.csv:3: could not convert string to float: ''"),
+            ("output_id,t,y\n1,0.5,1 # note\n",
+             "d.csv:2: could not convert string to float: '1 # note'"),
+            ("output_id,t,y\n\x1c1,0.5,1\n",
+             "d.csv:2: invalid literal for int() with base 10: '\\x1c1'"),
+            # numpy's parser would read this id as 4621
+            ("output_id,t,y\n\u01fe1,0.5,1\n",
+             "d.csv:2: invalid literal for int() with base 10: '\u01fe1'"),
+        ],
+        ids=["bad-float", "short-row", "long-row", "float-id", "empty-field", "comment",
+             "control-char", "non-ascii-letter"],
+    )
+    def test_malformed_rows_raise_per_line_messages(self, tmp_path, monkeypatch, text, message):
+        path = tmp_path / "d.csv"
+        path.write_bytes(text.encode())
+        with pytest.raises(DataError) as fast:
+            read_dataset_csv(path)
+        monkeypatch.setattr(np, "loadtxt", refuse_c_parser)
+        with pytest.raises(DataError) as slow:
+            read_dataset_csv(path)
+        assert str(fast.value) == str(slow.value)
+        assert re.search(re.escape(message) + "$", str(fast.value))
 
 
 def csv_writer_reference(path, header, rows):
