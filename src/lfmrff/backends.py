@@ -11,13 +11,28 @@ so one fill, ``residue_fill``, serves operators of every order, and one
 contraction, ``residue_grads``, reduces a block's derivatives against
 dL/dPhi to per-column sums without forming them.  ``ode1_fill``,
 ``ode2_fill``, ``ode1_grads`` and ``ode2_grads`` are thin entry points for
-the two named operators.  Everything is numpy: the work is exponentials
-and matrix products, with no elementwise loop for a compiler to speed up.
+the two named operators; ``mogp_fill`` is the convolved MOGP's fill.
+Everything is numpy: the work is exponentials and matrix products, with no
+elementwise loop for a compiler to speed up.
+
+Both fills keep their temporaries to ``CHUNK_ROWS`` rows, and every row of
+a fill has the same bits whatever other rows it is filled with, so a block
+filled in row chunks equals the block filled at once.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+# Rows per chunk of every streamed pass: the fills here, the feature-matrix
+# assembly and prediction in ``features`` and ``predict``, and the two-pass
+# likelihood.  It bounds each pass's temporaries to a few CHUNK_ROWS x R
+# arrays, 1.6 MB each at R = 200, small enough to stay in cache (512 to 2048
+# rows ran equally fast, 4096 slower); being fixed, it also fixes the
+# summation order, so results repeat bit for bit.  A multiple of 4 keeps
+# chunked matrix-vector products equal to unchunked ones: OpenBLAS's GEMV
+# rounds rows in groups of 4 from the first row.
+CHUNK_ROWS = 1024
 
 
 def backend_name() -> str:
@@ -37,6 +52,19 @@ def _residues(s, x):
     return res, inv_diff, inv_sx, res[:, None] * inv_sx
 
 
+def matmul_rows(a, b):
+    """a @ b for a 2-D ``a``, each row with the bits it has in a taller ``a``.
+
+    numpy sends a one-row product to a dot or GEMV call, which rounds
+    differently from GEMM, and OpenBLAS's GEMV rounds the last n mod 4
+    rows apart from the rest; so a single row is multiplied as the last of
+    five, where GEMM and GEMV give it the bits of a last row left over.
+    """
+    if a.shape[0] != 1:
+        return a @ b
+    return (np.repeat(a, 5, axis=0) @ b)[-1:]
+
+
 def residue_fill(t, lam, roots, leading):
     """Response to exp(j*lam*t) from rest, shape (len(t), len(lam)).
 
@@ -45,12 +73,35 @@ def residue_fill(t, lam, roots, leading):
     """
     t = np.ascontiguousarray(t, dtype=float)
     s = np.asarray(roots, dtype=complex)
-    x = 1j * np.asarray(lam, dtype=float)
+    lam = np.asarray(lam, dtype=float)
+    x = 1j * lam
     a_sys = _residues(s, x)[3]
-    a_exc = 1.0 / np.prod(x[None, :] - s[:, None], axis=0)
-    v = np.exp(np.outer(t, x))
-    v *= a_exc / leading
-    v += np.exp(np.outer(t, s)) @ (a_sys / leading)
+    a_exc = 1.0 / np.prod(x[None, :] - s[:, None], axis=0) / leading
+    v = matmul_rows(np.exp(np.outer(t, s)), a_sys / leading)
+    # add A_x e^{j lam t}, with e^{j lam t} = cos + j sin, a chunk at a time
+    scratch = np.empty((min(t.size, CHUNK_ROWS), lam.size), dtype=complex)
+    for lo in range(0, t.size, CHUNK_ROWS):
+        e = scratch[: min(CHUNK_ROWS, t.size - lo)]
+        np.multiply.outer(t[lo : lo + CHUNK_ROWS], lam, out=e.imag)
+        np.cos(e.imag, out=e.real)
+        np.sin(e.imag, out=e.imag)
+        e *= a_exc
+        v[lo : lo + CHUNK_ROWS] += e
+    return v
+
+
+def mogp_fill(x, lam, amp):
+    """Convolved-MOGP feature amp * exp(j lam.x), shape (len(x), len(lam)).
+
+    ``x`` is (n, p), ``lam`` the (S, p) frequencies and ``amp`` the (S,)
+    Gaussian amplitudes.
+    """
+    v = np.empty((x.shape[0], lam.shape[0]), dtype=complex)
+    for lo in range(0, x.shape[0], CHUNK_ROWS):
+        arg = matmul_rows(x[lo : lo + CHUNK_ROWS], lam.T)
+        np.cos(arg, out=v.real[lo : lo + CHUNK_ROWS])
+        np.sin(arg, out=v.imag[lo : lo + CHUNK_ROWS])
+    v *= amp
     return v
 
 

@@ -8,10 +8,17 @@ inner products of these features across sampled frequencies approximate the
 model covariance.  The convolved MOGP's feature is a Gaussian amplitude
 times exp(j*lam.x).
 
-``feature_blocks`` is the one provider of feature blocks, for every model
-type, and ``write_phi_c`` the one writer that places them into the real
-feature matrix Phi_c; ``feature_matrix``, ``mogp_feature_matrix`` and the
-likelihood objective all assemble through them.
+Feature blocks, for every model type, come in two steps:
+``block_params`` fixes the parameters of each (output, force) block once
+per call (frequencies, their collision perturbation and its one warning,
+roots and a_0 or the MOGP amplitude), and ``fill_block`` fills given rows.
+``write_phi_block`` is the one writer that places a block, or rows of it,
+into the real feature matrix Phi_c.  ``feature_blocks`` fills whole blocks
+for the likelihood objective; ``phi_chunks`` fills and writes
+``backends.CHUNK_ROWS`` rows at a time, in row order, for
+``feature_matrix``, ``mogp_feature_matrix`` (through ``assemble_phi_c``)
+and prediction, so no fill temporary is larger than a chunk.  A row has
+the same bits whichever chunk or block it is filled in.
 """
 
 from __future__ import annotations
@@ -46,9 +53,12 @@ __all__ = [
     "perturb_collisions",
     "to_operator",
     "output_rows",
+    "block_params",
+    "fill_block",
     "feature_blocks",
     "write_phi_block",
-    "write_phi_c",
+    "phi_chunks",
+    "assemble_phi_c",
 ]
 
 # Roots closer than SEPARATION_RTOL * (1 + max |root|) count as repeated.
@@ -377,41 +387,55 @@ def output_rows(output_ids):
     return {int(d): np.flatnonzero(output_ids == d) for d in np.unique(output_ids)}
 
 
-def feature_blocks(inputs, rows, spec, draws):
-    """Unscaled feature blocks of every output d and force q.
+def block_params(outputs, spec, draws):
+    """Parameters of the feature block (d, q) of every output d in ``outputs``.
 
-    ``rows`` maps each output id d to its rows of ``inputs`` (see
-    ``output_rows``).  Yields ((d, q), entry), where entry["v"] is the
-    (len(rows[d]), S) block and entry["lam"] the frequencies it was filled
-    at.  An LFM entry adds the operator's "roots" and "leading"
-    coefficient; its frequencies are perturbed off the roots here, once,
-    with a NumericsWarning per colliding block.  A MOGP entry adds
-    "b" = |lam|^2 per sample.  Raises DataError for an output id outside
-    1..D.
+    Returns {(d, q): entry}, where entry["lam"] holds the frequencies the
+    block is filled at.  An LFM entry adds the operator's "roots" and
+    "leading" coefficient; its frequencies are perturbed off the roots
+    here, once, with a NumericsWarning per colliding block.  A MOGP entry
+    adds "b" = |lam|^2 and the Gaussian amplitude "amp" per sample.
+    Raises DataError for an output id outside 1..D.
     """
-    bad = [d for d in rows if not 1 <= d <= spec.num_outputs]
+    bad = [d for d in outputs if not 1 <= d <= spec.num_outputs]
     if bad:
         raise DataError(f"output_id {bad[0]} outside 1..{spec.num_outputs}")
+    params = {}
     if isinstance(spec, LfmSpec):
-        for d, r in rows.items():
+        for d in outputs:
             rs = operator_roots(spec.outputs[d - 1])
-            t = inputs[r]
             for q in range(1, spec.num_forces + 1):
                 lam = force_frequencies(draws, q, spec.lengthscales[q - 1])
                 lam = perturb_collisions(lam, rs.roots)
-                v = backends.residue_fill(t, lam, rs.roots, rs.leading)
-                yield (d, q), {"v": v, "lam": lam, "roots": rs.roots, "leading": rs.leading}
-        return
-    x = inputs[:, None] if inputs.ndim == 1 else inputs
+                params[(d, q)] = {"lam": lam, "roots": rs.roots, "leading": rs.leading}
+        return params
     p = spec.input_dim
     for q in range(1, spec.num_forces + 1):
         lam = mogp_frequencies(draws, q, spec.lengthscales[q - 1])
         b = np.sum(lam * lam, axis=1)
-        for d, r in rows.items():
+        for d in outputs:
             prec = spec.inv_widths[d - 1]
             amp = (2.0 * math.pi / prec) ** (p / 2.0) * np.exp(-b / (2.0 * prec))
-            v = amp[None, :] * np.exp(1j * (x[r] @ lam.T))
-            yield (d, q), {"v": v, "lam": lam, "b": b}
+            params[(d, q)] = {"lam": lam, "b": b, "amp": amp}
+    return params
+
+
+def fill_block(x, entry):
+    """Unscaled feature block of ``block_params``' entry at inputs ``x``."""
+    if "roots" in entry:
+        return backends.residue_fill(x, entry["lam"], entry["roots"], entry["leading"])
+    return backends.mogp_fill(x.reshape(x.shape[0], -1), entry["lam"], entry["amp"])
+
+
+def feature_blocks(inputs, rows, spec, draws):
+    """Unscaled feature blocks of every output d and force q.
+
+    ``rows`` maps each output id d to its rows of ``inputs`` (see
+    ``output_rows``).  Yields ((d, q), entry): the ``block_params`` entry
+    plus "v", the (len(rows[d]), S) block filled at those rows.
+    """
+    for (d, q), entry in block_params(rows, spec, draws).items():
+        yield (d, q), {**entry, "v": fill_block(inputs[rows[d]], entry)}
 
 
 def write_phi_block(out, rows, spec, num_samples, d, q, v):
@@ -430,13 +454,35 @@ def write_phi_block(out, rows, spec, num_samples, d, q, v):
     out[rows, r + c0 : r + c0 + num_samples] = block.imag
 
 
-def write_phi_c(n, rows, spec, num_samples, blocks):
-    """Real feature matrix Phi_c = [Re Phi, Im Phi], (n, 2QS), from blocks.
+def phi_chunks(inputs, output_ids, spec, draws, out=None):
+    """Yield (row slice, Phi_c rows) for chunks of ``CHUNK_ROWS`` rows, in row order.
 
-    ``blocks`` iterates ((d, q), entry) pairs as ``feature_blocks`` yields
-    them; each is written by ``write_phi_block``.
+    Each chunk's rows are filled output by output and written by
+    ``write_phi_block``; they equal the rows of the blocks
+    ``feature_blocks`` fills at once, bit for bit.  The rows are written
+    into ``out[slice]`` when ``out`` (N x 2QS) is given, else into one
+    work array that every chunk reuses, so they are valid until the next
+    chunk.
     """
-    phi_c = np.zeros((n, 2 * spec.num_forces * num_samples))
-    for (d, q), entry in blocks:
-        write_phi_block(phi_c, rows[d], spec, num_samples, d, q, entry["v"])
+    output_ids = np.asarray(output_ids, dtype=int)
+    params = block_params(np.unique(output_ids).tolist(), spec, draws)
+    n, s_count, step = output_ids.size, draws.num_samples, backends.CHUNK_ROWS
+    reuse = out is None
+    if reuse:
+        out = np.empty((min(n, step), 2 * spec.num_forces * s_count))
+    for lo in range(0, n, step):
+        sl = slice(lo, min(lo + step, n))
+        phi = out[: sl.stop - lo] if reuse else out[sl]
+        x = inputs[sl]
+        for d, r in output_rows(output_ids[sl]).items():
+            for q in range(1, spec.num_forces + 1):
+                write_phi_block(phi, r, spec, s_count, d, q, fill_block(x[r], params[(d, q)]))
+        yield sl, phi
+
+
+def assemble_phi_c(inputs, output_ids, spec, draws):
+    """Real feature matrix Phi_c = [Re Phi, Im Phi], (N, 2QS), chunk by chunk."""
+    phi_c = np.empty((len(output_ids), 2 * spec.num_forces * draws.num_samples))
+    for _ in phi_chunks(inputs, output_ids, spec, draws, out=phi_c):
+        pass
     return phi_c

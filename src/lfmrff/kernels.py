@@ -21,15 +21,13 @@ from scipy.integrate import quad
 from .features import (
     NumericsWarning,
     FrequencyDraws,
-    feature_blocks,
+    assemble_phi_c,
     force_frequencies,
     ode_roots,
     ode2_roots,
-    output_rows,
     residue_coeffs,
     rfrf_general,  # not used here; the benchmark's tracer wraps this name
     to_operator,
-    write_phi_c,
 )
 from .model import LfmSpec, Ode1Params, Ode2Params, OdeOperator
 
@@ -85,11 +83,13 @@ def feature_matrix(times, output_ids, spec: LfmSpec, draws: FrequencyDraws) -> F
     output_ids = np.asarray(output_ids, dtype=int)
     if times.shape != output_ids.shape:
         raise ValueError("times and output_ids must have matching shapes")
-    rows = output_rows(output_ids)
-    blocks = feature_blocks(times, rows, spec, draws)
-    s_count = draws.num_samples
-    phi_c = write_phi_c(times.size, rows, spec, s_count, blocks)
-    return FeatureMatrix(phi_c, output_ids, spec.num_forces, s_count)
+    phi_c = assemble_phi_c(times, output_ids, spec, draws)
+    return FeatureMatrix(phi_c, output_ids, spec.num_forces, draws.num_samples)
+
+
+def latent_block(times, lam):
+    """Latent-force features exp(j*lam*t)/sqrt(S), (len(times), S) complex."""
+    return np.exp(1j * np.outer(times, lam)) / math.sqrt(lam.size)
 
 
 def latent_feature_matrix(times, q, spec: LfmSpec, draws: FrequencyDraws) -> FeatureMatrix:
@@ -104,8 +104,7 @@ def latent_feature_matrix(times, q, spec: LfmSpec, draws: FrequencyDraws) -> Fea
     times = np.asarray(times, dtype=float)
     s_count = draws.num_samples
     r = spec.num_forces * s_count
-    lam = force_frequencies(draws, q, spec.lengthscales[q - 1])
-    block = np.exp(1j * np.outer(times, lam)) / math.sqrt(s_count)
+    block = latent_block(times, force_frequencies(draws, q, spec.lengthscales[q - 1]))
     phi_c = np.zeros((times.size, 2 * r))
     c0 = (q - 1) * s_count
     phi_c[:, c0 : c0 + s_count] = block.real

@@ -6,11 +6,14 @@ so cost is linear in the number of observations at fixed feature count.
 The data-fit term is y^T beta with beta = (K + Sigma)^-1 y, which avoids
 the cancellation between y^T Sigma^-1 y and alpha^T A^-1 alpha.
 
-Every objective evaluation streams over fixed chunks of ``CHUNK_ROWS``
-rows in two passes.  Pass 1 accumulates A and alpha = Phi_c^T Sigma^-1 y
-and factors A once.  Pass 2 forms beta on each chunk from m = A^-1 alpha
-and sums the data-fit term.  ``low_rank_log_marginal`` accumulates A the
-same way over the Phi_c it is given.  The objective keeps only the complex feature blocks of
+Every objective evaluation streams over fixed chunks of
+``backends.CHUNK_ROWS`` rows in two passes.  Pass 1 accumulates A and
+alpha = Phi_c^T Sigma^-1 y and factors A once.  Pass 2 forms beta on each
+chunk from m = A^-1 alpha and sums the data-fit term.
+``low_rank_log_marginal`` accumulates A the same way over the Phi_c it is
+given, and ``weight_posterior`` over row chunks of Phi_c that are never
+held together (pass 1 alone: the weight posterior that prediction reads).
+The objective keeps only the complex feature blocks of
 ``features.feature_blocks``, filled once per evaluation, and rebuilds
 each chunk's rows of Phi_c from them with ``features.write_phi_block``,
 the writer ``feature_matrix`` and ``mogp_feature_matrix`` use; no N x R
@@ -67,24 +70,19 @@ from .mogp import SpectralDraws
 
 __all__ = [
     "LowRankState",
+    "WeightPosterior",
     "FitResult",
     "OptimizerConfig",
     "LmlObjective",
     "noise_vector",
     "full_log_marginal",
     "low_rank_log_marginal",
+    "weight_posterior",
     "lml_gradient",
     "optimize",
 ]
 
 LOG_2PI = math.log(2.0 * math.pi)
-
-# Rows per chunk of the two-pass evaluations.  It bounds the temporaries of
-# an evaluation to a few CHUNK_ROWS x R arrays, 1.6 MB each at R = 200, small
-# enough to stay in cache (512 to 2048 rows ran equally fast, 4096 slower);
-# being fixed, it also fixes the summation order, so results repeat bit for
-# bit.
-CHUNK_ROWS = 1024
 
 
 def noise_vector(spec, output_ids) -> np.ndarray:
@@ -159,8 +157,8 @@ def low_rank_log_marginal(phi, noise, y):
     """Log marginal likelihood of y under N(0, Phi_c Phi_c^T + Sigma).
 
     Returns (value, LowRankState).  Cost is O(N R^2) for R = 2QS feature
-    columns; A is accumulated over chunks of ``CHUNK_ROWS`` rows, so no
-    N x N or N x R array is formed besides Phi_c.  Raises NumericalError
+    columns; A is accumulated over chunks of ``backends.CHUNK_ROWS`` rows,
+    so no N x N or N x R array is formed besides Phi_c.  Raises NumericalError
     when Phi is not finite or A is not positive definite.
     """
     phi_c = _phi_c_of(phi)
@@ -173,10 +171,11 @@ def low_rank_log_marginal(phi, noise, y):
         raise ValueError("noise variances must be positive")
     sinv = 1.0 / noise
     root = np.sqrt(sinv)
+    step = backends.CHUNK_ROWS
     chunks = (
-        (phi_c[lo : lo + CHUNK_ROWS] * root[lo : lo + CHUNK_ROWS, None],
-         root[lo : lo + CHUNK_ROWS] * y[lo : lo + CHUNK_ROWS])
-        for lo in range(0, n, CHUNK_ROWS)
+        (phi_c[lo : lo + step] * root[lo : lo + step, None],
+         root[lo : lo + step] * y[lo : lo + step])
+        for lo in range(0, n, step)
     )
     a, alpha, chol = _factor(chunks, phi_c.shape[1])
     beta = sinv * (y - phi_c @ cho_solve((chol, True), alpha))
@@ -193,6 +192,37 @@ def low_rank_log_marginal(phi, noise, y):
         noise_rows=noise,
     )
     return value, state
+
+
+@dataclass(frozen=True, eq=False)
+class WeightPosterior:
+    """Posterior N(A^-1 alpha, A^-1) of the feature weights.
+
+    alpha = Phi_c^T Sigma^-1 y and chol_a is the lower Cholesky factor of
+    A = I + Phi_c^T Sigma^-1 Phi_c: all that prediction reads, which a
+    ``LowRankState`` carries too.
+    """
+
+    alpha: np.ndarray
+    chol_a: np.ndarray
+
+
+def weight_posterior(chunks, noise, y, num_features) -> WeightPosterior:
+    """Posterior of the feature weights from one pass over row chunks of Phi_c.
+
+    ``chunks`` yields (row slice, Phi_c rows) in row order, as
+    ``features.phi_chunks`` does, and each chunk's rows are whitened in
+    place; ``num_features`` is the column count 2QS.  Over chunks of
+    ``backends.CHUNK_ROWS`` rows, alpha and chol_a equal those of
+    ``low_rank_log_marginal`` bit for bit, but neither Phi_c nor beta is
+    formed.  Raises NumericalError like ``low_rank_log_marginal``.
+    """
+    root = np.sqrt(1.0 / np.asarray(noise, dtype=float))
+    whitened = (
+        (np.multiply(phi, root[sl, None], out=phi), root[sl] * y[sl]) for sl, phi in chunks
+    )
+    _, alpha, chol = _factor(whitened, num_features)
+    return WeightPosterior(alpha, np.tril(chol))
 
 
 def full_log_marginal(cov, noise, y):
@@ -260,7 +290,7 @@ class LmlObjective:
         # Phi_c, of T = Sigma^-1 Phi_c A^-1, and of one block of dL/dPhi.
         # Fresh chunk-sized arrays would page-fault again on every chunk,
         # a large share of an evaluation at a few thousand rows.
-        chunk = min(CHUNK_ROWS, max((r.size for r in self._rows.values()), default=0))
+        chunk = min(backends.CHUNK_ROWS, max((r.size for r in self._rows.values()), default=0))
         self._phi_buf = np.empty((chunk, 2 * template.num_forces * draws.num_samples))
         self._t_buf = np.empty_like(self._phi_buf)
         self._h_buf = np.empty((chunk, draws.num_samples), dtype=complex)

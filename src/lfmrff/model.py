@@ -503,38 +503,44 @@ def read_dataset_csv(path, require_y=True) -> Dataset:
 _CONTROL = "".join(chr(c) for c in [*range(32), 127] if chr(c) not in "\t\n\r")
 
 
-def _read_rows(path, body, width):
+def _read_rows(path, body, width, ids=True):
     """(output ids, remaining fields) of the data lines after the header.
 
-    numpy's C parser reads a well-formed body.  On any failure (a malformed
-    or whitespace-only line, a quoted field, no rows) the lines are parsed
-    again one by one, which skips blank lines and names the line at fault.
-    On the input the C parser accepts, both give the same arrays bit for
-    bit.
+    With ``ids`` false every field is a float, as in a bare input grid, and
+    the ids are None.  numpy's C parser reads a well-formed body.  On any
+    failure (a malformed or whitespace-only line, a quoted field, no rows)
+    the lines are parsed again one by one, which skips blank lines and
+    names the line at fault.  On the input the C parser accepts, both give
+    the same arrays bit for bit.
     """
+    first = 1 if ids else 0
     if body.isascii() and not any(c in body for c in _CONTROL):
+        dtype = [("id", int)] if ids else []
+        dtype.append(("fields", float, (width - first,)))
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")  # "input contained no data"
                 table = np.loadtxt(
                     io.StringIO(body, newline=""), delimiter=",", comments=None, ndmin=1,
-                    dtype=[("id", int), ("fields", float, (width - 1,))],
+                    dtype=dtype,
                 )
-            return table["id"].copy(), table["fields"].copy()
+            return (table["id"].copy() if ids else None), table["fields"].copy()
         except (ValueError, Warning):
             pass
-    ids, fields = [], []
+    id_list, fields = [], []
     for lineno, row in enumerate(csv.reader(io.StringIO(body, newline="")), start=2):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         if len(row) != width:
             raise DataError(f"{path}:{lineno}: expected {width} fields, got {len(row)}")
         try:
-            ids.append(int(row[0]))
-            fields.append([float(s) for s in row[1:]])
+            if ids:
+                id_list.append(int(row[0]))
+            fields.append([float(s) for s in row[first:]])
         except ValueError as exc:
             raise DataError(f"{path}:{lineno}: {exc}") from None
-    return np.array(ids, dtype=int), np.array(fields, dtype=float).reshape(len(ids), width - 1)
+    fields = np.array(fields, dtype=float).reshape(len(fields), width - first)
+    return (np.array(id_list, dtype=int) if ids else None), fields
 
 
 def write_csv_columns(path, header, columns) -> None:

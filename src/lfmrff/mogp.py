@@ -21,14 +21,7 @@ from scipy.integrate import dblquad
 
 # SpectralDraws, sample_spectral and mogp_frequencies live in features, next
 # to the LFM's draws and the block provider; this module re-exports them.
-from .features import (
-    SpectralDraws,
-    feature_blocks,
-    mogp_frequencies,
-    output_rows,
-    sample_spectral,
-    write_phi_c,
-)
+from .features import SpectralDraws, assemble_phi_c, mogp_frequencies, sample_spectral
 from .kernels import FeatureMatrix
 from .model import MogpSpec
 
@@ -56,11 +49,8 @@ def mogp_feature_matrix(x, output_ids, spec: MogpSpec, draws: SpectralDraws) -> 
     if x.ndim == 1:
         x = x[:, None]
     output_ids = np.asarray(output_ids, dtype=int)
-    rows = output_rows(output_ids)
-    blocks = feature_blocks(x, rows, spec, draws)
-    s_count = draws.num_samples
-    phi_c = write_phi_c(x.shape[0], rows, spec, s_count, blocks)
-    return FeatureMatrix(phi_c, output_ids, spec.num_forces, s_count)
+    phi_c = assemble_phi_c(x, output_ids, spec, draws)
+    return FeatureMatrix(phi_c, output_ids, spec.num_forces, draws.num_samples)
 
 
 def mogp_cov_exact(xr, dr, xc=None, dc=None, spec: MogpSpec | None = None) -> np.ndarray:

@@ -6,6 +6,13 @@ row phi* has mean phi* A^-1 alpha and variance phi* A^-1 phi*^T.  This
 agrees with the function-space GP formulas by the Woodbury identity but
 never forms an N x N matrix.  With A = L L^T the variance is the squared
 norm of phi* L^-T, which is nonnegative by construction.
+
+Prediction streams over chunks of ``backends.CHUNK_ROWS`` test rows: each
+chunk's feature rows are filled, used for its means and variances and
+dropped, so no test N x R matrix is formed and memory is flat in the
+number of test rows.  The posterior may be a ``LowRankState`` or the
+``WeightPosterior`` that ``likelihood.weight_posterior`` builds without a
+training Phi_c.
 """
 
 from __future__ import annotations
@@ -14,13 +21,18 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import cho_solve, solve_triangular
 
-from .features import sample_frequencies
-from .kernels import feature_matrix, latent_feature_matrix
-from .likelihood import FitResult, LowRankState, noise_vector
+from . import backends
+from .features import force_frequencies, phi_chunks, sample_frequencies
+from .kernels import (
+    feature_matrix,  # not used here; the benchmark's tracer wraps this name
+    latent_block,
+    latent_feature_matrix,  # not used here; the benchmark's tracer wraps this name
+)
+from .likelihood import FitResult, noise_vector
 from .model import Dataset, LfmSpec, validate_dataset
-from .mogp import mogp_feature_matrix, sample_spectral
+from .mogp import sample_spectral
 
 __all__ = [
     "Posterior",
@@ -48,36 +60,43 @@ def draws_for(fit: FitResult):
     return sample_spectral(fit.num_samples, spec.num_forces, spec.input_dim, fit.seed)
 
 
-def _posterior_from_features(phi_c, state: LowRankState):
-    mean = phi_c @ state.solve_a(state.alpha)
-    # phi A^-1 phi^T = |phi L^-T|^2 row by row: one R x R triangular solve
-    # and one GEMM instead of a solve with N right-hand sides.
+def _weights(state):
+    """(m = A^-1 alpha, L^-T) of a posterior with A = L L^T.
+
+    phi A^-1 phi^T = |phi L^-T|^2 row by row: one R x R triangular solve
+    and one GEMM per chunk instead of a solve with N right-hand sides.
+    """
+    m = cho_solve((state.chol_a, True), state.alpha)
     l_inv = solve_triangular(state.chol_a, np.eye(state.chol_a.shape[0]), lower=True)
-    w = phi_c @ l_inv.T
-    return mean, np.einsum("ij,ij->i", w, w)
+    return m, l_inv.T
 
 
-def predict_outputs(fit: FitResult, state: LowRankState, test: Dataset, include_noise=True) -> Posterior:
+def _sq_row_norms(w):
+    return np.einsum("ij,ij->i", w, w)
+
+
+def predict_outputs(fit: FitResult, state, test: Dataset, include_noise=True) -> Posterior:
     """Posterior over outputs at the test rows.
 
-    Variance is the latent-function marginal plus the fitted noise
+    ``state`` is a ``LowRankState`` or ``WeightPosterior`` of the training
+    data.  Variance is the latent-function marginal plus the fitted noise
     variance of each row's output when ``include_noise`` is set (the
     default, matching predictive bands drawn around noisy data).
     """
     spec = fit.spec
     validate_dataset(test, spec)
-    draws = draws_for(fit)
-    if isinstance(spec, LfmSpec):
-        fm = feature_matrix(test.inputs, test.output_ids, spec, draws)
-    else:
-        fm = mogp_feature_matrix(test.inputs, test.output_ids, spec, draws)
-    mean, var = _posterior_from_features(fm.phi_c, state)
+    m, l_inv_t = _weights(state)
+    mean = np.empty(len(test))
+    var = np.empty(len(test))
+    for sl, phi in phi_chunks(test.inputs, test.output_ids, spec, draws_for(fit)):
+        mean[sl] = backends.matmul_rows(phi, m)
+        var[sl] = _sq_row_norms(phi @ l_inv_t)
     if include_noise:
-        var = var + noise_vector(spec, test.output_ids)
+        var += noise_vector(spec, test.output_ids)
     return Posterior(mean, var, bool(include_noise))
 
 
-def predict_latent_forces(fit: FitResult, state: LowRankState, times, q) -> Posterior:
+def predict_latent_forces(fit: FitResult, state, times, q) -> Posterior:
     """Posterior over latent force q at the given times.
 
     Latent features share the fitted weight space, so with no data the
@@ -87,8 +106,28 @@ def predict_latent_forces(fit: FitResult, state: LowRankState, times, q) -> Post
     spec = fit.spec
     if not isinstance(spec, LfmSpec):
         raise TypeError("latent force prediction requires an LFM spec")
-    fm = latent_feature_matrix(np.asarray(times, dtype=float), q, spec, draws_for(fit))
-    mean, var = _posterior_from_features(fm.phi_c, state)
+    times = np.asarray(times, dtype=float)
+    lam = force_frequencies(draws_for(fit), q, spec.lengthscales[q - 1])
+    m, l_inv_t = _weights(state)
+    s_count, n = fit.num_samples, times.size
+    r = spec.num_forces * s_count
+    re = np.arange((q - 1) * s_count, q * s_count)
+    cols = np.concatenate([re, r + re])
+    l_inv_t_q = l_inv_t[cols]  # the rows of L^-T that force q's columns meet
+    mean = np.empty(n)
+    var = np.empty(n)
+    # Rows as in latent_feature_matrix, zero outside force q's columns: the
+    # mean takes them whole, so it has the bits of that matrix's product.
+    step = backends.CHUNK_ROWS
+    phi = np.zeros((min(n, step), 2 * r))
+    for lo in range(0, n, step):
+        sl = slice(lo, min(lo + step, n))
+        rows = phi[: sl.stop - lo]
+        block = latent_block(times[sl], lam)
+        rows[:, re] = block.real
+        rows[:, r + re] = block.imag
+        mean[sl] = backends.matmul_rows(rows, m)
+        var[sl] = _sq_row_norms(rows[:, cols] @ l_inv_t_q)
     return Posterior(mean, var, False)
 
 

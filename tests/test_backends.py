@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from lfmrff import backends
 
@@ -189,3 +189,44 @@ def test_third_order_contractions_match_blocks():
         assert_allclose(dv[i], fd, rtol=0, atol=1e-7 * np.max(np.abs(fd)))
     hv, dcoeffs, dlam = backends.residue_grads(T, LAM, np.roots(coeffs), coeffs[0], H, v)
     assert_columns_match([hv, *dcoeffs, dlam], [v, *dv, dv_dlam], H)
+
+
+# ---------------------------------------------------------------------------
+# the chunked cos/sin fills against the one-shot exponential forms
+
+
+def exp_form_residue_fill(t, lam, roots, leading):
+    """The fill as one complex exponential of the whole block plus the system terms."""
+    s = np.asarray(roots, dtype=complex)
+    x = 1j * lam
+    a_sys = backends._residues(s, x)[3]
+    a_exc = 1.0 / np.prod(x[None, :] - s[:, None], axis=0)
+    v = np.exp(np.outer(t, x))
+    v *= a_exc / leading
+    v += np.exp(np.outer(t, s)) @ (a_sys / leading)
+    return v
+
+
+@pytest.mark.parametrize(
+    "roots,leading",
+    [([-0.6], 1.0), ([-1.0, -2.0], 1.0), ([-1.0 + 2.0j, -1.0 - 2.0j], 1.4),
+     (np.roots([2.0, 3.0, 9.0, 4.0]), 2.0)],
+    ids=["ode1", "ode2-overdamped", "ode2-underdamped", "order3"],
+)
+def test_chunked_residue_fill_is_bitwise_the_exponential_form(roots, leading):
+    t = np.concatenate([[0.0], RNG.uniform(0.0, 5.0, 2 * backends.CHUNK_ROWS + 2)])
+    got = backends.residue_fill(t, LAM, roots, leading)
+    assert_array_equal(got, exp_form_residue_fill(t, LAM, roots, leading))
+    # any one row alone, including the only row of a fill, keeps its bits
+    for i in (0, 5, t.size - 1):
+        one = backends.residue_fill(t[i : i + 1], LAM, roots, leading)
+        assert_array_equal(one, got[i : i + 1])
+
+
+def test_chunked_mogp_fill_is_bitwise_the_exponential_form():
+    x = RNG.uniform(-1.0, 1.0, size=(2 * backends.CHUNK_ROWS + 3, 2))
+    lam = RNG.normal(size=(LAM.size, 2))
+    amp = RNG.uniform(0.1, 2.0, LAM.size)
+    got = backends.mogp_fill(x, lam, amp)
+    assert_array_equal(got, amp[None, :] * np.exp(1j * (x @ lam.T)))
+    assert_array_equal(backends.mogp_fill(x[7:8], lam, amp), got[7:8])

@@ -3,12 +3,13 @@
 import csv
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
-from lfmrff.cli import main
-from lfmrff.model import Dataset, LfmSpec, Ode1Params, write_dataset_csv
+from lfmrff.cli import RunConfig, _read_grid, main
+from lfmrff.model import DataError, Dataset, LfmSpec, Ode1Params, write_dataset_csv
 from lfmrff.predict import nmse
 
 
@@ -191,6 +192,88 @@ class TestSampleFeatures:
             "feat1_re", "feat1_im", "feat2_re", "feat2_im", "feat3_re", "feat3_im"
         ]
         assert len(rows) == 3
+
+
+def refuse_c_parser(*args, **kwargs):
+    raise ValueError("C parser disabled")
+
+
+class TestGridReader:
+    """Bare t / x1..xp grids: numpy's C parser and the per-line fallback agree."""
+
+    @staticmethod
+    def read_both(path, monkeypatch):
+        cfg = RunConfig(outputs=2)
+        loadtxt = np.loadtxt
+        served = []
+
+        def spy(*args, **kwargs):
+            served.append(True)
+            return loadtxt(*args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", spy)
+        fast = _read_grid(path, cfg)
+        monkeypatch.setattr(np, "loadtxt", refuse_c_parser)
+        slow = _read_grid(path, cfg)
+        return fast, slow, bool(served)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "t\r\n0.5\r\n1.5\r\n-0.0\r\n",
+            "t\n0.5\n\n1.5\n\n",
+            "t\r0.5\r1.5",
+            " t \n 0.5 \n\t1e-320 \n",
+            "t\nnan\n-inf\n1e400\n-nan\n",
+            "x1,x2\n0.1,-0.2\n0.3,0.4\n",
+            "x1,x2,x3\n1,2,3",
+        ],
+        ids=["crlf", "blank-lines", "cr", "padded", "nan-inf", "x1-x2", "x1-x3"],
+    )
+    def test_c_parser_reads_like_per_line_parser(self, tmp_path, monkeypatch, text):
+        path = tmp_path / "g.csv"
+        path.write_bytes(text.encode())
+        (ids, grid), (ids2, grid2), served = self.read_both(path, monkeypatch)
+        assert served
+        assert ids.tolist() == ids2.tolist()
+        assert grid.shape == grid2.shape and grid.tobytes() == grid2.tobytes()
+        rows = grid.shape[0] // 2
+        assert ids.tolist() == [1] * rows + [2] * rows
+
+    @pytest.mark.parametrize(
+        "text",
+        ["t\n", "t\n0.5\n   \n1.5\n", 't\n"0.5"\n', "t\n\u0661\n", "t\n1_0\n"],
+        ids=["header-only", "whitespace-line", "quoted", "non-ascii-digit", "underscore"],
+    )
+    def test_fallback_reads_what_the_c_parser_refuses(self, tmp_path, monkeypatch, text):
+        path = tmp_path / "g.csv"
+        path.write_bytes(text.encode())
+        (ids, grid), (ids2, grid2), _ = self.read_both(path, monkeypatch)
+        assert ids.tolist() == ids2.tolist()
+        assert grid.shape == grid2.shape and grid.tobytes() == grid2.tobytes()
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("t\n0.5\noops\n", "g.csv:3: could not convert string to float: 'oops'"),
+            ("x1,x2\n0.1\n", "g.csv:2: expected 2 fields, got 1"),
+            ("t\n0.5,1\n", "g.csv:2: expected 1 fields, got 2"),
+            ("t\n0.5\n\n,\n", "g.csv:4: expected 1 fields, got 2"),
+            ("t\n0.5 # note\n", "g.csv:2: could not convert string to float: '0.5 # note'"),
+            ("t\n\x1c1\n", "g.csv:2: could not convert string to float: '\\x1c1'"),
+        ],
+        ids=["bad-float", "short-row", "long-row", "comma-line", "comment", "control-char"],
+    )
+    def test_malformed_grids_raise_per_line_messages(self, tmp_path, monkeypatch, text, message):
+        path = tmp_path / "g.csv"
+        path.write_bytes(text.encode())
+        with pytest.raises(DataError) as fast:
+            _read_grid(path, RunConfig())
+        monkeypatch.setattr(np, "loadtxt", refuse_c_parser)
+        with pytest.raises(DataError) as slow:
+            _read_grid(path, RunConfig())
+        assert str(fast.value) == str(slow.value)
+        assert re.search(re.escape(message) + "$", str(fast.value))
 
 
 class TestBenchmark:

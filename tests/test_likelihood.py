@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from lfmrff import likelihood
+from lfmrff import backends
 from lfmrff.features import FrequencyDraws, NumericsWarning, sample_frequencies
 from lfmrff.kernels import feature_matrix
 from lfmrff.likelihood import (
@@ -70,7 +70,7 @@ class TestLowRank:
     @pytest.mark.parametrize("n", [6, 7, 8, 17])
     def test_chunk_boundaries_match_dense(self, monkeypatch, n):
         # chunks of 7 rows: n = chunk - 1, chunk, chunk + 1, 2 chunk + 3
-        monkeypatch.setattr(likelihood, "CHUNK_ROWS", 7)
+        monkeypatch.setattr(backends, "CHUNK_ROWS", 7)
         rng = np.random.default_rng(n)
         phi_c = rng.normal(size=(n, 5))
         noise = rng.uniform(0.1, 2.0, size=n)
@@ -240,7 +240,7 @@ def test_chunked_objective_matches_dense(monkeypatch, case, rows):
     data = two_output_data(rows, isinstance(spec, MogpSpec))
     theta = pack(spec).values
     _, one_chunk = LmlObjective(data, spec, draws).value_and_gradient(theta)
-    monkeypatch.setattr(likelihood, "CHUNK_ROWS", CHUNK)
+    monkeypatch.setattr(backends, "CHUNK_ROWS", CHUNK)
     obj = LmlObjective(data, spec, draws)
     value, grad = obj.value_and_gradient(theta)
     fm = assemble(data.inputs, data.output_ids, spec, draws)

@@ -1,0 +1,212 @@
+"""Chunked fills, assembly and prediction: results do not depend on where chunks end.
+
+Row counts straddle ``backends.CHUNK_ROWS`` (chunk - 1, chunk, chunk + 1,
+2 chunk + 3) with randomly interleaved output ids, so chunks hold unequal
+and sometimes single rows of an output.  References assemble or solve the
+whole matrix at once.
+"""
+
+import tracemalloc
+import warnings
+
+import numpy as np
+import pytest
+from numpy.testing import assert_allclose, assert_array_equal
+from scipy.linalg import cho_solve
+
+from lfmrff import backends
+from lfmrff.features import (
+    NumericsWarning,
+    feature_blocks,
+    output_rows,
+    phi_chunks,
+    sample_frequencies,
+    write_phi_block,
+)
+from lfmrff.kernels import feature_matrix, latent_feature_matrix
+from lfmrff.likelihood import (
+    FitResult,
+    LmlObjective,
+    low_rank_log_marginal,
+    noise_vector,
+    weight_posterior,
+)
+from lfmrff.model import Dataset, LfmSpec, MogpSpec, Ode1Params, Ode2Params, OdeOperator, pack
+from lfmrff.mogp import mogp_feature_matrix, sample_spectral
+from lfmrff.predict import predict_latent_forces, predict_outputs
+
+CHUNK = backends.CHUNK_ROWS
+ROWS = [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3]
+
+CASES = {
+    "ode1-ode2": (
+        LfmSpec((Ode1Params(1.1), Ode2Params(1.0, 3.0, 2.0)), 2, [0.9, 1.7],
+                [[0.7, 0.2], [-0.5, 1.1]], [0.3, 0.1]),
+        sample_frequencies(6, 2, seed=4),
+        feature_matrix,
+    ),
+    "order3-ode2": (
+        LfmSpec((OdeOperator((2.0, 3.0, 9.0, 4.0)), Ode2Params(1.3, 0.8, 5.0)), 1,
+                [1.2], [[1.0], [0.6]], [0.2, 0.25]),
+        sample_frequencies(9, 1, seed=6),
+        feature_matrix,
+    ),
+    "mogp-2d": (
+        MogpSpec(2, [1.4, 0.8], 2, [1.0, 0.7], [[1.0, 0.2], [0.4, 0.9]], [0.15, 0.3]),
+        sample_spectral(5, 2, 2, seed=8),
+        mogp_feature_matrix,
+    ),
+}
+
+
+def interleaved(n, mogp, seed=0):
+    rng = np.random.default_rng(seed + n)
+    x = rng.uniform(-1.0, 1.0, size=(n, 2)) if mogp else rng.uniform(0.0, 5.0, n)
+    if not mogp:
+        x[0] = 0.0
+    return Dataset(rng.integers(1, 3, size=n), x, rng.normal(size=n))
+
+
+def whole_block_phi_c(data, spec, draws):
+    """Phi_c written block by block from blocks filled over all their rows."""
+    s_count = draws.num_samples
+    phi_c = np.zeros((len(data), 2 * spec.num_forces * s_count))
+    rows = output_rows(data.output_ids)
+    for (d, q), entry in feature_blocks(data.inputs, rows, spec, draws):
+        write_phi_block(phi_c, rows[d], spec, s_count, d, q, entry["v"])
+    return phi_c
+
+
+def make_fit(spec, draws):
+    return FitResult(spec=spec, packed=pack(spec), final_lml=0.0, trace=(), seed=draws.seed,
+                     num_samples=draws.num_samples, iterations=0, status="converged")
+
+
+def n_rhs_variance(phi_c, chol_a):
+    """phi A^-1 phi^T through a Cholesky solve with N right-hand sides."""
+    return np.einsum("ij,ji->i", phi_c, cho_solve((chol_a, True), phi_c.T))
+
+
+def trained(spec, draws, assemble, n=300):
+    data = interleaved(n, isinstance(spec, MogpSpec), seed=1)
+    fm = assemble(data.inputs, data.output_ids, spec, draws)
+    return data, low_rank_log_marginal(fm, noise_vector(spec, data.output_ids), data.y)[1]
+
+
+@pytest.mark.parametrize("rows", ROWS)
+@pytest.mark.parametrize("case", list(CASES))
+def test_feature_matrix_equals_whole_block_assembly(case, rows):
+    spec, draws, assemble = CASES[case]
+    data = interleaved(rows, isinstance(spec, MogpSpec))
+    got = assemble(data.inputs, data.output_ids, spec, draws).phi_c
+    assert_array_equal(got, whole_block_phi_c(data, spec, draws))
+
+
+@pytest.mark.parametrize("rows", ROWS)
+@pytest.mark.parametrize("case", list(CASES))
+def test_predict_outputs_match_whole_matrix(case, rows):
+    spec, draws, assemble = CASES[case]
+    _, state = trained(spec, draws, assemble)
+    test = interleaved(rows, isinstance(spec, MogpSpec), seed=2)
+    post = predict_outputs(make_fit(spec, draws), state, test, include_noise=False)
+    phi_c = assemble(test.inputs, test.output_ids, spec, draws).phi_c
+    assert_array_equal(post.mean, phi_c @ state.solve_a(state.alpha))
+    assert_allclose(post.variance, n_rhs_variance(phi_c, state.chol_a), rtol=1e-12)
+
+
+@pytest.mark.parametrize("rows", ROWS)
+@pytest.mark.parametrize("case", ["ode1-ode2", "order3-ode2"])
+def test_predict_latent_forces_match_whole_matrix(case, rows):
+    spec, draws, assemble = CASES[case]
+    _, state = trained(spec, draws, assemble)
+    times = np.random.default_rng(rows).uniform(0.0, 5.0, rows)
+    for q in range(1, spec.num_forces + 1):
+        post = predict_latent_forces(make_fit(spec, draws), state, times, q)
+        phi_c = latent_feature_matrix(times, q, spec, draws).phi_c
+        assert_array_equal(post.mean, phi_c @ state.solve_a(state.alpha))
+        assert_allclose(post.variance, n_rhs_variance(phi_c, state.chol_a), rtol=1e-12)
+
+
+@pytest.mark.parametrize("rows", ROWS)
+@pytest.mark.parametrize("case", list(CASES))
+def test_streamed_weight_posterior_equals_low_rank_state(case, rows):
+    spec, draws, assemble = CASES[case]
+    data = interleaved(rows, isinstance(spec, MogpSpec))
+    noise = noise_vector(spec, data.output_ids)
+    _, state = low_rank_log_marginal(
+        assemble(data.inputs, data.output_ids, spec, draws), noise, data.y
+    )
+    post = weight_posterior(phi_chunks(data.inputs, data.output_ids, spec, draws), noise,
+                            data.y, 2 * spec.num_forces * draws.num_samples)
+    assert_array_equal(post.chol_a, state.chol_a)
+    assert_array_equal(post.alpha, state.alpha)
+
+
+def test_pole_on_a_frequency_warns_once_per_call():
+    # (s + 1)(s^2 + w^2) with w a drawn frequency: roots -1 and +-j w, so the
+    # excitation root j w collides with a pole of the operator
+    draws = sample_frequencies(6, 1, seed=5)
+    w = float(np.sqrt(2.0) * draws.base[2, 0])
+    spec = LfmSpec((OdeOperator((1.0, 1.0, w * w, w * w)), Ode1Params(1.0)), 1, [1.0],
+                   [[1.0], [0.5]], [0.1, 0.1])
+    data = interleaved(2 * CHUNK + 3, mogp=False)
+    with pytest.warns(NumericsWarning, match="collide"):
+        fm = feature_matrix(np.arange(3.0), np.ones(3, int), spec, draws)
+    _, state = low_rank_log_marginal(fm, np.full(3, 0.1), np.ones(3))
+    calls = [
+        lambda: feature_matrix(data.inputs, data.output_ids, spec, draws),
+        lambda: predict_outputs(make_fit(spec, draws), state, data),
+        lambda: LmlObjective(data, spec, draws).value(pack(spec).values),
+    ]
+    for call in calls:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            call()
+        collide = [c for c in caught if issubclass(c.category, NumericsWarning)
+                   and "collide" in str(c.message)]
+        assert len(collide) == 1
+
+
+# ---------------------------------------------------------------------------
+# memory: Q=2, S=50 (R=200)
+
+MEM_SPEC = LfmSpec((Ode1Params(1.0), Ode2Params(1.0, 3.0, 2.0)), 2, [1.0, 0.7],
+                   [[1.0, 0.5], [0.6, 1.0]], [0.1, 0.1])
+MEM_DRAWS = sample_frequencies(50, 2, 0)
+
+
+def grid_data(n):
+    return Dataset(np.repeat([1, 2], n // 2), np.tile(np.linspace(0.0, 3.0, n // 2), 2),
+                   np.random.default_rng(0).normal(size=n))
+
+
+def peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_feature_matrix_and_objective_memory_near_what_they_keep():
+    # Phi_c (feature_matrix) and the complex blocks (the objective) both
+    # take 1.6 KB per row; every fill temporary is chunk-sized.
+    n = 16000
+    data = grid_data(n)
+    assert peak(feature_matrix, data.inputs, data.output_ids, MEM_SPEC, MEM_DRAWS) <= 1800 * n
+    obj = LmlObjective(data, MEM_SPEC, MEM_DRAWS)
+    theta = pack(MEM_SPEC).values
+    obj.value_and_gradient(theta)  # warm-up
+    assert peak(obj.value_and_gradient, theta) <= 1800 * n
+
+
+def test_prediction_memory_is_flat_in_test_rows():
+    train = grid_data(2000)
+    fm = feature_matrix(train.inputs, train.output_ids, MEM_SPEC, MEM_DRAWS)
+    _, state = low_rank_log_marginal(fm, noise_vector(MEM_SPEC, train.output_ids), train.y)
+    fit = make_fit(MEM_SPEC, MEM_DRAWS)
+    for n in (8000, 32000):
+        test = grid_data(n)
+        assert peak(predict_outputs, fit, state, test) <= 8e6
+        assert peak(predict_latent_forces, fit, state, np.linspace(0.0, 3.0, n), 1) <= 8e6
