@@ -59,4 +59,4 @@ from .mogp import (
 )
 from .predict import Posterior, nlpd, nmse, predict_latent_forces, predict_outputs
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

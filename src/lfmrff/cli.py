@@ -154,7 +154,11 @@ def _apply_config_pair(cfg: RunConfig, key, value, where):
 
 def load_config(path) -> RunConfig:
     """Parse a flat key=value config file; '#' starts a comment."""
-    cfg = RunConfig()
+    return _read_config(path, RunConfig())
+
+
+def _read_config(path, cfg):
+    """Set the keys of config file ``path`` on ``cfg`` and return it."""
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -167,8 +171,11 @@ def load_config(path) -> RunConfig:
     return cfg
 
 
-def _resolve_config(args) -> RunConfig:
-    cfg = load_config(args.config) if args.config else RunConfig()
+def _resolve_config(args, **defaults) -> RunConfig:
+    """Flags over the config file over RunConfig(**defaults)."""
+    cfg = RunConfig(**defaults)
+    if args.config:
+        _read_config(args.config, cfg)
     for flag in ("model", "samples", "forces", "seed", "oracle_tol", "mode", "out_dir"):
         val = getattr(args, flag, None)
         if val is not None:
@@ -289,17 +296,35 @@ def write_fit_file(path, fit: FitResult, model_kind, train_csv):
         fh.write("\n")
 
 
+# fields read_fit_file and cmd_predict read besides schema_version, by type
+_FIT_FIELDS = {"spec": dict, "seed": int, "num_samples": int, "final_lml": (int, float),
+               "iterations": int, "status": str, "train_csv": str}
+
+
 def read_fit_file(path):
+    """(FitResult, document) of a fit file; DataError naming ``path`` if malformed."""
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise DataError(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise DataError(f"{path}: fit file must hold a JSON object, not {type(doc).__name__}")
     if doc.get("schema_version") != FIT_SCHEMA_VERSION:
         raise DataError(
             f"{path}: unsupported fit schema_version {doc.get('schema_version')!r}"
         )
-    spec = spec_from_dict(doc["spec"])
+    for key, kind in _FIT_FIELDS.items():
+        if not isinstance(doc.get(key), kind) or isinstance(doc[key], bool):
+            raise DataError(f"{path}: missing or ill-typed field {key!r}")
+    if doc["num_samples"] < 1:
+        raise DataError(f"{path}: num_samples must be >= 1, got {doc['num_samples']}")
+    try:
+        spec = spec_from_dict(doc["spec"])
+    except KeyError as exc:
+        raise DataError(f"{path}: spec is missing field {exc.args[0]!r}") from None
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{path}: bad spec: {exc}") from None
     fit = FitResult(
         spec=spec,
         packed=pack(spec),
@@ -498,13 +523,9 @@ def cmd_kernel_eval(args) -> int:
 
 
 def cmd_benchmark(args) -> int:
-    cfg = _resolve_config(args)
-    if args.samples is None and "samples" not in _config_keys(args):
-        cfg.samples = 50
-    if args.forces is None and "forces" not in _config_keys(args):
-        cfg.forces = 2
-    if cfg.outputs is None:
-        cfg.outputs = 2
+    cfg = _resolve_config(args, samples=50, forces=2, outputs=2)
+    if cfg.benchmark_reps < 1 or min(cfg.benchmark_sizes, default=0) < cfg.outputs:
+        raise UsageError(f"benchmark needs benchmark_reps >= 1 and sizes >= outputs ({cfg.outputs})")
     spec = build_spec(cfg, cfg.outputs)
     draws = _draws_for_spec(spec, cfg)
     rng = np.random.default_rng(cfg.seed)
@@ -543,31 +564,18 @@ def cmd_sample_features(args) -> int:
     input_dim = 1 if grid.ndim == 1 else grid.shape[1]
     spec = build_spec(cfg, d_count, input_dim)
     draws = _draws_for_spec(spec, cfg)
-    phi = _features_for(spec, draws, grid, ids).phi if ids.size else None
     n_cols = spec.num_forces * cfg.samples
     header = ["output_id"] + _input_header(grid)
     for k in range(1, n_cols + 1):
         header += [f"feat{k}_re", f"feat{k}_im"]
     columns = []
     if ids.size:
-        re_im = np.stack((phi.real, phi.imag), 2).reshape(ids.size, -1).T
-        columns = [ids, *_input_columns(grid), *re_im]
+        phi_c = _features_for(spec, draws, grid, ids).phi_c
+        columns = [ids, *_input_columns(grid), *phi_c.T]
     path = _out_path(cfg, "features.csv")
     write_csv_columns(path, header, columns)
     print(f"wrote {path}")
     return EXIT_OK
-
-
-def _config_keys(args):
-    if not args.config:
-        return set()
-    keys = set()
-    with open(args.config, encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if line and "=" in line:
-                keys.add(line.split("=", 1)[0].strip())
-    return keys
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ Feature blocks, for every model type, come in two steps:
 per call (frequencies, their collision perturbation and its one warning,
 roots and a_0 or the MOGP amplitude), and ``fill_block`` fills given rows.
 ``write_phi_block`` is the one writer that places a block, or rows of it,
-into the real feature matrix Phi_c.  ``feature_blocks`` fills whole blocks
+into Phi_c, the real view of Phi.  ``feature_blocks`` fills whole blocks
 for the likelihood objective; ``phi_chunks`` fills and writes
 ``backends.CHUNK_ROWS`` rows at a time, in row order, for
 ``feature_matrix``, ``mogp_feature_matrix`` (through ``assemble_phi_c``)
@@ -439,19 +439,18 @@ def feature_blocks(inputs, rows, spec, draws):
 
 
 def write_phi_block(out, rows, spec, num_samples, d, q, v):
-    """Write block (d, q) of Phi_c = [Re Phi, Im Phi] into ``out[rows]``.
+    """Write block (d, q) of Phi into ``out[rows]``, rows of Phi_c.
 
-    ``v`` is the unscaled block (``feature_blocks``' entry["v"], or a row
-    slice of it) and ``rows`` indexes the rows of ``out`` it fills.  Phi
-    has force-major column blocks: column (q-1)*S + s holds sample s of
-    force q, and the block enters scaled by S_{d,q}/sqrt(S).
+    Phi_c is the real view of Phi: column 2k holds Re Phi[:, k] and
+    column 2k+1 Im Phi[:, k], so ``out.view(complex)`` is Phi.  ``v`` is
+    the unscaled block (``feature_blocks``' entry["v"], or a row slice of
+    it) and ``rows`` indexes the rows of ``out`` it fills.  Phi has
+    force-major column blocks: column (q-1)*S + s holds sample s of force
+    q, and the block enters scaled by S_{d,q}/sqrt(S).
     """
-    r = spec.num_forces * num_samples
     root_s = 1.0 / math.sqrt(num_samples)
-    block = spec.sensitivities[d - 1, q - 1] * root_s * v
-    c0 = (q - 1) * num_samples
-    out[rows, c0 : c0 + num_samples] = block.real
-    out[rows, r + c0 : r + c0 + num_samples] = block.imag
+    cols = slice((q - 1) * num_samples, q * num_samples)
+    out.view(complex)[rows, cols] = spec.sensitivities[d - 1, q - 1] * root_s * v
 
 
 def phi_chunks(inputs, output_ids, spec, draws, out=None):
@@ -481,7 +480,7 @@ def phi_chunks(inputs, output_ids, spec, draws, out=None):
 
 
 def assemble_phi_c(inputs, output_ids, spec, draws):
-    """Real feature matrix Phi_c = [Re Phi, Im Phi], (N, 2QS), chunk by chunk."""
+    """Real feature matrix Phi_c, (N, 2QS), chunk by chunk; ``.view(complex)`` is Phi."""
     phi_c = np.empty((len(output_ids), 2 * spec.num_forces * draws.num_samples))
     for _ in phi_chunks(inputs, output_ids, spec, draws, out=phi_c):
         pass

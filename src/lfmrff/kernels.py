@@ -54,8 +54,9 @@ class FeatureMatrix:
     """Feature matrix Phi, (N, Q*S) complex, force-major column blocks.
 
     Column (q-1)*S + s holds sample s of force q.  It is stored as its real
-    widening ``phi_c`` = [Re Phi, Im Phi], whose Gram matrix equals
-    Re(Phi Phi^H); ``phi`` rebuilds the complex matrix.
+    view ``phi_c``, (N, 2QS): column 2k holds Re Phi[:, k] and column 2k+1
+    Im Phi[:, k], so phi_c phi_c^T equals Re(Phi Phi^H).  ``phi`` is the
+    complex view of ``phi_c`` and shares its memory.
     """
 
     phi_c: np.ndarray
@@ -65,8 +66,7 @@ class FeatureMatrix:
 
     @property
     def phi(self) -> np.ndarray:
-        r = self.phi_c.shape[1] // 2
-        return self.phi_c[:, :r] + 1j * self.phi_c[:, r:]
+        return self.phi_c.view(complex)
 
 
 def feature_matrix(times, output_ids, spec: LfmSpec, draws: FrequencyDraws) -> FeatureMatrix:
@@ -103,12 +103,10 @@ def latent_feature_matrix(times, q, spec: LfmSpec, draws: FrequencyDraws) -> Fea
         raise ValueError(f"force index {q} outside 1..{spec.num_forces}")
     times = np.asarray(times, dtype=float)
     s_count = draws.num_samples
-    r = spec.num_forces * s_count
-    block = latent_block(times, force_frequencies(draws, q, spec.lengthscales[q - 1]))
-    phi_c = np.zeros((times.size, 2 * r))
-    c0 = (q - 1) * s_count
-    phi_c[:, c0 : c0 + s_count] = block.real
-    phi_c[:, r + c0 : r + c0 + s_count] = block.imag
+    phi_c = np.zeros((times.size, 2 * spec.num_forces * s_count))
+    phi_c.view(complex)[:, (q - 1) * s_count : q * s_count] = latent_block(
+        times, force_frequencies(draws, q, spec.lengthscales[q - 1])
+    )
     return FeatureMatrix(phi_c, None, spec.num_forces, s_count)
 
 

@@ -19,7 +19,8 @@ each chunk's rows of Phi_c from them with ``features.write_phi_block``,
 the writer ``feature_matrix`` and ``mogp_feature_matrix`` use; no N x R
 array is formed besides those blocks.  In pass 2 the gradient takes
 dL/dPhi_c = beta m^T - Sigma^-1 Phi_c A^-1 on each chunk (Phi_c^T beta
-equals m) and contracts it against the chunk's rows of each feature
+equals m), whose complex view is dL/dPhi as Phi_c is the real view of
+Phi, and contracts it against the chunk's rows of each feature
 block without forming derivatives: ``backends.residue_grads`` reduces an
 LFM block of any operator order to per-column sums through the
 characteristic roots, and the chain rules through the frequency
@@ -406,14 +407,12 @@ class LmlObjective:
         """
         s_count, n_q = self.draws.num_samples, spec.num_forces
         root_s = 1.0 / math.sqrt(s_count)
-        r = n_q * s_count
         op_grad = [np.zeros(k) for k in self._op_sizes]
         ell_grad = np.zeros(n_q)
         noise_grad = np.zeros(spec.num_outputs)
         sens_grad = np.zeros((spec.num_outputs, n_q))
 
-        # dL/dPhi_c = beta beta^T Phi_c - T = beta m^T - T on these rows,
-        # with T = Sigma^-1 Phi_c A^-1
+        # T = Sigma^-1 Phi_c A^-1 on these rows
         sig2 = spec.noise_vars[d - 1]
         t_mat = np.matmul(phi, a_inv, out=self._t_buf[: phi.shape[0]])
         t_mat /= sig2
@@ -423,16 +422,14 @@ class LmlObjective:
             minv_diag = (1.0 - np.einsum("ij,ij->i", phi, t_mat)) / sig2
             noise_grad[d - 1] = sig2 * float(np.sum(0.5 * (beta**2 - minv_diag)))
 
+        # dL/dPhi_c = beta beta^T Phi_c - T = beta m^T - T, written over T;
+        # its complex view is dL/dRe Phi + j dL/dIm Phi
+        g = np.subtract(np.multiply.outer(beta, m), t_mat, out=t_mat).view(complex)
         block_grads = self._lfm_block_grads if isinstance(spec, LfmSpec) else self._mogp_block_grads
         h = self._h_buf[: phi.shape[0]]
         for q in range(1, n_q + 1):
-            re = slice((q - 1) * s_count, q * s_count)
-            im = slice(r + re.start, r + re.stop)
             # h = conj(dL/dPhi) on block (d, q)
-            np.multiply.outer(beta, m[re], out=h.real)
-            h.real -= t_mat[:, re]
-            np.multiply.outer(beta, -m[im], out=h.imag)
-            h.imag += t_mat[:, im]
+            np.conjugate(g[:, (q - 1) * s_count : q * s_count], out=h)
             entry = blocks[(d, q)]
             hv, dops, dlogell = block_grads(spec, d, self._x[d][sl], entry, h, entry["v"][sl])
             scale = spec.sensitivities[d - 1, q - 1] * root_s

@@ -110,22 +110,19 @@ def predict_latent_forces(fit: FitResult, state, times, q) -> Posterior:
     lam = force_frequencies(draws_for(fit), q, spec.lengthscales[q - 1])
     m, l_inv_t = _weights(state)
     s_count, n = fit.num_samples, times.size
-    r = spec.num_forces * s_count
-    re = np.arange((q - 1) * s_count, q * s_count)
-    cols = np.concatenate([re, r + re])
+    block = slice((q - 1) * s_count, q * s_count)  # force q's columns of Phi
+    cols = slice(2 * block.start, 2 * block.stop)  # and of Phi_c
     l_inv_t_q = l_inv_t[cols]  # the rows of L^-T that force q's columns meet
     mean = np.empty(n)
     var = np.empty(n)
     # Rows as in latent_feature_matrix, zero outside force q's columns: the
     # mean takes them whole, so it has the bits of that matrix's product.
     step = backends.CHUNK_ROWS
-    phi = np.zeros((min(n, step), 2 * r))
+    phi = np.zeros((min(n, step), 2 * spec.num_forces * s_count))
     for lo in range(0, n, step):
         sl = slice(lo, min(lo + step, n))
         rows = phi[: sl.stop - lo]
-        block = latent_block(times[sl], lam)
-        rows[:, re] = block.real
-        rows[:, r + re] = block.imag
+        rows.view(complex)[:, block] = latent_block(times[sl], lam)
         mean[sl] = backends.matmul_rows(rows, m)
         var[sl] = _sq_row_norms(rows[:, cols] @ l_inv_t_q)
     return Posterior(mean, var, False)

@@ -9,13 +9,17 @@ benchmark scripts import names from lfmrff modules.
 import ast
 import importlib
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from lfmrff import backends
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 SPANS = PERFBENCH / "spans.py"
 
 
@@ -52,3 +56,26 @@ def test_benchmark_import_exists(module, name):
 
 def test_backend_name_is_numpy():
     assert backends.backend_name() == "numpy"
+
+
+def reject_constant(name):
+    raise ValueError(f"non-finite number {name} in the result line")
+
+
+WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_benchmark_result_line_is_strict_json_and_correct(workload):
+    # A failed operation is timed as inf, so a run whose operations mostly
+    # fail prints "Infinity", which strict JSON readers reject.
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "run.py"), "--workload", workload, "--seed", "1",
+         "--seconds", "0.2", "--trace", "0", "--size", "tiny"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    result = json.loads(proc.stdout.strip().splitlines()[-1], parse_constant=reject_constant)
+    failures = [line for line in proc.stdout.splitlines() if line.startswith("# failure")]
+    assert result["correct"] is True, failures
+    assert result["failed"] == 0, failures

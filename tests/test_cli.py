@@ -8,7 +8,9 @@ import re
 import numpy as np
 import pytest
 
-from lfmrff.cli import RunConfig, _read_grid, main
+from lfmrff.cli import RunConfig, _read_grid, build_spec, main
+from lfmrff.features import sample_frequencies
+from lfmrff.kernels import feature_matrix
 from lfmrff.model import DataError, Dataset, LfmSpec, Ode1Params, write_dataset_csv
 from lfmrff.predict import nmse
 
@@ -192,6 +194,12 @@ class TestSampleFeatures:
             "feat1_re", "feat1_im", "feat2_re", "feat2_im", "feat3_re", "feat3_im"
         ]
         assert len(rows) == 3
+        # the default ode1 spec and seed 0 the command used; floats round-trip
+        phi = feature_matrix([0.5, 1.0], [1, 1], build_spec(RunConfig(samples=3), 1),
+                             sample_frequencies(3, 1, 0)).phi
+        vals = np.array([[float(v) for v in r[2:]] for r in rows[1:]])
+        assert np.array_equal(vals[:, 0::2], phi.real)
+        assert np.array_equal(vals[:, 1::2], phi.imag)
 
 
 def refuse_c_parser(*args, **kwargs):
@@ -288,6 +296,17 @@ class TestBenchmark:
         err = capsys.readouterr().err
         assert "slope" in err.lower()
 
+    @pytest.mark.parametrize("lines", [
+        "benchmark_sizes=40,80\nbenchmark_reps=0",
+        "benchmark_sizes=1,200",
+    ], ids=["zero-reps", "size-below-outputs"])
+    def test_degenerate_grid_is_usage_error(self, tmp_path, capsys, lines):
+        out = tmp_path / "b"
+        cfg = _cfg(tmp_path, lines + "\nsamples=5")
+        assert run(["benchmark", "--out-dir", str(out), "--config", cfg]) == 1
+        assert "benchmark" in capsys.readouterr().err
+        assert not (out / "benchmark.csv").exists()
+
 
 class TestConfigPrecedence:
     def test_flags_override_config(self, tmp_path, train_csv):
@@ -332,6 +351,26 @@ class TestExitCodes:
         test_csv = tmp_path / "t.csv"
         write_csv(test_csv, ["output_id", "t"], [[1, 0.5]])
         assert run(["predict", str(fit), str(test_csv)]) == 2
+
+    @pytest.mark.parametrize("doc,field", [
+        ({"schema_version": 1}, "spec"),
+        ("ode1-without-gamma", "gamma"),
+        ([1, 2], "list"),
+    ], ids=["no-spec", "ode1-without-gamma", "top-level-list"])
+    def test_data_error_malformed_fit_file(self, tmp_path, train_csv, capsys, doc, field):
+        fit = tmp_path / "fit.json"
+        if doc == "ode1-without-gamma":
+            out = tmp_path / "o"
+            assert run(["train", train_csv, "--samples", "5", "--out-dir", str(out),
+                        "--config", _cfg(tmp_path, "max_iters=1")]) == 0
+            doc = json.loads((out / "fit.json").read_text())
+            del doc["spec"]["outputs"][0]["gamma"]
+        fit.write_text(json.dumps(doc))
+        test_csv = tmp_path / "t.csv"
+        write_csv(test_csv, ["output_id", "t"], [[1, 0.5]])
+        assert run(["predict", str(fit), str(test_csv)]) == 2
+        err = capsys.readouterr().err
+        assert str(fit) in err and field in err
 
     def test_numerical_error_repeated_roots(self, tmp_path, train_csv, capsys):
         # A generic operator with a double root has no residue expansion.

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from lfmrff.features import sample_frequencies
+from lfmrff.features import force_frequencies, rfrf_ode1, rfrf_ode2, sample_frequencies
 from lfmrff.kernels import (
     approx_cov,
     cross_cov_entry,
@@ -58,13 +58,28 @@ class TestFeatureMatrix:
         assert fm.num_forces == 2 and fm.num_samples == 12
         assert np.array_equal(fm.output_ids, ids)
 
-    def test_phi_c_stacks_real_and_imag(self):
+    def test_phi_c_interleaves_real_and_imag(self):
+        # Complex column (q-1)*S + s holds sample s of force q, scaled by
+        # S_{d,q}/sqrt(S); phi_c holds its real and imaginary parts in
+        # columns 2k and 2k+1, and phi is a view of phi_c.
         t, ids, draws = small_problem()
         fm = feature_matrix(t, ids, TWO_OUTPUT_SPEC, draws)
+        spec, s_count = TWO_OUTPUT_SPEC, 12
+        expected = np.empty((t.size, 2 * s_count), dtype=complex)
+        for q in (1, 2):
+            lam = force_frequencies(draws, q, spec.lengthscales[q - 1])
+            for n, (tn, d) in enumerate(zip(t, ids)):
+                op = spec.outputs[d - 1]
+                resp = rfrf_ode1(tn, op, lam) if d == 1 else rfrf_ode2(tn, op, lam)
+                scale = spec.sensitivities[d - 1, q - 1] / np.sqrt(s_count)
+                expected[n, (q - 1) * s_count : q * s_count] = scale * resp
         pc = fm.phi_c
         assert pc.shape == (t.size, 48)
-        assert_allclose(pc[:, :24], fm.phi.real, rtol=0)
-        assert_allclose(pc[:, 24:], fm.phi.imag, rtol=0)
+        assert_allclose(pc[:, 0::2], expected.real, rtol=1e-12, atol=1e-15)
+        assert_allclose(pc[:, 1::2], expected.imag, rtol=1e-12, atol=1e-15)
+        assert np.array_equal(pc[:, 0::2], fm.phi.real)
+        assert np.array_equal(pc[:, 1::2], fm.phi.imag)
+        assert np.shares_memory(fm.phi, fm.phi_c)
 
     def test_gram_identity(self):
         # Re(phi phi^H) and phi_c phi_c^T are the same matrix.
@@ -140,6 +155,18 @@ class TestLatentFeatures:
         lf = latent_feature_matrix(np.array([0.5]), 2, TWO_OUTPUT_SPEC, draws)
         assert_allclose(lf.phi[0, :16], 0.0, atol=0)
         assert np.all(np.abs(lf.phi[0, 16:]) > 0)
+        # in phi_c, force q owns columns 2(q-1)S to 2qS, Re and Im interleaved
+        t = np.array([0.0, 0.5, 2.0])
+        for q in (1, 2):
+            lf = latent_feature_matrix(t, q, TWO_OUTPUT_SPEC, draws)
+            lam = force_frequencies(draws, q, TWO_OUTPUT_SPEC.lengthscales[q - 1])
+            block = np.exp(1j * np.outer(t, lam)) / 4.0
+            inside = np.zeros(64, dtype=bool)
+            inside[32 * (q - 1) : 32 * q] = True
+            assert np.all(lf.phi_c[:, ~inside] == 0.0)
+            assert_allclose(lf.phi_c[:, inside][:, 0::2], block.real, rtol=1e-14)
+            assert_allclose(lf.phi_c[:, inside][:, 1::2], block.imag, rtol=1e-14, atol=1e-16)
+            assert np.shares_memory(lf.phi, lf.phi_c)
 
     def test_force_index_validated(self):
         draws = sample_frequencies(4, 2, seed=0)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from lfmrff.features import feature_blocks, output_rows
 from lfmrff.kernels import approx_cov
 from lfmrff.model import DataError, MogpSpec
 from lfmrff.mogp import (
@@ -51,6 +52,26 @@ class TestFeatures:
         fm2 = mogp_feature_matrix(x, ids, SPEC_2D, draws)
         assert fm.phi.shape == (5, 32)
         assert_allclose(fm.phi, fm2.phi, rtol=0)
+
+    def test_phi_c_interleaves_real_and_imag(self):
+        # Complex column (q-1)*S + s holds sample s of force q, scaled by
+        # S_{d,q}/sqrt(S); phi_c holds its real and imaginary parts in
+        # columns 2k and 2k+1, and phi is a view of phi_c.
+        x = np.linspace(-1.0, 1.0, 14).reshape(7, 2)
+        ids = np.array([1, 2, 2, 1, 2, 1, 1])
+        draws = sample_spectral(16, 2, 2, seed=7)
+        fm = mogp_feature_matrix(x, ids, SPEC_2D, draws)
+        rows = output_rows(ids)
+        expected = np.empty((7, 32), dtype=complex)
+        for (d, q), entry in feature_blocks(x, rows, SPEC_2D, draws):
+            scale = SPEC_2D.sensitivities[d - 1, q - 1] / 4.0
+            expected[rows[d], (q - 1) * 16 : q * 16] = scale * entry["v"]
+        assert fm.phi_c.shape == (7, 64)
+        assert_allclose(fm.phi_c[:, 0::2], expected.real, rtol=1e-14, atol=1e-16)
+        assert_allclose(fm.phi_c[:, 1::2], expected.imag, rtol=1e-14, atol=1e-16)
+        assert np.array_equal(fm.phi_c[:, 0::2], fm.phi.real)
+        assert np.array_equal(fm.phi_c[:, 1::2], fm.phi.imag)
+        assert np.shares_memory(fm.phi, fm.phi_c)
 
     def test_input_dim_checked(self):
         draws = sample_spectral(4, 2, 2, seed=0)
