@@ -28,11 +28,13 @@ from .likelihood import (
     LmlObjective,
     LowRankState,
     OptimizerConfig,
+    WeightPosterior,
     full_log_marginal,
     lml_gradient,
     low_rank_log_marginal,
     noise_vector,
     optimize,
+    weight_posterior,
 )
 from .model import (
     DataError,
@@ -59,4 +61,4 @@ from .mogp import (
 )
 from .predict import Posterior, nlpd, nmse, predict_latent_forces, predict_outputs
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

@@ -23,14 +23,13 @@ from time import perf_counter
 
 import numpy as np
 
-from .features import phi_chunks, sample_frequencies
+from .features import sample_frequencies
 from .kernels import approx_cov, exact_cov_grid, feature_matrix
 from .likelihood import (
     FitResult,
     LmlObjective,
     OptimizerConfig,
     low_rank_log_marginal,  # not used here; the benchmark's tracer wraps this name
-    noise_vector,
     optimize,
     weight_posterior,
 )
@@ -452,13 +451,7 @@ def cmd_predict(args) -> int:
         if not 1 <= q <= fit.spec.num_forces:
             raise DataError(f"latent_force {q} outside 1..{fit.spec.num_forces}")
     train = read_dataset_csv(doc["train_csv"])
-    validate_dataset(train, fit.spec)
-    state = weight_posterior(
-        phi_chunks(train.inputs, train.output_ids, fit.spec, draws_for(fit)),
-        noise_vector(fit.spec, train.output_ids),
-        train.y,
-        2 * fit.spec.num_forces * fit.num_samples,
-    )
+    state = weight_posterior(train, fit.spec, draws_for(fit))
 
     test = read_dataset_csv(args.test_csv, require_y=False)
     pred_path = _out_path(cfg, "predictions.csv")
@@ -524,8 +517,12 @@ def cmd_kernel_eval(args) -> int:
 
 def cmd_benchmark(args) -> int:
     cfg = _resolve_config(args, samples=50, forces=2, outputs=2)
-    if cfg.benchmark_reps < 1 or min(cfg.benchmark_sizes, default=0) < cfg.outputs:
-        raise UsageError(f"benchmark needs benchmark_reps >= 1 and sizes >= outputs ({cfg.outputs})")
+    sizes_ok = all(n >= cfg.outputs and n % cfg.outputs == 0 for n in cfg.benchmark_sizes)
+    if cfg.benchmark_reps < 1 or not cfg.benchmark_sizes or not sizes_ok:
+        raise UsageError(
+            f"benchmark needs benchmark_reps >= 1 and sizes that are positive multiples "
+            f"of the output count ({cfg.outputs})"
+        )
     spec = build_spec(cfg, cfg.outputs)
     draws = _draws_for_spec(spec, cfg)
     rng = np.random.default_rng(cfg.seed)

@@ -14,17 +14,31 @@ per call (frequencies, their collision perturbation and its one warning,
 roots and a_0 or the MOGP amplitude), and ``fill_block`` fills given rows.
 ``write_phi_block`` is the one writer that places a block, or rows of it,
 into Phi_c, the real view of Phi.  ``feature_blocks`` fills whole blocks
-for the likelihood objective; ``phi_chunks`` fills and writes
-``backends.CHUNK_ROWS`` rows at a time, in row order, for
-``feature_matrix``, ``mogp_feature_matrix`` (through ``assemble_phi_c``)
-and prediction, so no fill temporary is larger than a chunk.  A row has
-the same bits whichever chunk or block it is filled in.
+for the likelihood objective.
+
+Every other pass over rows of Phi_c goes through one function,
+``run_chunks``: ``feature_matrix`` and ``mogp_feature_matrix`` (through
+``assemble_phi_c``), ``likelihood.weight_posterior`` and the two
+predictions.  It splits the rows into chunks of ``backends.CHUNK_ROWS``,
+fills each chunk's rows (``phi_fill`` writes them from ``block_params``'
+entries) and hands them to a per-chunk ``work`` function, so no fill
+temporary is larger than a chunk.  The calling thread and, when the
+process may run on two CPUs, one helper thread take chunks in turn; the
+fills and products that dominate a chunk release the interpreter lock,
+so the two overlap.  A row has the same bits whichever chunk, block or
+thread it is filled in, results reach the caller in chunk order, and so
+every result is the same whatever the thread count.
 """
 
 from __future__ import annotations
 
+import contextvars
+import itertools
 import math
+import os
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -57,7 +71,8 @@ __all__ = [
     "fill_block",
     "feature_blocks",
     "write_phi_block",
-    "phi_chunks",
+    "run_chunks",
+    "phi_fill",
     "assemble_phi_c",
 ]
 
@@ -453,35 +468,109 @@ def write_phi_block(out, rows, spec, num_samples, d, q, v):
     out.view(complex)[rows, cols] = spec.sensitivities[d - 1, q - 1] * root_s * v
 
 
-def phi_chunks(inputs, output_ids, spec, draws, out=None):
-    """Yield (row slice, Phi_c rows) for chunks of ``CHUNK_ROWS`` rows, in row order.
+def _helper_count():
+    """Helper threads of ``run_chunks``: one when this process may run on two CPUs.
 
-    Each chunk's rows are filled output by output and written by
-    ``write_phi_block``; they equal the rows of the blocks
-    ``feature_blocks`` fills at once, bit for bit.  The rows are written
-    into ``out[slice]`` when ``out`` (N x 2QS) is given, else into one
-    work array that every chunk reuses, so they are valid until the next
-    chunk.
+    One, not more: each chunk in flight holds a work array of its own.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:  # no CPU affinity on this platform
+        cpus = os.cpu_count() or 1
+    return 1 if cpus >= 2 else 0
+
+
+def run_chunks(n, width, fill, work=None, combine=None):
+    """Fill and process an n-row pass in chunks of ``CHUNK_ROWS`` rows.
+
+    For the chunk of rows ``sl`` the thread that takes it calls
+    ``phi = fill(sl, buf)``, then ``work(sl, phi)``.  ``buf`` is that
+    chunk's rows of the thread's own work array, (min(n, CHUNK_ROWS),
+    width) and zeroed when the thread takes its first chunk, so ``fill``
+    may write the chunk's Phi_c rows into it and return it (``width`` is
+    0 when it writes them elsewhere); the rows are valid until that
+    thread's next chunk.  The caller passes every ``work`` result to
+    ``combine`` in chunk order, so a sum over chunks has the same bits
+    whichever thread computed which chunk.
+
+    The caller and ``_helper_count()`` helper threads take chunks in turn;
+    a helper runs under a copy of the caller's ``contextvars`` context,
+    so numpy's error state carries over.  An exception in any chunk stops
+    the pass and is raised here, and no thread outlives the call.
+    """
+    step = backends.CHUNK_ROWS
+    count = -(-n // step)
+    claims = itertools.count()
+    stop = threading.Event()
+    done = {}
+    combined = 0
+
+    def drain():
+        nonlocal combined
+        while combined in done:
+            result = done.pop(combined)
+            combined += 1
+            if combine is not None:
+                combine(result)
+
+    def take(after_chunk):
+        buf = None
+        try:
+            while not stop.is_set() and (i := next(claims)) < count:
+                if buf is None:
+                    buf = np.zeros((min(n, step), width))
+                sl = slice(i * step, min(n, i * step + step))
+                phi = fill(sl, buf[: sl.stop - sl.start])
+                done[i] = None if work is None else work(sl, phi)
+                after_chunk()
+        except BaseException:
+            stop.set()
+            raise
+
+    helpers = min(_helper_count(), count - 1)
+    if helpers < 1:
+        take(drain)
+        return
+    with ThreadPoolExecutor(helpers) as pool:
+        futures = [pool.submit(contextvars.copy_context().run, take, lambda: None)
+                   for _ in range(helpers)]
+        take(drain)
+    for future in futures:
+        future.result()
+    drain()
+
+
+def phi_fill(inputs, output_ids, spec, draws):
+    """A ``run_chunks`` fill that writes the chunk's rows of Phi_c.
+
+    ``block_params`` runs here, in the calling thread, so the collision
+    perturbation and its one warning happen once, before any chunk is
+    filled.  The returned ``fill(sl, rows)`` writes rows ``sl`` of Phi_c
+    for ``inputs`` and ``output_ids`` into ``rows``, output by output and
+    ``backends.PIECE_ROWS`` rows at a time with ``write_phi_block``, and
+    returns ``rows``; they equal the rows of the blocks ``feature_blocks``
+    fills at once, bit for bit.
     """
     output_ids = np.asarray(output_ids, dtype=int)
     params = block_params(np.unique(output_ids).tolist(), spec, draws)
-    n, s_count, step = output_ids.size, draws.num_samples, backends.CHUNK_ROWS
-    reuse = out is None
-    if reuse:
-        out = np.empty((min(n, step), 2 * spec.num_forces * s_count))
-    for lo in range(0, n, step):
-        sl = slice(lo, min(lo + step, n))
-        phi = out[: sl.stop - lo] if reuse else out[sl]
+    s_count = draws.num_samples
+
+    def fill(sl, rows):
         x = inputs[sl]
         for d, r in output_rows(output_ids[sl]).items():
-            for q in range(1, spec.num_forces + 1):
-                write_phi_block(phi, r, spec, s_count, d, q, fill_block(x[r], params[(d, q)]))
-        yield sl, phi
+            for lo in range(0, r.size, backends.PIECE_ROWS):
+                part = r[lo : lo + backends.PIECE_ROWS]
+                for q in range(1, spec.num_forces + 1):
+                    write_phi_block(rows, part, spec, s_count, d, q,
+                                    fill_block(x[part], params[(d, q)]))
+        return rows
+
+    return fill
 
 
 def assemble_phi_c(inputs, output_ids, spec, draws):
     """Real feature matrix Phi_c, (N, 2QS), chunk by chunk; ``.view(complex)`` is Phi."""
     phi_c = np.empty((len(output_ids), 2 * spec.num_forces * draws.num_samples))
-    for _ in phi_chunks(inputs, output_ids, spec, draws, out=phi_c):
-        pass
+    fill = phi_fill(inputs, output_ids, spec, draws)
+    run_chunks(len(output_ids), 0, lambda sl, _: fill(sl, phi_c[sl]))
     return phi_c

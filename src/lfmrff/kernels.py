@@ -88,8 +88,19 @@ def feature_matrix(times, output_ids, spec: LfmSpec, draws: FrequencyDraws) -> F
 
 
 def latent_block(times, lam):
-    """Latent-force features exp(j*lam*t)/sqrt(S), (len(times), S) complex."""
-    return np.exp(1j * np.outer(times, lam)) / math.sqrt(lam.size)
+    """Latent-force features exp(j*lam*t)/sqrt(S), (len(times), S) complex.
+
+    exp(j x) is written as cos x + j sin x in place, as in
+    ``backends.residue_fill``: the same bits as the complex exponential,
+    without its complex temporaries.
+    """
+    t = np.ravel(times)
+    v = np.empty((t.size, lam.size), dtype=complex)
+    np.multiply.outer(t, lam, out=v.imag)
+    np.cos(v.imag, out=v.real)
+    np.sin(v.imag, out=v.imag)
+    v /= math.sqrt(lam.size)
+    return v
 
 
 def latent_feature_matrix(times, q, spec: LfmSpec, draws: FrequencyDraws) -> FeatureMatrix:

@@ -12,7 +12,9 @@ alpha = Phi_c^T Sigma^-1 y and factors A once.  Pass 2 forms beta on each
 chunk from m = A^-1 alpha and sums the data-fit term.
 ``low_rank_log_marginal`` accumulates A the same way over the Phi_c it is
 given, and ``weight_posterior`` over row chunks of Phi_c that are never
-held together (pass 1 alone: the weight posterior that prediction reads).
+held together (pass 1 alone: the weight posterior that prediction reads),
+filled and multiplied on two threads by ``features.run_chunks``.  The
+objective runs on the calling thread alone.
 The objective keeps only the complex feature blocks of
 ``features.feature_blocks``, filled once per evaluation, and rebuilds
 each chunk's rows of Phi_c from them with ``features.write_phi_block``,
@@ -50,7 +52,9 @@ from .features import (
     NumericsWarning,
     feature_blocks,
     output_rows,
+    phi_fill,
     rfrf_general,  # not used here; the benchmark's tracer wraps this name
+    run_chunks,
     write_phi_block,
 )
 from .model import (
@@ -135,7 +139,13 @@ def _factor(chunks, r2):
     for w, z in chunks:
         a += w.T @ w  # numpy runs W^T W as a SYRK
         alpha += w.T @ z
-    a[np.diag_indices(r2)] += 1.0
+    a, chol = _finish(a)
+    return a, alpha, chol
+
+
+def _finish(a):
+    """(A, chol A) from the chunks' sum of W^T W; see ``_factor``."""
+    a[np.diag_indices(a.shape[0])] += 1.0
     a = 0.5 * (a + a.T)
     # a non-finite entry of Phi makes its column's diagonal of A non-finite
     if not np.all(np.isfinite(np.diag(a))):
@@ -144,7 +154,7 @@ def _factor(chunks, r2):
         chol, _ = cho_factor(a, lower=True)
     except LinAlgError as exc:
         raise NumericalError(f"A = I + Phi^T Sigma^-1 Phi not SPD: {exc}") from None
-    return a, alpha, chol
+    return a, chol
 
 
 def _lml(data_fit, chol, noise):
@@ -208,21 +218,34 @@ class WeightPosterior:
     chol_a: np.ndarray
 
 
-def weight_posterior(chunks, noise, y, num_features) -> WeightPosterior:
-    """Posterior of the feature weights from one pass over row chunks of Phi_c.
+def weight_posterior(data: Dataset, spec, draws) -> WeightPosterior:
+    """Posterior of the feature weights of ``spec`` given ``data``, without Phi_c.
 
-    ``chunks`` yields (row slice, Phi_c rows) in row order, as
-    ``features.phi_chunks`` does, and each chunk's rows are whitened in
-    place; ``num_features`` is the column count 2QS.  Over chunks of
-    ``backends.CHUNK_ROWS`` rows, alpha and chol_a equal those of
-    ``low_rank_log_marginal`` bit for bit, but neither Phi_c nor beta is
-    formed.  Raises NumericalError like ``low_rank_log_marginal``.
+    One pass over row chunks of Phi_c (``features.run_chunks``, caller and
+    helper thread): each chunk's rows are filled, whitened in place and
+    reduced to W^T W and W^T z, which the caller adds in chunk order.  So
+    alpha and chol_a equal those of ``low_rank_log_marginal`` over the
+    whole Phi_c bit for bit, but neither Phi_c nor beta is formed.
+    Raises DataError for data that do not fit ``spec`` and NumericalError
+    like ``low_rank_log_marginal``.
     """
-    root = np.sqrt(1.0 / np.asarray(noise, dtype=float))
-    whitened = (
-        (np.multiply(phi, root[sl, None], out=phi), root[sl] * y[sl]) for sl, phi in chunks
-    )
-    _, alpha, chol = _factor(whitened, num_features)
+    validate_dataset(data, spec)
+    fill = phi_fill(data.inputs, data.output_ids, spec, draws)
+    root = np.sqrt(1.0 / noise_vector(spec, data.output_ids))
+    r2 = 2 * spec.num_forces * draws.num_samples
+    a = np.zeros((r2, r2))
+    alpha = np.zeros(r2)
+
+    def work(sl, phi):
+        w = np.multiply(phi, root[sl, None], out=phi)
+        return w.T @ w, w.T @ (root[sl] * data.y[sl])
+
+    def add(sums):
+        np.add(a, sums[0], out=a)
+        np.add(alpha, sums[1], out=alpha)
+
+    run_chunks(len(data), r2, fill, work, add)
+    chol = _finish(a)[1]
     return WeightPosterior(alpha, np.tril(chol))
 
 

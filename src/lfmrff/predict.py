@@ -7,12 +7,14 @@ agrees with the function-space GP formulas by the Woodbury identity but
 never forms an N x N matrix.  With A = L L^T the variance is the squared
 norm of phi* L^-T, which is nonnegative by construction.
 
-Prediction streams over chunks of ``backends.CHUNK_ROWS`` test rows: each
-chunk's feature rows are filled, used for its means and variances and
-dropped, so no test N x R matrix is formed and memory is flat in the
-number of test rows.  The posterior may be a ``LowRankState`` or the
-``WeightPosterior`` that ``likelihood.weight_posterior`` builds without a
-training Phi_c.
+Prediction streams over chunks of ``backends.CHUNK_ROWS`` test rows with
+``features.run_chunks``: each chunk's feature rows are filled, used for
+its means and variances and dropped, so no test N x R matrix is formed
+and memory is flat in the number of test rows.  The calling thread and
+one helper thread take chunks in turn and write disjoint slices of the
+means and variances, which are the same whatever the thread count.  The
+posterior may be a ``LowRankState`` or the ``WeightPosterior`` that
+``likelihood.weight_posterior`` builds without a training Phi_c.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
 
 from . import backends
-from .features import force_frequencies, phi_chunks, sample_frequencies
+from .features import force_frequencies, phi_fill, run_chunks, sample_frequencies
 from .kernels import (
     feature_matrix,  # not used here; the benchmark's tracer wraps this name
     latent_block,
@@ -71,8 +73,19 @@ def _weights(state):
     return m, l_inv.T
 
 
-def _sq_row_norms(w):
-    return np.einsum("ij,ij->i", w, w)
+def _sq_row_norms(phi, l_inv_t):
+    """Squared row norms of phi L^-T, ``backends.PIECE_ROWS`` rows at a time.
+
+    Each product is then half a chunk x R, and a GEMM, which runs without
+    the interpreter lock (scipy's triangular product holds it).
+    """
+    out = np.empty(phi.shape[0])
+    for lo in range(0, phi.shape[0], backends.PIECE_ROWS):
+        part = slice(lo, lo + backends.PIECE_ROWS)
+        w = backends.matmul_rows(phi[part], l_inv_t)
+        out[part] = np.einsum("ij,ij->i", w, w)
+        del w  # before the next piece's product is made
+    return out
 
 
 def predict_outputs(fit: FitResult, state, test: Dataset, include_noise=True) -> Posterior:
@@ -88,9 +101,14 @@ def predict_outputs(fit: FitResult, state, test: Dataset, include_noise=True) ->
     m, l_inv_t = _weights(state)
     mean = np.empty(len(test))
     var = np.empty(len(test))
-    for sl, phi in phi_chunks(test.inputs, test.output_ids, spec, draws_for(fit)):
+
+    def work(sl, phi):
         mean[sl] = backends.matmul_rows(phi, m)
-        var[sl] = _sq_row_norms(phi @ l_inv_t)
+        var[sl] = _sq_row_norms(phi, l_inv_t)
+
+    width = 2 * spec.num_forces * fit.num_samples
+    run_chunks(len(test), width, phi_fill(test.inputs, test.output_ids, spec, draws_for(fit)),
+               work)
     if include_noise:
         var += noise_vector(spec, test.output_ids)
     return Posterior(mean, var, bool(include_noise))
@@ -115,16 +133,19 @@ def predict_latent_forces(fit: FitResult, state, times, q) -> Posterior:
     l_inv_t_q = l_inv_t[cols]  # the rows of L^-T that force q's columns meet
     mean = np.empty(n)
     var = np.empty(n)
-    # Rows as in latent_feature_matrix, zero outside force q's columns: the
+
+    # Rows as in latent_feature_matrix, zero outside force q's columns (each
+    # thread's work array starts zeroed and only block q is rewritten): the
     # mean takes them whole, so it has the bits of that matrix's product.
-    step = backends.CHUNK_ROWS
-    phi = np.zeros((min(n, step), 2 * spec.num_forces * s_count))
-    for lo in range(0, n, step):
-        sl = slice(lo, min(lo + step, n))
-        rows = phi[: sl.stop - lo]
+    def fill(sl, rows):
         rows.view(complex)[:, block] = latent_block(times[sl], lam)
+        return rows
+
+    def work(sl, rows):
         mean[sl] = backends.matmul_rows(rows, m)
-        var[sl] = _sq_row_norms(rows[:, cols] @ l_inv_t_q)
+        var[sl] = _sq_row_norms(rows[:, cols], l_inv_t_q)
+
+    run_chunks(n, 2 * spec.num_forces * s_count, fill, work)
     return Posterior(mean, var, False)
 
 

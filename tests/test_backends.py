@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from lfmrff import backends
+from lfmrff.kernels import latent_block
 
 RNG = np.random.default_rng(8)
 T = np.sort(RNG.uniform(0.0, 3.0, 37))
@@ -230,3 +231,14 @@ def test_chunked_mogp_fill_is_bitwise_the_exponential_form():
     got = backends.mogp_fill(x, lam, amp)
     assert_array_equal(got, amp[None, :] * np.exp(1j * (x @ lam.T)))
     assert_array_equal(backends.mogp_fill(x[7:8], lam, amp), got[7:8])
+
+
+@pytest.mark.parametrize("times", [
+    np.array([0.0]),
+    np.array([2.7]),
+    np.concatenate([np.linspace(0.0, 5.0, 40), 1e3 / np.abs(LAM[:3])]),
+], ids=["t0", "one-row", "grid-to-1e3"])
+def test_latent_block_is_bitwise_the_exponential_form(times):
+    # the last rows put |lam t| at 1e3 in some column
+    want = np.exp(1j * np.outer(times, LAM)) / np.sqrt(LAM.size)
+    assert_array_equal(latent_block(times, LAM), want)

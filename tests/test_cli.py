@@ -299,7 +299,8 @@ class TestBenchmark:
     @pytest.mark.parametrize("lines", [
         "benchmark_sizes=40,80\nbenchmark_reps=0",
         "benchmark_sizes=1,200",
-    ], ids=["zero-reps", "size-below-outputs"])
+        "benchmark_sizes=41,81",
+    ], ids=["zero-reps", "size-below-outputs", "size-not-multiple-of-outputs"])
     def test_degenerate_grid_is_usage_error(self, tmp_path, capsys, lines):
         out = tmp_path / "b"
         cfg = _cfg(tmp_path, lines + "\nsamples=5")

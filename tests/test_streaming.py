@@ -1,11 +1,16 @@
 """Chunked fills, assembly and prediction: results do not depend on where chunks end.
 
 Row counts straddle ``backends.CHUNK_ROWS`` (chunk - 1, chunk, chunk + 1,
-2 chunk + 3) with randomly interleaved output ids, so chunks hold unequal
-and sometimes single rows of an output.  References assemble or solve the
-whole matrix at once.
+2 chunk + 3, and 1 in the two-thread cases) with randomly interleaved output
+ids, so chunks hold unequal and sometimes single rows of an output.
+References assemble or solve the whole matrix at once.  The passes run on
+``features.run_chunks`` with no helper thread and with one, and give the
+same bits both ways.
 """
 
+import sys
+import threading
+import time
 import tracemalloc
 import warnings
 
@@ -14,12 +19,12 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.linalg import cho_solve
 
-from lfmrff import backends
+from lfmrff import backends, cli, features
 from lfmrff.features import (
     NumericsWarning,
     feature_blocks,
     output_rows,
-    phi_chunks,
+    run_chunks,
     sample_frequencies,
     write_phi_block,
 )
@@ -31,12 +36,24 @@ from lfmrff.likelihood import (
     noise_vector,
     weight_posterior,
 )
-from lfmrff.model import Dataset, LfmSpec, MogpSpec, Ode1Params, Ode2Params, OdeOperator, pack
+from lfmrff.model import (
+    Dataset,
+    LfmSpec,
+    MogpSpec,
+    Ode1Params,
+    Ode2Params,
+    OdeOperator,
+    pack,
+    write_dataset_csv,
+)
 from lfmrff.mogp import mogp_feature_matrix, sample_spectral
 from lfmrff.predict import predict_latent_forces, predict_outputs
 
 CHUNK = backends.CHUNK_ROWS
 ROWS = [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3]
+# The two-thread cases add a single row; the whole-matrix references above
+# multiply one row by GEMV, whose bits differ from a row of a GEMM.
+THREAD_ROWS = [1, *ROWS]
 
 CASES = {
     "ode1-ode2": (
@@ -57,6 +74,13 @@ CASES = {
         mogp_feature_matrix,
     ),
 }
+
+
+@pytest.fixture(params=[0, 1], ids=["no-helper", "one-helper"])
+def helpers(request, monkeypatch):
+    """Run every chunked pass of the test with this many helper threads."""
+    monkeypatch.setattr(features, "_helper_count", lambda: request.param)
+    return request.param
 
 
 def interleaved(n, mogp, seed=0):
@@ -136,10 +160,106 @@ def test_streamed_weight_posterior_equals_low_rank_state(case, rows):
     _, state = low_rank_log_marginal(
         assemble(data.inputs, data.output_ids, spec, draws), noise, data.y
     )
-    post = weight_posterior(phi_chunks(data.inputs, data.output_ids, spec, draws), noise,
-                            data.y, 2 * spec.num_forces * draws.num_samples)
+    post = weight_posterior(data, spec, draws)
     assert_array_equal(post.chol_a, state.chol_a)
     assert_array_equal(post.alpha, state.alpha)
+
+
+@pytest.mark.parametrize("rows", THREAD_ROWS)
+@pytest.mark.parametrize("case", list(CASES))
+def test_passes_have_the_same_bits_with_and_without_the_helper(case, rows, monkeypatch):
+    spec, draws, assemble = CASES[case]
+    _, state = trained(spec, draws, assemble)
+    fit = make_fit(spec, draws)
+    data = interleaved(rows, isinstance(spec, MogpSpec))
+    noise = noise_vector(spec, data.output_ids)
+    times = np.random.default_rng(rows).uniform(0.0, 5.0, rows)
+    whole = whole_block_phi_c(data, spec, draws)
+    posts = {}
+    for h in (0, 1):
+        monkeypatch.setattr(features, "_helper_count", lambda h=h: h)
+        fm = assemble(data.inputs, data.output_ids, spec, draws)
+        assert_array_equal(fm.phi_c, whole)
+        reference = low_rank_log_marginal(whole, noise, data.y)[1]
+        streamed = weight_posterior(data, spec, draws)
+        assert_array_equal(streamed.chol_a, reference.chol_a)
+        assert_array_equal(streamed.alpha, reference.alpha)
+        posts[h] = [predict_outputs(fit, state, data)]
+        if isinstance(spec, LfmSpec):
+            posts[h] += [predict_latent_forces(fit, state, times, q)
+                         for q in range(1, spec.num_forces + 1)]
+    for alone, helped in zip(posts[0], posts[1]):
+        assert_array_equal(helped.mean, alone.mean)
+        assert_array_equal(helped.variance, alone.variance)
+
+
+class ChunkFailure(Exception):
+    pass
+
+
+@pytest.mark.parametrize("where", ["fill", "combine"])
+def test_a_failing_chunk_raises_in_the_caller_and_leaves_no_thread(where, helpers):
+    def fill(sl, rows):
+        if where == "fill" and sl.start == 2 * CHUNK:  # chunk 3 of 5
+            raise ChunkFailure(sl.start)
+        return rows
+
+    def combine(start):
+        if where == "combine" and start == 2 * CHUNK:
+            raise ChunkFailure(start)
+
+    before = threading.active_count()
+    with pytest.raises(ChunkFailure):
+        run_chunks(5 * CHUNK, 3, fill, lambda sl, rows: sl.start, combine)
+    assert threading.active_count() == before
+
+
+def test_a_helper_runs_under_the_callers_error_state(monkeypatch):
+    monkeypatch.setattr(features, "_helper_count", lambda: 1)
+    seen = []
+
+    def fill(sl, rows):
+        if threading.current_thread() is threading.main_thread():
+            time.sleep(0.01)  # leave chunks for the helper
+        else:
+            seen.append(np.geterr()["over"])
+        return rows
+
+    with np.errstate(over="raise"):
+        run_chunks(8 * CHUNK, 0, fill)
+    assert seen and set(seen) == {"raise"}
+
+
+def test_every_chunk_reaches_combine_once_in_chunk_order(monkeypatch):
+    # more threads than cores, switching as often as the interpreter can
+    monkeypatch.setattr(features, "_helper_count", lambda: 4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        seen = []
+        run_chunks(64 * CHUNK + 5, 0, lambda sl, rows: rows, lambda sl, rows: sl.start,
+                   seen.append)
+    finally:
+        sys.setswitchinterval(interval)
+    assert seen == list(range(0, 64 * CHUNK + 5, CHUNK))
+
+
+def test_cli_predict_writes_the_same_bytes_with_and_without_the_helper(tmp_path, monkeypatch):
+    spec, draws, _ = CASES["ode1-ode2"]
+    train_csv, test_csv = tmp_path / "train.csv", tmp_path / "test.csv"
+    write_dataset_csv(train_csv, interleaved(3000, mogp=False, seed=3))
+    write_dataset_csv(test_csv, interleaved(3000, mogp=False, seed=4))
+    cli.write_fit_file(tmp_path / "fit.json", make_fit(spec, draws), "odeP", train_csv)
+    (tmp_path / "lf.cfg").write_text("latent_force=1\n")
+    written = []
+    for h in (0, 1):
+        monkeypatch.setattr(features, "_helper_count", lambda h=h: h)
+        out = tmp_path / f"out{h}"
+        assert cli.main(["predict", str(tmp_path / "fit.json"), str(test_csv), "--config",
+                         str(tmp_path / "lf.cfg"), "--out-dir", str(out)]) == 0
+        written.append([(out / name).read_bytes()
+                        for name in ("predictions.csv", "latent_forces.csv")])
+    assert written[0] == written[1]
 
 
 def test_pole_on_a_frequency_warns_once_per_call():
