@@ -26,11 +26,9 @@ from .kernels import (
 from .likelihood import (
     FitResult,
     LmlObjective,
-    LowRankState,
     OptimizerConfig,
     WeightPosterior,
     full_log_marginal,
-    lml_gradient,
     low_rank_log_marginal,
     noise_vector,
     optimize,
@@ -61,4 +59,4 @@ from .mogp import (
 )
 from .predict import Posterior, nlpd, nmse, predict_latent_forces, predict_outputs
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"

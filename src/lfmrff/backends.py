@@ -9,9 +9,11 @@ roots s_1..s_P and the excitation root x = j*lam,
 
 so one fill, ``residue_fill``, serves operators of every order, and one
 contraction, ``residue_grads``, reduces a block's derivatives against
-dL/dPhi to per-column sums without forming them.  ``ode1_fill``,
-``ode2_fill``, ``ode1_grads`` and ``ode2_grads`` are thin entry points for
-the two named operators; ``mogp_fill`` is the convolved MOGP's fill.
+dL/dPhi to per-column sums without forming them.  ``mogp_fill`` is the
+convolved MOGP's fill.  Nothing in the library calls ``ode1_fill``,
+``ode2_fill``, ``ode1_grads``, ``ode2_grads`` or ``backend_name``: they
+are kept for the benchmark, whose tracer wraps the first four and whose
+report names the backend, and go with ROADMAP item 1.
 Everything is numpy: the work is exponentials and matrix products, with no
 elementwise loop for a compiler to speed up.
 
@@ -43,7 +45,7 @@ PIECE_ROWS = CHUNK_ROWS // 2
 
 def backend_name() -> str:
     """Array backend of the fills and contractions; always ``numpy``."""
-    # kept for the benchmark, which reports it
+    # kept for the benchmark, which reports it; delete with ROADMAP item 1
     return "numpy"
 
 
@@ -111,11 +113,13 @@ def mogp_fill(x, lam, amp):
     return v
 
 
+# kept for the benchmark's tracer, which wraps it; delete with ROADMAP item 1
 def ode1_fill(t, lam, gamma):
     """Response of a first-order operator, (e^{j lam t} - e^{-gamma t}) / (gamma + j lam)."""
     return residue_fill(t, lam, [-float(gamma)], 1.0)
 
 
+# kept for the benchmark's tracer, which wraps it; delete with ROADMAP item 1
 def ode2_fill(t, lam, mass, s1, s2):
     """Response of a second-order operator with mass ``mass`` and roots s1, s2."""
     return residue_fill(t, lam, [complex(s1), complex(s2)], float(mass))
@@ -177,6 +181,7 @@ def residue_grads(t, lam, roots, leading, h, v):
     return hv.real, dcoeffs, dlam
 
 
+# kept for the benchmark's tracer, which wraps it; delete with ROADMAP item 1
 def ode1_grads(t, lam, gamma, h, v):
     """(hv, h.dv/dgamma, h.dv/dlam): per-column contractions, see residue_grads.
 
@@ -186,6 +191,7 @@ def ode1_grads(t, lam, gamma, h, v):
     return hv, dcoeffs[1], dlam
 
 
+# kept for the benchmark's tracer, which wraps it; delete with ROADMAP item 1
 def ode2_grads(t, lam, mass, s1, s2, h, v):
     """(hv, h.dv/dm, h.dv/dc, h.dv/db, h.dv/dlam) per column, see residue_grads.
 

@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Commands: train, predict, kernel-eval, benchmark, sample-features.
+Commands: train, predict, kernel-eval, sample-features.
 Configuration comes from an optional key=value file plus flags; flags win.
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 
@@ -19,7 +19,6 @@ import os
 import re
 import sys
 from dataclasses import dataclass, field
-from time import perf_counter
 
 import numpy as np
 
@@ -27,9 +26,10 @@ from .features import sample_frequencies
 from .kernels import approx_cov, exact_cov_grid, feature_matrix
 from .likelihood import (
     FitResult,
-    LmlObjective,
     OptimizerConfig,
-    low_rank_log_marginal,  # not used here; the benchmark's tracer wraps this name
+    # not used here: kept for the benchmark's tracer, which wraps this name;
+    # delete with ROADMAP item 1
+    low_rank_log_marginal,
     optimize,
     weight_posterior,
 )
@@ -84,8 +84,6 @@ class RunConfig:
     out_dir: str = "."
     include_noise: bool = True
     latent_force: int | None = None
-    benchmark_sizes: tuple = (1000, 2000, 4000, 8000)
-    benchmark_reps: int = 5
     hyper: dict = field(default_factory=dict)
 
     def validate(self):
@@ -112,7 +110,6 @@ _SCALAR_KEYS = {
     "out_dir": str,
     "include_noise": None,  # parsed as bool below
     "latent_force": int,
-    "benchmark_reps": int,
 }
 
 _HYPER_PATTERN = re.compile(
@@ -136,8 +133,6 @@ def _apply_config_pair(cfg: RunConfig, key, value, where):
     try:
         if key == "include_noise":
             cfg.include_noise = _parse_bool(value)
-        elif key == "benchmark_sizes":
-            cfg.benchmark_sizes = tuple(int(s) for s in value.split(",") if s.strip())
         elif key in _SCALAR_KEYS:
             setattr(cfg, key, _SCALAR_KEYS[key](value))
         elif _HYPER_PATTERN.match(key):
@@ -170,9 +165,9 @@ def _read_config(path, cfg):
     return cfg
 
 
-def _resolve_config(args, **defaults) -> RunConfig:
-    """Flags over the config file over RunConfig(**defaults)."""
-    cfg = RunConfig(**defaults)
+def _resolve_config(args) -> RunConfig:
+    """Flags over the config file over RunConfig's defaults."""
+    cfg = RunConfig()
     if args.config:
         _read_config(args.config, cfg)
     for flag in ("model", "samples", "forces", "seed", "oracle_tol", "mode", "out_dir"):
@@ -374,6 +369,21 @@ def _read_grid(path, cfg):
     return ids, grid
 
 
+def _grid_and_spec(path, cfg):
+    """(ids, grid, spec) of a ``kernel-eval`` or ``sample-features`` grid.
+
+    The spec is ``build_spec``'s for the grid's outputs and input
+    dimension; DataError if the grid does not fit it (an output id outside
+    1..D, a negative time, a non-finite input).
+    """
+    ids, grid = _read_grid(path, cfg)
+    d_count = cfg.outputs or (int(ids.max()) if ids.size else 1)
+    input_dim = 1 if grid.ndim == 1 else grid.shape[1]
+    spec = build_spec(cfg, d_count, input_dim)
+    validate_dataset(Dataset(ids, grid, np.zeros(ids.size)), spec)
+    return ids, grid, spec
+
+
 def _draws_for_spec(spec, cfg):
     if isinstance(spec, LfmSpec):
         return sample_frequencies(cfg.samples, spec.num_forces, cfg.seed)
@@ -483,13 +493,9 @@ def _kernel_csv(path, k):
 
 def cmd_kernel_eval(args) -> int:
     cfg = _resolve_config(args)
-    ids, grid = _read_grid(args.grid_csv, cfg)
+    ids, grid, spec = _grid_and_spec(args.grid_csv, cfg)
     if ids.size == 0:
         raise DataError(f"{args.grid_csv}: no grid rows")
-    d_count = cfg.outputs or int(ids.max())
-    input_dim = 1 if grid.ndim == 1 else grid.shape[1]
-    spec = build_spec(cfg, d_count, input_dim)
-    validate_dataset(Dataset(ids, grid, np.zeros(ids.size)), spec)
 
     wrote = []
     k_rff = k_oracle = None
@@ -515,51 +521,9 @@ def cmd_kernel_eval(args) -> int:
     return EXIT_OK
 
 
-def cmd_benchmark(args) -> int:
-    cfg = _resolve_config(args, samples=50, forces=2, outputs=2)
-    sizes_ok = all(n >= cfg.outputs and n % cfg.outputs == 0 for n in cfg.benchmark_sizes)
-    if cfg.benchmark_reps < 1 or not cfg.benchmark_sizes or not sizes_ok:
-        raise UsageError(
-            f"benchmark needs benchmark_reps >= 1 and sizes that are positive multiples "
-            f"of the output count ({cfg.outputs})"
-        )
-    spec = build_spec(cfg, cfg.outputs)
-    draws = _draws_for_spec(spec, cfg)
-    rng = np.random.default_rng(cfg.seed)
-    theta0 = pack(spec).values
-
-    sizes = np.asarray(cfg.benchmark_sizes, dtype=int)
-    mean_s = np.empty(sizes.size)
-    std_s = np.empty(sizes.size)
-    for i, n in enumerate(cfg.benchmark_sizes):
-        per_output = n // cfg.outputs
-        t = np.tile(np.linspace(0.0, 3.0, per_output), cfg.outputs)
-        ids = np.repeat(np.arange(1, cfg.outputs + 1), per_output)
-        y = rng.standard_normal(t.size)
-        objective = LmlObjective(Dataset(ids, t, y), spec, draws)
-        objective.value_and_gradient(theta0)  # warm caches before timing
-        times = []
-        for _ in range(cfg.benchmark_reps):
-            t0 = perf_counter()
-            objective.value_and_gradient(theta0)
-            times.append(perf_counter() - t0)
-        mean_s[i], std_s[i] = np.mean(times), np.std(times)
-    slope = float(np.polyfit(np.log(sizes.astype(float)), np.log(mean_s), 1)[0])
-    path = _out_path(cfg, "benchmark.csv")
-    write_csv_columns(path, ["N", "mean_s", "std_s"], [sizes, mean_s, std_s])
-    for n, m, sd in zip(cfg.benchmark_sizes, mean_s, std_s):
-        print(f"N={n}: {m:.4f} s (+/- {sd:.4f})")
-    print(f"log-log slope: {slope:.3f}", file=sys.stderr)
-    print(f"wrote {path}")
-    return EXIT_OK
-
-
 def cmd_sample_features(args) -> int:
     cfg = _resolve_config(args)
-    ids, grid = _read_grid(args.grid_csv, cfg)
-    d_count = cfg.outputs or (int(ids.max()) if ids.size else 1)
-    input_dim = 1 if grid.ndim == 1 else grid.shape[1]
-    spec = build_spec(cfg, d_count, input_dim)
+    ids, grid, spec = _grid_and_spec(args.grid_csv, cfg)
     draws = _draws_for_spec(spec, cfg)
     n_cols = spec.num_forces * cfg.samples
     header = ["output_id"] + _input_header(grid)
@@ -614,10 +578,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("grid_csv")
     _add_common_flags(p)
     p.set_defaults(func=cmd_kernel_eval)
-
-    p = subs.add_parser("benchmark", help="time objective+gradient versus N")
-    _add_common_flags(p)
-    p.set_defaults(func=cmd_benchmark)
 
     p = subs.add_parser("sample-features", help="write sampled features on a grid")
     p.add_argument("grid_csv")

@@ -56,16 +56,12 @@ __all__ = [
     "sample_spectral",
     "force_frequencies",
     "mogp_frequencies",
-    "ode_roots",
-    "ode2_roots",
     "operator_roots",
     "residue_coeffs",
     "rfrf_general",
     "rfrf_ode1",
     "rfrf_ode2",
-    "latent_feature",
     "perturb_collisions",
-    "to_operator",
     "output_rows",
     "block_params",
     "fill_block",
@@ -226,24 +222,23 @@ def _roots_cached(coeffs):
     return tuple(roots[order])
 
 
-def ode_roots(op: OdeOperator) -> RootSet:
-    """Characteristic roots of an order-P operator via the companion matrix.
+def operator_roots(params) -> RootSet:
+    """Characteristic roots and a_0 of an ODE1, ODE2 or general operator.
 
-    Each root is verified against the monic polynomial; repeated roots (up
-    to the separation threshold) are rejected.
+    ODE1 has the root -gamma.  ODE2 has the closed form -c/2m +- sqrt(c^2/4m^2
+    - b/m), in that order; critical damping (coincident roots) is perturbed
+    away by growing the spring constant by a relative 1e-6, with a
+    NumericsWarning, and a discriminant that overflows (a vanishing mass)
+    raises NumericalError.  A general operator's roots come from the
+    companion matrix, each verified against the monic polynomial and sorted;
+    repeated roots (up to the separation threshold) raise NumericalError.
     """
-    roots = np.array(_roots_cached(op.coeffs), dtype=complex)
-    _check_separation(roots, "ode_roots")
-    return RootSet(roots, op.coeffs[0])
-
-
-def ode2_roots(params: Ode2Params):
-    """Roots -c/2m +- sqrt(c^2/4m^2 - b/m) of a second-order operator.
-
-    Critical damping (coincident roots) is perturbed away by growing the
-    spring constant by a relative 1e-6, with a NumericsWarning.  Raises
-    NumericalError when the discriminant overflows (a vanishing mass).
-    """
+    if isinstance(params, Ode1Params):
+        return RootSet([-params.gamma], 1.0)
+    if isinstance(params, OdeOperator):
+        roots = np.array(_roots_cached(params.coeffs), dtype=complex)
+        _check_separation(roots, "operator_roots")
+        return RootSet(roots, params.coeffs[0])
     m, c, b = params.mass, params.damper, params.spring
     half = c / (2.0 * m)
 
@@ -267,20 +262,7 @@ def ode2_roots(params: Ode2Params):
             stacklevel=2,
         )
         s1, s2 = roots(b * (1.0 + 1e-6))
-    return complex(s1), complex(s2)
-
-
-def operator_roots(params) -> RootSet:
-    """Characteristic roots and a_0 of an ODE1, ODE2 or general operator.
-
-    ODE2 roots come from ``ode2_roots``, which perturbs near-critical
-    damping with a warning; a general operator's repeated roots raise.
-    """
-    if isinstance(params, Ode1Params):
-        return RootSet([-params.gamma], 1.0)
-    if isinstance(params, Ode2Params):
-        return RootSet(ode2_roots(params), params.mass)
-    return ode_roots(params)
+    return RootSet([s1, s2], m)
 
 
 def residue_coeffs(roots):
@@ -326,27 +308,17 @@ def perturb_collisions(lam, roots):
 # response features
 
 
-def to_operator(params) -> OdeOperator:
-    """Equivalent general-form operator for the ODE1/ODE2 shorthand types."""
-    if isinstance(params, OdeOperator):
-        return params
-    if isinstance(params, Ode1Params):
-        return OdeOperator((1.0, params.gamma))
-    if isinstance(params, Ode2Params):
-        return OdeOperator((params.mass, params.damper, params.spring))
-    raise TypeError(f"unsupported operator params: {params!r}")
+def rfrf_general(t, params, lam):
+    """Response of an operator to exp(j*lam*t), from rest at t=0.
 
-
-def rfrf_general(t, op: OdeOperator, lam):
-    """Response of an order-P operator to exp(j*lam*t), from rest at t=0.
-
-    Equals (1/a_0) * sum_p A_p exp(s_p t) over the P characteristic roots
-    plus the excitation root j*lam, which matches the convolution of the
-    Green's function with the excitation.  ``t`` may be a scalar or array.
+    Equals (1/a_0) * sum_p A_p exp(s_p t) over the characteristic roots of
+    ``operator_roots`` plus the excitation root j*lam, which matches the
+    convolution of the Green's function with the excitation.  ``params``
+    is an ODE1, ODE2 or general operator; ``t`` and ``lam`` may be scalars
+    or arrays.
     """
-    rs = ode_roots(op)
-    lam_arr = np.atleast_1d(np.asarray(lam, dtype=float))
-    lam_arr = perturb_collisions(lam_arr, rs.roots)
+    rs = operator_roots(params)
+    lam_arr = perturb_collisions(np.atleast_1d(np.asarray(lam, dtype=float)), rs.roots)
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     v = backends.residue_fill(t_arr, lam_arr, rs.roots, rs.leading)
     return _squeeze_tl(v, t, lam)
@@ -354,10 +326,7 @@ def rfrf_general(t, op: OdeOperator, lam):
 
 def rfrf_ode1(t, params: Ode1Params, lam):
     """First-order response (exp(j*lam*t) - exp(-gamma*t)) / (gamma + j*lam)."""
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    lam_arr = np.atleast_1d(np.asarray(lam, dtype=float))
-    v = backends.ode1_fill(t_arr, lam_arr, params.gamma)
-    return _squeeze_tl(v, t, lam)
+    return rfrf_general(t, params, lam)
 
 
 def rfrf_ode2(t, params: Ode2Params, lam):
@@ -367,17 +336,7 @@ def rfrf_ode2(t, params: Ode2Params, lam):
     underdamped) and s3 = j*lam; the A_p are the partial-fraction residues
     over all three roots.
     """
-    s1, s2 = ode2_roots(params)
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    lam_arr = np.atleast_1d(np.asarray(lam, dtype=float))
-    lam_arr = perturb_collisions(lam_arr, np.array([s1, s2]))
-    v = backends.ode2_fill(t_arr, lam_arr, params.mass, s1, s2)
-    return _squeeze_tl(v, t, lam)
-
-
-def latent_feature(t, lam):
-    """Force-side feature exp(j*lam*t); unit modulus for real arguments."""
-    return np.exp(1j * np.multiply(lam, t))
+    return rfrf_general(t, params, lam)
 
 
 def _squeeze_tl(v, t, lam):

@@ -23,13 +23,13 @@ from .features import (
     FrequencyDraws,
     assemble_phi_c,
     force_frequencies,
-    ode_roots,
-    ode2_roots,
+    operator_roots,
     residue_coeffs,
-    rfrf_general,  # not used here; the benchmark's tracer wraps this name
-    to_operator,
+    # not used here: kept for the benchmark's tracer, which wraps this name;
+    # delete with ROADMAP item 1
+    rfrf_general,
 )
-from .model import LfmSpec, Ode1Params, Ode2Params, OdeOperator
+from .model import LfmSpec, Ode1Params
 
 __all__ = [
     "FeatureMatrix",
@@ -137,20 +137,14 @@ def approx_cov(fm: FeatureMatrix, fm2: FeatureMatrix | None = None) -> np.ndarra
 def greens_function(params):
     """Impulse response of the operator as a real vectorized callable.
 
-    First order: exp(-gamma u).  Second order with distinct roots:
-    (exp(s1 u) - exp(s2 u)) / (m (s1 - s2)).  Higher orders use the
-    partial-fraction expansion over the characteristic roots.
+    First order: exp(-gamma u).  Higher orders, the second included, use
+    the partial-fraction expansion over the roots of ``operator_roots``:
+    with distinct roots s1, s2 it is (exp(s1 u) - exp(s2 u)) / (m (s1 - s2)).
     """
     if isinstance(params, Ode1Params):
         gamma = params.gamma
         return lambda u: np.exp(-gamma * np.asarray(u, dtype=float))
-    if isinstance(params, Ode2Params):
-        s1, s2 = ode2_roots(params)
-        m = params.mass
-        return lambda u: (
-            (np.exp(s1 * np.asarray(u, dtype=float)) - np.exp(s2 * np.asarray(u))) / (m * (s1 - s2))
-        ).real
-    rs = ode_roots(to_operator(params))
+    rs = operator_roots(params)
     coeffs = residue_coeffs(rs.roots) / rs.leading
     roots = rs.roots
 

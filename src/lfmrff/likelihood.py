@@ -53,7 +53,9 @@ from .features import (
     feature_blocks,
     output_rows,
     phi_fill,
-    rfrf_general,  # not used here; the benchmark's tracer wraps this name
+    # not used here: kept for the benchmark's tracer, which wraps this name;
+    # delete with ROADMAP item 1
+    rfrf_general,
     run_chunks,
     write_phi_block,
 )
@@ -74,7 +76,6 @@ from .model import (
 from .mogp import SpectralDraws
 
 __all__ = [
-    "LowRankState",
     "WeightPosterior",
     "FitResult",
     "OptimizerConfig",
@@ -83,7 +84,6 @@ __all__ = [
     "full_log_marginal",
     "low_rank_log_marginal",
     "weight_posterior",
-    "lml_gradient",
     "optimize",
 ]
 
@@ -100,26 +100,25 @@ def noise_vector(spec, output_ids) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class LowRankState:
-    """Factorized quantities of one low-rank likelihood evaluation.
+class WeightPosterior:
+    """Posterior N(A^-1 alpha, A^-1) of the feature weights.
 
-    a_mat is A = I + Phi_c^T Sigma^-1 Phi_c (symmetric positive definite),
-    alpha = Phi_c^T Sigma^-1 y, chol_a its lower Cholesky factor, and beta
-    = (K + Sigma)^-1 y, computed without forming K.  Posterior prediction
-    reads chol_a and alpha.
+    alpha = Phi_c^T Sigma^-1 y and chol_a is the lower Cholesky factor of
+    A = I + Phi_c^T Sigma^-1 Phi_c (symmetric positive definite): all that
+    prediction reads.
     """
 
-    a_mat: np.ndarray
     alpha: np.ndarray
     chol_a: np.ndarray
-    data_fit: float
-    log_det: float
-    value: float
-    beta: np.ndarray
-    noise_rows: np.ndarray
 
     def solve_a(self, b):
+        """A^-1 b."""
         return cho_solve((self.chol_a, True), b)
+
+
+# Kept for the benchmark's tracer, which wraps ``LowRankState.solve_a``;
+# delete with ROADMAP item 1.
+LowRankState = WeightPosterior
 
 
 def _phi_c_of(phi):
@@ -167,7 +166,7 @@ def _lml(data_fit, chol, noise):
 def low_rank_log_marginal(phi, noise, y):
     """Log marginal likelihood of y under N(0, Phi_c Phi_c^T + Sigma).
 
-    Returns (value, LowRankState).  Cost is O(N R^2) for R = 2QS feature
+    Returns (value, WeightPosterior).  Cost is O(N R^2) for R = 2QS feature
     columns; A is accumulated over chunks of ``backends.CHUNK_ROWS`` rows,
     so no N x N or N x R array is formed besides Phi_c.  Raises NumericalError
     when Phi is not finite or A is not positive definite.
@@ -188,34 +187,10 @@ def low_rank_log_marginal(phi, noise, y):
          root[lo : lo + step] * y[lo : lo + step])
         for lo in range(0, n, step)
     )
-    a, alpha, chol = _factor(chunks, phi_c.shape[1])
+    _, alpha, chol = _factor(chunks, phi_c.shape[1])
     beta = sinv * (y - phi_c @ cho_solve((chol, True), alpha))
-    data_fit = float(y @ beta)
-    log_det, value = _lml(data_fit, chol, noise)
-    state = LowRankState(
-        a_mat=a,
-        alpha=alpha,
-        chol_a=np.tril(chol),
-        data_fit=data_fit,
-        log_det=log_det,
-        value=value,
-        beta=beta,
-        noise_rows=noise,
-    )
-    return value, state
-
-
-@dataclass(frozen=True, eq=False)
-class WeightPosterior:
-    """Posterior N(A^-1 alpha, A^-1) of the feature weights.
-
-    alpha = Phi_c^T Sigma^-1 y and chol_a is the lower Cholesky factor of
-    A = I + Phi_c^T Sigma^-1 Phi_c: all that prediction reads, which a
-    ``LowRankState`` carries too.
-    """
-
-    alpha: np.ndarray
-    chol_a: np.ndarray
+    _, value = _lml(float(y @ beta), chol, noise)
+    return value, WeightPosterior(alpha, np.tril(chol))
 
 
 def weight_posterior(data: Dataset, spec, draws) -> WeightPosterior:
@@ -460,18 +435,6 @@ class LmlObjective:
             ell_grad[q - 1] += scale * dlogell
             sens_grad[d - 1, q - 1] = root_s * hv
         return np.concatenate([*op_grad, ell_grad, noise_grad, sens_grad.ravel()])
-
-    def gradient(self, theta):
-        return self.value_and_gradient(theta)[1]
-
-
-def lml_gradient(theta, data: Dataset, draws, template):
-    """Gradient of the log marginal likelihood at a packed point.
-
-    ``template`` fixes the spec structure the packed vector refers to.
-    """
-    vals = theta.values if isinstance(theta, HyperParamVector) else theta
-    return LmlObjective(data, template, draws).gradient(vals)
 
 
 # ---------------------------------------------------------------------------

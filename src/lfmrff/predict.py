@@ -13,8 +13,8 @@ its means and variances and dropped, so no test N x R matrix is formed
 and memory is flat in the number of test rows.  The calling thread and
 one helper thread take chunks in turn and write disjoint slices of the
 means and variances, which are the same whatever the thread count.  The
-posterior may be a ``LowRankState`` or the ``WeightPosterior`` that
-``likelihood.weight_posterior`` builds without a training Phi_c.
+posterior is a ``likelihood.WeightPosterior``: ``weight_posterior``
+builds it without a training Phi_c.
 """
 
 from __future__ import annotations
@@ -28,11 +28,14 @@ from scipy.linalg import cho_solve, solve_triangular
 from . import backends
 from .features import force_frequencies, phi_fill, run_chunks, sample_frequencies
 from .kernels import (
-    feature_matrix,  # not used here; the benchmark's tracer wraps this name
+    # feature_matrix and latent_feature_matrix are not used here: kept for
+    # the benchmark's tracer, which wraps these names; delete with ROADMAP
+    # item 1
+    feature_matrix,
     latent_block,
-    latent_feature_matrix,  # not used here; the benchmark's tracer wraps this name
+    latent_feature_matrix,
 )
-from .likelihood import FitResult, noise_vector
+from .likelihood import FitResult, WeightPosterior, noise_vector
 from .model import Dataset, LfmSpec, validate_dataset
 from .mogp import sample_spectral
 
@@ -62,8 +65,8 @@ def draws_for(fit: FitResult):
     return sample_spectral(fit.num_samples, spec.num_forces, spec.input_dim, fit.seed)
 
 
-def _weights(state):
-    """(m = A^-1 alpha, L^-T) of a posterior with A = L L^T.
+def _weights(state: WeightPosterior):
+    """(m = A^-1 alpha, L^-T) of the posterior, with A = L L^T.
 
     phi A^-1 phi^T = |phi L^-T|^2 row by row: one R x R triangular solve
     and one GEMM per chunk instead of a solve with N right-hand sides.
@@ -88,13 +91,14 @@ def _sq_row_norms(phi, l_inv_t):
     return out
 
 
-def predict_outputs(fit: FitResult, state, test: Dataset, include_noise=True) -> Posterior:
+def predict_outputs(fit: FitResult, state: WeightPosterior, test: Dataset,
+                    include_noise=True) -> Posterior:
     """Posterior over outputs at the test rows.
 
-    ``state`` is a ``LowRankState`` or ``WeightPosterior`` of the training
-    data.  Variance is the latent-function marginal plus the fitted noise
-    variance of each row's output when ``include_noise`` is set (the
-    default, matching predictive bands drawn around noisy data).
+    ``state`` is the ``WeightPosterior`` of the training data.  Variance
+    is the latent-function marginal plus the fitted noise variance of each
+    row's output when ``include_noise`` is set (the default, matching
+    predictive bands drawn around noisy data).
     """
     spec = fit.spec
     validate_dataset(test, spec)
@@ -114,16 +118,19 @@ def predict_outputs(fit: FitResult, state, test: Dataset, include_noise=True) ->
     return Posterior(mean, var, bool(include_noise))
 
 
-def predict_latent_forces(fit: FitResult, state, times, q) -> Posterior:
-    """Posterior over latent force q at the given times.
+def predict_latent_forces(fit: FitResult, state: WeightPosterior, times, q) -> Posterior:
+    """Posterior over latent force q (1-based) at the given times.
 
     Latent features share the fitted weight space, so with no data the
     mean is 0 and the variance is exactly 1 at every time (the force
-    kernel's unit diagonal); conditioning only shrinks it.
+    kernel's unit diagonal); conditioning only shrinks it.  Raises
+    ValueError for q outside 1..Q.
     """
     spec = fit.spec
     if not isinstance(spec, LfmSpec):
         raise TypeError("latent force prediction requires an LFM spec")
+    if not 1 <= q <= spec.num_forces:
+        raise ValueError(f"force index {q} outside 1..{spec.num_forces}")
     times = np.asarray(times, dtype=float)
     lam = force_frequencies(draws_for(fit), q, spec.lengthscales[q - 1])
     m, l_inv_t = _weights(state)

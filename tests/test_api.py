@@ -1,0 +1,44 @@
+"""The public names of the lfmrff package, pinned so a re-export is deliberate."""
+
+import inspect
+
+import lfmrff
+
+PUBLIC = {
+    # features
+    "FrequencyDraws", "NumericsWarning", "force_frequencies", "rfrf_general",
+    "rfrf_ode1", "rfrf_ode2", "sample_frequencies",
+    # kernels
+    "FeatureMatrix", "approx_cov", "exact_cov_entry", "exact_cov_grid",
+    "feature_matrix", "latent_feature_matrix", "response_quadrature",
+    # likelihood
+    "FitResult", "LmlObjective", "OptimizerConfig", "WeightPosterior",
+    "full_log_marginal", "low_rank_log_marginal", "noise_vector", "optimize",
+    "weight_posterior",
+    # model
+    "DataError", "Dataset", "HyperParamVector", "LfmSpec", "MogpSpec",
+    "NumericalError", "Ode1Params", "Ode2Params", "OdeOperator", "pack",
+    "read_dataset_csv", "unpack", "validate_dataset", "write_dataset_csv",
+    # mogp
+    "SpectralDraws", "mogp_cov_exact", "mogp_cov_quadrature",
+    "mogp_feature_matrix", "sample_spectral",
+    # predict
+    "Posterior", "nlpd", "nmse", "predict_latent_forces", "predict_outputs",
+}
+
+
+def test_public_names_are_pinned():
+    exported = {
+        name for name, obj in vars(lfmrff).items()
+        if not name.startswith("_") and not inspect.ismodule(obj)
+    }
+    assert exported == PUBLIC
+
+
+def test_removed_names_are_not_exported():
+    for name in ("LowRankState", "lml_gradient", "ode_roots", "ode2_roots", "to_operator"):
+        assert not hasattr(lfmrff, name), name
+
+
+def test_version():
+    assert lfmrff.__version__ == "0.4.0"

@@ -202,6 +202,18 @@ class TestSampleFeatures:
         assert np.array_equal(vals[:, 1::2], phi.imag)
 
 
+    @pytest.mark.parametrize("command,written", [
+        ("sample-features", "features.csv"), ("kernel-eval", "kernel_rff.csv"),
+    ])
+    @pytest.mark.parametrize("row", ["nan", "-1.0"], ids=["nan-time", "negative-time"])
+    def test_invalid_grid_is_data_error(self, tmp_path, capsys, command, written, row):
+        grid = tmp_path / "grid.csv"
+        grid.write_text(f"t\n0.5\n{row}\n")
+        out = tmp_path / "f"
+        assert run([command, str(grid), "--samples", "3", "--out-dir", str(out)]) == 2
+        assert not (out / written).exists()
+
+
 def refuse_c_parser(*args, **kwargs):
     raise ValueError("C parser disabled")
 
@@ -284,31 +296,6 @@ class TestGridReader:
         assert re.search(re.escape(message) + "$", str(fast.value))
 
 
-class TestBenchmark:
-    def test_small_sizes(self, tmp_path, capsys):
-        out = tmp_path / "b"
-        cfg = _cfg(tmp_path, "benchmark_sizes=40,80\nbenchmark_reps=2\nsamples=5")
-        code = run(["benchmark", "--out-dir", str(out), "--config", cfg])
-        assert code == 0
-        rows = read_rows(out / "benchmark.csv")
-        assert rows[0] == ["N", "mean_s", "std_s"]
-        assert [r[0] for r in rows[1:]] == ["40", "80"]
-        err = capsys.readouterr().err
-        assert "slope" in err.lower()
-
-    @pytest.mark.parametrize("lines", [
-        "benchmark_sizes=40,80\nbenchmark_reps=0",
-        "benchmark_sizes=1,200",
-        "benchmark_sizes=41,81",
-    ], ids=["zero-reps", "size-below-outputs", "size-not-multiple-of-outputs"])
-    def test_degenerate_grid_is_usage_error(self, tmp_path, capsys, lines):
-        out = tmp_path / "b"
-        cfg = _cfg(tmp_path, lines + "\nsamples=5")
-        assert run(["benchmark", "--out-dir", str(out), "--config", cfg]) == 1
-        assert "benchmark" in capsys.readouterr().err
-        assert not (out / "benchmark.csv").exists()
-
-
 class TestConfigPrecedence:
     def test_flags_override_config(self, tmp_path, train_csv):
         cfg = _cfg(tmp_path, "samples=99\nseed=42\nmax_iters=1")
@@ -335,6 +322,9 @@ class TestExitCodes:
 
     def test_usage_error_bad_flag(self, capsys):
         assert run(["train", "x.csv", "--mode", "sideways"]) == 1
+
+    def test_removed_benchmark_command_is_usage_error(self, capsys):
+        assert run(["benchmark"]) == 1
 
     def test_data_error_missing_file(self, tmp_path, capsys):
         assert run(["train", str(tmp_path / "absent.csv")]) == 2

@@ -8,9 +8,7 @@ from lfmrff.features import (
     FrequencyDraws,
     NumericsWarning,
     force_frequencies,
-    latent_feature,
-    ode2_roots,
-    ode_roots,
+    operator_roots,
     residue_coeffs,
     rfrf_general,
     rfrf_ode1,
@@ -44,37 +42,37 @@ class TestResidues:
 
 class TestRoots:
     def test_ode2_closed_form(self):
-        s1, s2 = ode2_roots(Ode2Params(1.0, 3.0, 2.0))
+        s1, s2 = operator_roots(Ode2Params(1.0, 3.0, 2.0)).roots
         assert_allclose(sorted([s1.real, s2.real]), [-2.0, -1.0], atol=1e-14)
         assert s1.imag == s2.imag == 0.0
 
     def test_ode2_underdamped(self):
-        s1, s2 = ode2_roots(Ode2Params(1.0, 2.0, 5.0))
+        s1, s2 = operator_roots(Ode2Params(1.0, 2.0, 5.0)).roots
         assert_allclose([s1, s2], [-1.0 + 2.0j, -1.0 - 2.0j], atol=1e-14)
 
     def test_ode2_near_critical_perturbs_and_warns(self):
         with pytest.warns(NumericsWarning):
-            s1, s2 = ode2_roots(Ode2Params(1.0, 2.0, 1.0))
+            s1, s2 = operator_roots(Ode2Params(1.0, 2.0, 1.0)).roots
         assert s1 != s2
 
     @pytest.mark.parametrize("mass", [1e-160, 1e-170])
     def test_ode2_vanishing_mass_is_numerical_error(self, mass):
         # (c/2m)^2 overflows, so the roots cannot be represented.
         with pytest.raises(NumericalError, match="mass"):
-            ode2_roots(Ode2Params(mass, 1.0, 1.0))
+            operator_roots(Ode2Params(mass, 1.0, 1.0))
 
     def test_general_matches_ode2(self):
-        rs = ode_roots(OdeOperator((1.0, 3.0, 2.0)))
+        rs = operator_roots(OdeOperator((1.0, 3.0, 2.0)))
         assert_allclose(sorted(rs.roots.real), [-2.0, -1.0], atol=1e-12)
         assert rs.leading == 1.0
 
     def test_general_repeated_root_rejected(self):
         # (s + 1)^2 has a genuine double root; no valid residue expansion.
         with pytest.raises(NumericalError, match="repeated"):
-            ode_roots(OdeOperator((1.0, 2.0, 1.0)))
+            operator_roots(OdeOperator((1.0, 2.0, 1.0)))
 
     def test_leading_scaling(self):
-        rs = ode_roots(OdeOperator((2.0, 6.0, 4.0)))
+        rs = operator_roots(OdeOperator((2.0, 6.0, 4.0)))
         assert rs.leading == 2.0
         assert_allclose(sorted(rs.roots.real), [-2.0, -1.0], atol=1e-12)
 
@@ -189,13 +187,6 @@ class TestDraws:
             sample_frequencies(0, 1, seed=0)
         with pytest.raises(ValueError):
             sample_frequencies(4, 0, seed=0)
-
-
-def test_latent_feature_is_unit_modulus_wave():
-    t = np.array([0.0, 0.5, 1.0])
-    v = latent_feature(t, 2.0)
-    assert_allclose(v, np.exp(1j * 2.0 * t), rtol=1e-15)
-    assert_allclose(np.abs(v), 1.0, rtol=1e-15)
 
 
 def test_frequency_draws_rejects_bad_base():

@@ -16,7 +16,6 @@ from lfmrff.likelihood import (
     LmlObjective,
     OptimizerConfig,
     full_log_marginal,
-    lml_gradient,
     low_rank_log_marginal,
     noise_vector,
     optimize,
@@ -44,10 +43,12 @@ class TestLowRank:
             np.array([[1.0, 0.0]]), np.array([1.0]), np.array([2.0])
         )
         assert_allclose(value, -0.5 * LOG_2PI - 0.5 * math.log(2.0) - 1.0, rtol=1e-14)
-        assert_allclose(state.a_mat, np.diag([2.0, 1.0]), rtol=1e-15)
+        assert_allclose(state.chol_a @ state.chol_a.T, np.diag([2.0, 1.0]), rtol=1e-15)
         assert_allclose(state.alpha, [2.0, 0.0], rtol=1e-15)
-        assert_allclose(state.data_fit, 2.0, rtol=1e-14)
-        assert_allclose(state.log_det, math.log(2.0), rtol=1e-14)
+        # value = -(data fit + log det A + log noise + log 2 pi) / 2
+        log_det = 2.0 * float(np.sum(np.log(np.diag(state.chol_a))))
+        assert_allclose(log_det, math.log(2.0), rtol=1e-14)
+        assert_allclose(-2.0 * value - log_det - LOG_2PI, 2.0, rtol=1e-14)
 
     def test_zero_features_reduce_to_diagonal_gaussian(self):
         noise = np.array([0.5, 2.0, 1.0])
@@ -77,10 +78,11 @@ class TestLowRank:
         y = rng.normal(size=n)
         value, state = low_rank_log_marginal(phi_c, noise, y)
         assert_allclose(value, full_log_marginal(phi_c @ phi_c.T, noise, y), rtol=1e-12)
-        assert_allclose(state.a_mat, np.eye(5) + phi_c.T @ (phi_c / noise[:, None]),
-                        rtol=1e-13)
-        assert_allclose(state.beta, np.linalg.solve(phi_c @ phi_c.T + np.diag(noise), y),
-                        rtol=1e-10)
+        assert_allclose(state.chol_a @ state.chol_a.T,
+                        np.eye(5) + phi_c.T @ (phi_c / noise[:, None]), rtol=1e-13)
+        # the posterior mean A^-1 alpha is Phi_c^T beta, beta = (K + Sigma)^-1 y
+        beta = np.linalg.solve(phi_c @ phi_c.T + np.diag(noise), y)
+        assert_allclose(state.solve_a(state.alpha), phi_c.T @ beta, rtol=1e-10)
 
     def test_accepts_feature_matrix_object(self):
         spec = LfmSpec((Ode1Params(1.0),), 1, [1.0], [[1.0]], [0.1])
@@ -97,7 +99,8 @@ class TestLowRank:
         _, state = low_rank_log_marginal(
             phi_c, np.full(10, 0.3), rng.normal(size=10)
         )
-        assert_allclose(state.chol_a @ state.chol_a.T, state.a_mat, atol=1e-10)
+        a_mat = np.eye(4) + phi_c.T @ phi_c / 0.3
+        assert_allclose(state.chol_a @ state.chol_a.T, a_mat, atol=1e-10)
 
     def test_input_validation(self):
         with pytest.raises(ValueError, match="rows"):
@@ -389,17 +392,6 @@ class TestGradient:
         base = Dataset(np.array([1, 1]), np.array([0.7, 0.7]), np.array([0.4, 0.4]))
         check_gradient(spec, base, sample_frequencies(4, 1, seed=9))
 
-    def test_wrapper_matches_objective(self):
-        spec = LfmSpec((Ode1Params(0.9),), 1, [1.0], [[1.0]], [0.2])
-        data = lfm_data(5)
-        data = Dataset(np.ones_like(data.output_ids), data.inputs, data.y)
-        draws = sample_frequencies(4, 1, seed=2)
-        theta = pack(spec).values
-        obj = LmlObjective(data, spec, draws)
-        assert_allclose(
-            lml_gradient(theta, data, draws, spec), obj.gradient(theta), rtol=0
-        )
-
     def test_non_finite_slot_is_named(self):
         spec = LfmSpec((Ode1Params(1.0),), 1, [1.0], [[1.0]], [0.1])
         t = np.linspace(0.1, 2.0, 5)
@@ -480,7 +472,7 @@ class TestOptimize:
         cfg = OptimizerConfig()
         fit = optimize(init, data, draws, cfg)
         assert fit.status == "converged"
-        g = LmlObjective(data, init, draws).gradient(fit.packed.values)
+        g = LmlObjective(data, init, draws).value_and_gradient(fit.packed.values)[1]
         assert np.linalg.norm(g) <= cfg.grad_tol
         assert fit.trace[-1][2] == np.linalg.norm(g)
 
@@ -516,7 +508,7 @@ class TestOptimize:
         init, data, draws = fit_problem()
         data = Dataset(data.output_ids, data.inputs, 10.0 * data.y)
         theta = pack(init).values
-        g = LmlObjective(data, init, draws).gradient(theta)
+        g = LmlObjective(data, init, draws).value_and_gradient(theta)[1]
         slot = pack(init).labels.index("log_lengthscale[q=1]")
         assert math.exp(theta[slot] + g[slot]) == 0.0
         fit = optimize(init, data, draws, OptimizerConfig(max_iters=3))

@@ -205,6 +205,14 @@ class TestPosteriorProperties:
         with pytest.raises(TypeError, match="LFM"):
             predict_latent_forces(fit, state, np.array([0.5]), 1)
 
+    @pytest.mark.parametrize("q", [0, 3])
+    def test_latent_force_index_outside_forces(self, q):
+        # Q = 2: q = 0 once read the last lengthscale, q = 3 raised IndexError
+        spec = LfmSpec(SPEC.outputs, 2, [1.0, 0.5], [[1.0, 0.3], [0.8, 0.2]], [0.05, 0.1])
+        _, _, state = trained_state(spec=spec)
+        with pytest.raises(ValueError, match="outside 1..2"):
+            predict_latent_forces(make_fit(spec=spec), state, np.array([0.5]), q)
+
 
 class TestMetrics:
     def test_nmse_perfect_and_mean_prediction(self):
