@@ -4,6 +4,10 @@ Commands: train, predict, kernel-eval, sample-features.
 Configuration comes from an optional key=value file plus flags; flags win.
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 
+The ``model`` choices, the operator config keys and their defaults, and
+each output's fit-file form come from the operator kinds of
+``model.OPERATOR_KINDS``; only the MOGP is spelled out here.
+
 Fit files are JSON with a schema_version field and no timestamps, so a
 fixed seed reproduces them bitwise.  The trace CSV carries wall-clock
 times and is written separately for that reason.
@@ -14,7 +18,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import re
 import sys
@@ -39,10 +42,7 @@ from .model import (
     LfmSpec,
     MogpSpec,
     NumericalError,
-    Ode1Params,
-    Ode2Params,
-    OdeOperator,
-    HyperParamVector,
+    OPERATOR_KINDS,
     _read_rows,
     pack,
     read_dataset_csv,
@@ -67,6 +67,9 @@ class UsageError(Exception):
 # ---------------------------------------------------------------------------
 # configuration
 
+# ``model`` values: one operator kind for every output, or the MOGP
+_MODEL_KINDS = (*OPERATOR_KINDS, "mogp")
+
 
 @dataclass
 class RunConfig:
@@ -87,7 +90,7 @@ class RunConfig:
     hyper: dict = field(default_factory=dict)
 
     def validate(self):
-        if self.model not in ("ode1", "ode2", "odeP", "mogp"):
+        if self.model not in _MODEL_KINDS:
             raise UsageError(f"unknown model kind: {self.model}")
         if self.samples < 1:
             raise UsageError("samples must be >= 1")
@@ -112,8 +115,11 @@ _SCALAR_KEYS = {
     "latent_force": int,
 }
 
+# operator config key -> its default, over every operator kind; a key whose
+# default is a tuple takes a comma list
+_OPERATOR_KEYS = {k: v for kind in OPERATOR_KINDS.values() for k, v in kind.config_keys().items()}
 _HYPER_PATTERN = re.compile(
-    r"^(gamma|mass|damper|spring|inv_width|noise|lengthscale|coeffs)(\d+)$"
+    rf"^({'|'.join([*_OPERATOR_KEYS, 'inv_width', 'noise', 'lengthscale'])})(\d+)$"
     r"|^sens(\d+)_(\d+)$"
 )
 
@@ -135,8 +141,8 @@ def _apply_config_pair(cfg: RunConfig, key, value, where):
             cfg.include_noise = _parse_bool(value)
         elif key in _SCALAR_KEYS:
             setattr(cfg, key, _SCALAR_KEYS[key](value))
-        elif _HYPER_PATTERN.match(key):
-            if key.startswith("coeffs"):
+        elif match := _HYPER_PATTERN.match(key):
+            if isinstance(_OPERATOR_KEYS.get(match[1]), tuple):
                 cfg.hyper[key] = tuple(float(s) for s in value.split(","))
             else:
                 cfg.hyper[key] = float(value)
@@ -199,38 +205,16 @@ def build_spec(cfg: RunConfig, num_outputs, input_dim=1):
     if cfg.model == "mogp":
         widths = [_hyper(cfg, f"inv_width{d}", 1.0) for d in range(1, d_count + 1)]
         return MogpSpec(input_dim, widths, q_count, ell, sens, noise)
-    outputs = []
-    for d in range(1, d_count + 1):
-        if cfg.model == "ode1":
-            outputs.append(Ode1Params(_hyper(cfg, f"gamma{d}", 1.0)))
-        elif cfg.model == "ode2":
-            outputs.append(
-                Ode2Params(
-                    _hyper(cfg, f"mass{d}", 1.0),
-                    _hyper(cfg, f"damper{d}", 3.0),
-                    _hyper(cfg, f"spring{d}", 2.0),
-                )
-            )
-        else:
-            outputs.append(OdeOperator(tuple(_hyper(cfg, f"coeffs{d}", (1.0, 3.0, 2.0)))))
-    return LfmSpec(tuple(outputs), q_count, ell, sens, noise)
+    kind = OPERATOR_KINDS[cfg.model]
+    outputs = [kind.from_config(cfg.hyper, d) for d in range(1, d_count + 1)]
+    return LfmSpec(outputs, q_count, ell, sens, noise)
 
 
 def spec_to_dict(spec) -> dict:
     if isinstance(spec, LfmSpec):
-        outs = []
-        for op in spec.outputs:
-            if isinstance(op, Ode1Params):
-                outs.append({"type": "ode1", "gamma": op.gamma})
-            elif isinstance(op, Ode2Params):
-                outs.append(
-                    {"type": "ode2", "mass": op.mass, "damper": op.damper, "spring": op.spring}
-                )
-            else:
-                outs.append({"type": "odeP", "coeffs": list(op.coeffs)})
         return {
             "kind": "lfm",
-            "outputs": outs,
+            "outputs": [op.to_dict() for op in spec.outputs],
             "lengthscales": spec.lengthscales.tolist(),
             "sensitivities": spec.sensitivities.tolist(),
             "noise_vars": spec.noise_vars.tolist(),
@@ -247,16 +231,8 @@ def spec_to_dict(spec) -> dict:
 
 def spec_from_dict(d):
     if d["kind"] == "lfm":
-        outputs = []
-        for o in d["outputs"]:
-            if o["type"] == "ode1":
-                outputs.append(Ode1Params(o["gamma"]))
-            elif o["type"] == "ode2":
-                outputs.append(Ode2Params(o["mass"], o["damper"], o["spring"]))
-            else:
-                outputs.append(OdeOperator(tuple(o["coeffs"])))
         return LfmSpec(
-            tuple(outputs),
+            [_operator_from_dict(o) for o in d["outputs"]],
             len(d["lengthscales"]),
             d["lengthscales"],
             d["sensitivities"],
@@ -270,6 +246,13 @@ def spec_from_dict(d):
         d["sensitivities"],
         d["noise_vars"],
     )
+
+
+def _operator_from_dict(o):
+    kind = OPERATOR_KINDS.get(o["type"])
+    if kind is None:
+        raise ValueError(f"unknown output type {o['type']!r}")
+    return kind.from_dict(o)
 
 
 def write_fit_file(path, fit: FitResult, model_kind, train_csv):
@@ -549,7 +532,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_common_flags(sub):
-    sub.add_argument("--model", choices=["ode1", "ode2", "odeP", "mogp"])
+    sub.add_argument("--model", choices=_MODEL_KINDS)
     sub.add_argument("--samples", type=int, metavar="S")
     sub.add_argument("--forces", type=int, metavar="Q")
     sub.add_argument("--seed", type=int)

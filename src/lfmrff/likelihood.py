@@ -26,9 +26,12 @@ Phi, and contracts it against the chunk's rows of each feature
 block without forming derivatives: ``backends.residue_grads`` reduces an
 LFM block of any operator order to per-column sums through the
 characteristic roots, and the chain rules through the frequency
-reparameterization lam = sqrt(2) z / ell, the log-transformed parameters
-and the per-output noise variances act on those sums.  The sums are
-linear in dL/dPhi_c, so they add over chunks.
+reparameterization lam = sqrt(2) z / ell, the packed operator slots (each
+operator's ``packed_gradient``, see ``model``), the log-transformed
+parameters and the per-output noise variances act on those sums.  The
+sums are linear in dL/dPhi_c, so they add over chunks.  A is factored
+with LAPACK potrf; the objective solves for m with potrs and forms the
+R x R A^-1 for the gradient with potri.
 
 ``optimize`` maximizes the objective over the packed parameters with
 scipy's L-BFGS-B, one ``value_and_gradient`` per evaluation, and stops on
@@ -39,11 +42,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from time import perf_counter
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve, solve_triangular
+from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
 from scipy.optimize import minimize
 
 from . import backends
@@ -63,10 +67,7 @@ from .model import (
     DataError,
     Dataset,
     LfmSpec,
-    MogpSpec,
     NumericalError,
-    Ode1Params,
-    Ode2Params,
     HyperParamVector,
     NOISE_FLOOR,
     pack,
@@ -129,7 +130,7 @@ def _factor(chunks, r2):
     """Pass 1: A = I + Phi_c^T Sigma^-1 Phi_c, alpha = Phi_c^T Sigma^-1 y.
 
     ``chunks`` yields (w, z) per row chunk: its rows of Sigma^-1/2 Phi_c
-    and of Sigma^-1/2 y.  Returns (A, alpha, lower Cholesky factor of A).
+    and of Sigma^-1/2 y.  Returns (alpha, lower Cholesky factor of A).
     Raises NumericalError when Phi is not finite or A is not positive
     definite.
     """
@@ -138,29 +139,33 @@ def _factor(chunks, r2):
     for w, z in chunks:
         a += w.T @ w  # numpy runs W^T W as a SYRK
         alpha += w.T @ z
-    a, chol = _finish(a)
-    return a, alpha, chol
+    return alpha, _finish(a)
 
 
 def _finish(a):
-    """(A, chol A) from the chunks' sum of W^T W; see ``_factor``."""
+    """Lower Cholesky factor of A, upper triangle zero, from the chunks' sum of W^T W.
+
+    See ``_factor``.  The factor has the bits of ``cho_factor``'s (the same
+    LAPACK potrf on the same matrix).
+    """
     a[np.diag_indices(a.shape[0])] += 1.0
     a = 0.5 * (a + a.T)
     # a non-finite entry of Phi makes its column's diagonal of A non-finite
     if not np.all(np.isfinite(np.diag(a))):
         raise NumericalError("feature matrix Phi is not finite")
-    try:
-        chol, _ = cho_factor(a, lower=True)
-    except LinAlgError as exc:
-        raise NumericalError(f"A = I + Phi^T Sigma^-1 Phi not SPD: {exc}") from None
-    return a, chol
+    chol, info = dpotrf(a, lower=1, clean=1)
+    if info != 0:
+        raise NumericalError(
+            f"A = I + Phi^T Sigma^-1 Phi not SPD: {info}-th leading minor of the array "
+            "is not positive definite"
+        )
+    return chol
 
 
 def _lml(data_fit, chol, noise):
-    """(log det A, log marginal likelihood) given y^T beta and chol(A)."""
+    """Log marginal likelihood given y^T beta and chol(A)."""
     log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
-    value = -0.5 * (data_fit + log_det + float(np.sum(np.log(noise))) + noise.size * LOG_2PI)
-    return log_det, value
+    return -0.5 * (data_fit + log_det + float(np.sum(np.log(noise))) + noise.size * LOG_2PI)
 
 
 def low_rank_log_marginal(phi, noise, y):
@@ -187,9 +192,9 @@ def low_rank_log_marginal(phi, noise, y):
          root[lo : lo + step] * y[lo : lo + step])
         for lo in range(0, n, step)
     )
-    _, alpha, chol = _factor(chunks, phi_c.shape[1])
+    alpha, chol = _factor(chunks, phi_c.shape[1])
     beta = sinv * (y - phi_c @ cho_solve((chol, True), alpha))
-    _, value = _lml(float(y @ beta), chol, noise)
+    value = _lml(float(y @ beta), chol, noise)
     return value, WeightPosterior(alpha, np.tril(chol))
 
 
@@ -220,8 +225,7 @@ def weight_posterior(data: Dataset, spec, draws) -> WeightPosterior:
         np.add(alpha, sums[1], out=alpha)
 
     run_chunks(len(data), r2, fill, work, add)
-    chol = _finish(a)[1]
-    return WeightPosterior(alpha, np.tril(chol))
+    return WeightPosterior(alpha, np.tril(_finish(a)))
 
 
 def full_log_marginal(cov, noise, y):
@@ -240,15 +244,6 @@ def full_log_marginal(cov, noise, y):
 
 # ---------------------------------------------------------------------------
 # packed-space objective with analytic gradient
-
-
-def _op_size(op) -> int:
-    """Packed slots of one output's operator parameters."""
-    if isinstance(op, Ode1Params):
-        return 1
-    if isinstance(op, Ode2Params):
-        return 3
-    return len(op.coeffs)
 
 
 class LmlObjective:
@@ -278,7 +273,7 @@ class LmlObjective:
         self.draws = draws
         self.labels = pack(template).labels
         self._op_sizes = (
-            [_op_size(op) for op in template.outputs]
+            [op.num_slots for op in template.outputs]
             if isinstance(template, LfmSpec) else [1] * template.num_outputs
         )
         self._rows = output_rows(data.output_ids)
@@ -323,19 +318,10 @@ class LmlObjective:
     # the block's sensitivity.
 
     def _lfm_block_grads(self, spec, d, x, entry, h, v):
-        op = spec.outputs[d - 1]
         lam = entry["lam"]
         hv, dcoeffs, dl = backends.residue_grads(x, lam, entry["roots"], entry["leading"], h, v)
-        # packed slots: log gamma (a_0 = 1 is fixed), log (m, c, b), or the
-        # raw coefficients of a general operator
-        if isinstance(op, Ode1Params):
-            dops = op.gamma * dcoeffs[1:]
-        elif isinstance(op, Ode2Params):
-            dops = np.array([[op.mass], [op.damper], [op.spring]]) * dcoeffs
-        else:
-            dops = dcoeffs
         # lam = sqrt(2) z / ell, so dlam/dlog ell = -lam
-        return float(np.sum(hv)), np.sum(dops, axis=1), -float(dl @ lam)
+        return float(np.sum(hv)), spec.outputs[d - 1].packed_gradient(dcoeffs), -float(dl @ lam)
 
     def _mogp_block_grads(self, spec, d, x, entry, h, v):
         # v = amp(|lam|^2, P_d) exp(j x.lam): dv/dlog P_d = v (b/(2 P_d) - p/2)
@@ -369,16 +355,17 @@ class LmlObjective:
         sinvs = 1.0 / spec.noise_vars
         roots = np.sqrt(sinvs)
         # pass 1 whitens each chunk in place; pass 2 writes it again
-        _, alpha, chol = _factor(
+        alpha, chol = _factor(
             ((np.multiply(phi, roots[d - 1], out=phi), roots[d - 1] * self._y[d][sl])
              for d, sl, phi in self._chunks(spec, blocks)),
             r2,
         )
-        m = cho_solve((chol, True), alpha)
+        m = dpotrs(chol, alpha, lower=1)[0]
         if gradient:
-            # A^-1 = L^-T L^-1 is formed once (R x R), so T is one GEMM per chunk
-            l_inv = solve_triangular(chol, np.eye(r2), lower=True)
-            a_inv = l_inv.T @ l_inv
+            # A^-1 is formed once (R x R), so T is one GEMM per chunk; potri
+            # writes its lower triangle, and chol's upper triangle is zero
+            a_inv = dpotri(chol, lower=1)[0]
+            a_inv += np.tril(a_inv, -1).T
             grad = np.zeros(len(self.labels))
         data_fit = 0.0
         for d, sl, phi in self._chunks(spec, blocks):
@@ -387,7 +374,7 @@ class LmlObjective:
             data_fit += float(y @ beta)
             if gradient:
                 grad += self._chunk_gradient(spec, blocks, d, sl, phi, beta, m, a_inv)
-        _, value = _lml(data_fit, chol, noise_vector(spec, self.data.output_ids))
+        value = _lml(data_fit, chol, noise_vector(spec, self.data.output_ids))
         if not gradient:
             return value, None
         if not np.all(np.isfinite(grad)):

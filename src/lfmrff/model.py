@@ -5,6 +5,13 @@ datasets, and the flat hyperparameter vector used by the optimizer all live
 here.  Every type is immutable after construction and safe to share across
 threads.
 
+Each ODE operator kind (``Ode1Params``, ``Ode2Params``, ``OdeOperator``) is
+described once, on its class: its name in configs and fit files, its config
+keys and defaults, its fit-file fields, its packed slots and the chain rule
+from d/d(a_0..a_P) to them.  ``OPERATOR_KINDS`` maps each name to its
+class, and the command line, ``pack``/``unpack`` and the likelihood's
+gradient read these facts instead of switching on the type.
+
 Output and force identifiers are 1-based everywhere, matching the on-disk
 CSV convention (``output_id,t,y``).  Internal array indices are 0-based.
 """
@@ -15,8 +22,7 @@ import csv
 import io
 import math
 import warnings
-from dataclasses import dataclass, field
-from typing import Union
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -55,15 +61,81 @@ class NumericalError(RuntimeError):
 # operator descriptions
 
 
+class _OperatorKind:
+    """What the other modules read off an operator kind, so none switches on it.
+
+    ``kind`` names the kind in configs (``model=``) and fit files
+    (``"type"``).  The dataclass fields name its config keys
+    (``{field}{d}`` for output d) and its fit-file fields, and
+    ``config_defaults`` holds ``build_spec``'s default for each; a tuple
+    default takes a comma list.  Each field is one of the operator's last
+    coefficients a_i, and packs as its log (this base class); a general
+    operator packs its raw coefficients instead.
+    """
+
+    @classmethod
+    def config_keys(cls) -> dict:
+        """Config key prefix -> ``build_spec`` default."""
+        return {f.name: default for f, default in zip(fields(cls), cls.config_defaults)}
+
+    @classmethod
+    def from_config(cls, hyper, d):
+        """Output d's operator from config values ``hyper`` ({key: value}) or defaults."""
+        return cls(*(hyper.get(f"{key}{d}", v) for key, v in cls.config_keys().items()))
+
+    @classmethod
+    def from_dict(cls, doc):
+        """Inverse of ``to_dict``; KeyError names a missing field."""
+        return cls(*(doc[f.name] for f in fields(cls)))
+
+    def to_dict(self) -> dict:
+        """Fit-file form: ``{"type": kind, field: value, ...}``."""
+        return {"type": self.kind, **{f.name: getattr(self, f.name) for f in fields(self)}}
+
+    @property
+    def num_slots(self) -> int:
+        """Packed slots of this operator."""
+        return len(fields(self))
+
+    def packed_slots(self, d):
+        """(labels, packed values) of this operator as output d."""
+        labels, vals = [], []
+        for f in fields(self):
+            x = getattr(self, f.name)
+            if x <= 0:
+                raise DataError(
+                    f"{f.name}={x} for output {d} must be positive to pack (log transform)"
+                )
+            labels.append(f"log_{f.name}[d={d}]")
+            vals.append(math.log(x))
+        return labels, vals
+
+    def unpacked(self, vals):
+        """An operator of this kind from its packed values; see ``packed_slots``."""
+        return type(self)(*(math.exp(v) for v in vals))
+
+    def packed_gradient(self, dcoeffs):
+        """Gradient in the packed slots from dcoeffs = d/d(a_0..a_P), one column per frequency.
+
+        The fields are the last coefficients, so d/dlog x = x d/dx on their rows.
+        """
+        x = np.array([[getattr(self, f.name)] for f in fields(self)])
+        return np.sum(x * dcoeffs[-x.shape[0]:], axis=1)
+
+
 @dataclass(frozen=True)
-class OdeOperator:
+class OdeOperator(_OperatorKind):
     """Linear ODE operator a_0 d^P/dt^P + a_1 d^{P-1}/dt^{P-1} + ... + a_P.
 
     ``coeffs`` is the tuple (a_0, ..., a_P); the operator order is
-    ``len(coeffs) - 1``.  The leading coefficient must be nonzero.
+    ``len(coeffs) - 1``.  The leading coefficient must be nonzero.  The
+    coefficients pack raw, one slot each, because their sign is free.
     """
 
     coeffs: tuple
+
+    kind = "odeP"
+    config_defaults = ((1.0, 3.0, 2.0),)
 
     def __post_init__(self):
         coeffs = tuple(float(a) for a in self.coeffs)
@@ -79,12 +151,34 @@ class OdeOperator:
     def order(self) -> int:
         return len(self.coeffs) - 1
 
+    def to_dict(self) -> dict:
+        return {"type": self.kind, "coeffs": list(self.coeffs)}
+
+    @property
+    def num_slots(self) -> int:
+        return len(self.coeffs)
+
+    def packed_slots(self, d):
+        return [f"coeff_a{i}[d={d}]" for i in range(len(self.coeffs))], list(self.coeffs)
+
+    def unpacked(self, vals):
+        return OdeOperator(tuple(vals))
+
+    def packed_gradient(self, dcoeffs):
+        return np.sum(dcoeffs, axis=1)
+
 
 @dataclass(frozen=True)
-class Ode1Params:
-    """First-order system df/dt + gamma * f = u, with decay rate gamma > 0."""
+class Ode1Params(_OperatorKind):
+    """First-order system df/dt + gamma * f = u, with decay rate gamma > 0.
+
+    As an operator its coefficients are (1, gamma).
+    """
 
     gamma: float
+
+    kind = "ode1"
+    config_defaults = (1.0,)
 
     def __post_init__(self):
         object.__setattr__(self, "gamma", float(self.gamma))
@@ -93,7 +187,7 @@ class Ode1Params:
 
 
 @dataclass(frozen=True)
-class Ode2Params:
+class Ode2Params(_OperatorKind):
     """Mass-damper-spring system m f'' + c f' + b f = u.
 
     Requires m > 0 and b > 0; the damper c may be zero (undamped).  A zero
@@ -104,6 +198,9 @@ class Ode2Params:
     mass: float
     damper: float
     spring: float
+
+    kind = "ode2"
+    config_defaults = (1.0, 3.0, 2.0)
 
     def __post_init__(self):
         object.__setattr__(self, "mass", float(self.mass))
@@ -117,7 +214,8 @@ class Ode2Params:
             raise DataError(f"damper must be nonnegative, got {self.damper}")
 
 
-OutputParams = Union[Ode1Params, Ode2Params, OdeOperator]
+# model and fit-file name -> operator kind
+OPERATOR_KINDS = {cls.kind: cls for cls in (Ode1Params, Ode2Params, OdeOperator)}
 
 
 def _as_readonly(a, dtype=float, ndim=1):
@@ -157,7 +255,7 @@ class LfmSpec:
         if not self.outputs:
             raise DataError("spec needs at least one output")
         for op in self.outputs:
-            if not isinstance(op, (Ode1Params, Ode2Params, OdeOperator)):
+            if not isinstance(op, _OperatorKind):
                 raise DataError(f"unsupported output operator: {op!r}")
         q = int(self.num_forces)
         if q < 1:
@@ -330,12 +428,6 @@ def validate_dataset(data: Dataset, spec) -> None:
 # ---------------------------------------------------------------------------
 # hyperparameter packing
 
-_OP_FIELDS = {
-    Ode1Params: ("gamma",),
-    Ode2Params: ("mass", "damper", "spring"),
-}
-
-
 @dataclass(frozen=True)
 class HyperParamVector:
     """Flat real view of a spec's free hyperparameters.
@@ -360,23 +452,6 @@ class HyperParamVector:
         return self.values.size
 
 
-def _output_param_slots(op, d):
-    """(labels, packed values) for one output's operator parameters."""
-    if isinstance(op, OdeOperator):
-        labels = [f"coeff_a{i}[d={d}]" for i in range(len(op.coeffs))]
-        return labels, list(op.coeffs)
-    labels, vals = [], []
-    for name in _OP_FIELDS[type(op)]:
-        x = getattr(op, name)
-        if x <= 0:
-            raise DataError(
-                f"{name}={x} for output {d} must be positive to pack (log transform)"
-            )
-        labels.append(f"log_{name}[d={d}]")
-        vals.append(math.log(x))
-    return labels, vals
-
-
 def pack(spec) -> HyperParamVector:
     """Flatten a spec into the optimizer's packed vector.
 
@@ -386,7 +461,7 @@ def pack(spec) -> HyperParamVector:
     labels, vals = [], []
     if isinstance(spec, LfmSpec):
         for d, op in enumerate(spec.outputs, start=1):
-            lab, v = _output_param_slots(op, d)
+            lab, v = op.packed_slots(d)
             labels += lab
             vals += v
     elif isinstance(spec, MogpSpec):
@@ -420,46 +495,23 @@ def unpack(v, template):
     stays invertible.  Raises on length mismatch or non-finite slots.
     """
     vals = _values_of(v)
-    expected = len(pack(template))
-    if vals.ndim != 1 or vals.size != expected:
-        raise DataError(f"packed vector has {vals.size} slots, expected {expected}")
+    q, nd = template.num_forces, template.num_outputs
+    lfm = isinstance(template, LfmSpec)
+    sizes = [op.num_slots for op in template.outputs] if lfm else [nd]
+    sizes += [q, nd, nd * q]
+    if vals.ndim != 1 or vals.size != sum(sizes):
+        raise DataError(f"packed vector has {vals.size} slots, expected {sum(sizes)}")
     if not np.all(np.isfinite(vals)):
         i = int(np.argmax(~np.isfinite(vals)))
         raise DataError(f"non-finite value at packed slot {i}")
-    pos = 0
-    if isinstance(template, LfmSpec):
-        outputs = []
-        for op in template.outputs:
-            if isinstance(op, OdeOperator):
-                n = len(op.coeffs)
-                outputs.append(OdeOperator(tuple(vals[pos : pos + n])))
-                pos += n
-            elif isinstance(op, Ode1Params):
-                outputs.append(Ode1Params(math.exp(vals[pos])))
-                pos += 1
-            else:
-                outputs.append(
-                    Ode2Params(
-                        math.exp(vals[pos]),
-                        math.exp(vals[pos + 1]),
-                        math.exp(vals[pos + 2]),
-                    )
-                )
-                pos += 3
-    else:
-        d = template.num_outputs
-        inv_widths = np.exp(vals[pos : pos + d])
-        pos += d
-    q = template.num_forces
-    nd = template.num_outputs
-    lengthscales = np.exp(vals[pos : pos + q])
-    pos += q
-    noise = np.maximum(np.exp(vals[pos : pos + nd]), NOISE_FLOOR)
-    pos += nd
-    sens = vals[pos : pos + nd * q].reshape(nd, q)
-    if isinstance(template, LfmSpec):
-        return LfmSpec(tuple(outputs), q, lengthscales, sens, noise)
-    return MogpSpec(template.input_dim, inv_widths, q, lengthscales, sens, noise)
+    *heads, log_ell, log_noise, sens = np.split(vals, np.cumsum(sizes)[:-1])
+    lengthscales = np.exp(log_ell)
+    noise = np.maximum(np.exp(log_noise), NOISE_FLOOR)
+    sens = sens.reshape(nd, q)
+    if lfm:
+        outputs = tuple(op.unpacked(x) for op, x in zip(template.outputs, heads))
+        return LfmSpec(outputs, q, lengthscales, sens, noise)
+    return MogpSpec(template.input_dim, np.exp(heads[0]), q, lengthscales, sens, noise)
 
 
 # ---------------------------------------------------------------------------

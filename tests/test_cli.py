@@ -346,16 +346,22 @@ class TestExitCodes:
     @pytest.mark.parametrize("doc,field", [
         ({"schema_version": 1}, "spec"),
         ("ode1-without-gamma", "gamma"),
+        ("ode1-typed-ode3", "unknown output type 'ode3'"),
         ([1, 2], "list"),
-    ], ids=["no-spec", "ode1-without-gamma", "top-level-list"])
+    ], ids=["no-spec", "ode1-without-gamma", "ode1-typed-ode3", "top-level-list"])
     def test_data_error_malformed_fit_file(self, tmp_path, train_csv, capsys, doc, field):
         fit = tmp_path / "fit.json"
-        if doc == "ode1-without-gamma":
+        if isinstance(doc, str):  # a trained ode1 fit with its first output edited
             out = tmp_path / "o"
             assert run(["train", train_csv, "--samples", "5", "--out-dir", str(out),
                         "--config", _cfg(tmp_path, "max_iters=1")]) == 0
-            doc = json.loads((out / "fit.json").read_text())
-            del doc["spec"]["outputs"][0]["gamma"]
+            trained = json.loads((out / "fit.json").read_text())
+            output = trained["spec"]["outputs"][0]
+            if doc == "ode1-without-gamma":
+                del output["gamma"]
+            else:
+                output["type"] = "ode3"
+            doc = trained
         fit.write_text(json.dumps(doc))
         test_csv = tmp_path / "t.csv"
         write_csv(test_csv, ["output_id", "t"], [[1, 0.5]])
