@@ -4,9 +4,9 @@ Commands: train, predict, kernel-eval, sample-features.
 Configuration comes from an optional key=value file plus flags; flags win.
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 
-The ``model`` choices, the operator config keys and their defaults, and
-each output's fit-file form come from the operator kinds of
-``model.OPERATOR_KINDS``; only the MOGP is spelled out here.
+The ``model`` choices, the operator config keys and their defaults come
+from ``model.OPERATOR_KINDS`` (only the MOGP's are spelled out here), and a
+fit file's spec has the form of its model kind in ``model.SPEC_KINDS``.
 
 Fit files are JSON with a schema_version field and no timestamps, so a
 fixed seed reproduces them bitwise.  The trace CSV carries wall-clock
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .features import sample_frequencies
+from .features import sample_draws
 from .kernels import approx_cov, exact_cov_grid, feature_matrix
 from .likelihood import (
     FitResult,
@@ -43,13 +43,14 @@ from .model import (
     MogpSpec,
     NumericalError,
     OPERATOR_KINDS,
+    SPEC_KINDS,
     _read_rows,
     pack,
     read_dataset_csv,
     validate_dataset,
     write_csv_columns,
 )
-from .mogp import mogp_cov_exact, mogp_feature_matrix, sample_spectral
+from .mogp import mogp_cov_exact, mogp_feature_matrix
 from .predict import draws_for, predict_latent_forces, predict_outputs
 
 FIT_SCHEMA_VERSION = 1
@@ -188,22 +189,18 @@ def _resolve_config(args) -> RunConfig:
 # spec construction and (de)serialization
 
 
-def _hyper(cfg, key, default):
-    return cfg.hyper.get(key, default)
-
-
 def build_spec(cfg: RunConfig, num_outputs, input_dim=1):
     """Initial spec from config defaults and per-index hyper overrides."""
     d_count = num_outputs
     q_count = cfg.forces
-    ell = [_hyper(cfg, f"lengthscale{q}", 1.0) for q in range(1, q_count + 1)]
-    noise = [_hyper(cfg, f"noise{d}", 0.1) for d in range(1, d_count + 1)]
+    ell = [cfg.hyper.get(f"lengthscale{q}", 1.0) for q in range(1, q_count + 1)]
+    noise = [cfg.hyper.get(f"noise{d}", 0.1) for d in range(1, d_count + 1)]
     sens = [
-        [_hyper(cfg, f"sens{d}_{q}", 1.0) for q in range(1, q_count + 1)]
+        [cfg.hyper.get(f"sens{d}_{q}", 1.0) for q in range(1, q_count + 1)]
         for d in range(1, d_count + 1)
     ]
     if cfg.model == "mogp":
-        widths = [_hyper(cfg, f"inv_width{d}", 1.0) for d in range(1, d_count + 1)]
+        widths = [cfg.hyper.get(f"inv_width{d}", 1.0) for d in range(1, d_count + 1)]
         return MogpSpec(input_dim, widths, q_count, ell, sens, noise)
     kind = OPERATOR_KINDS[cfg.model]
     outputs = [kind.from_config(cfg.hyper, d) for d in range(1, d_count + 1)]
@@ -211,48 +208,15 @@ def build_spec(cfg: RunConfig, num_outputs, input_dim=1):
 
 
 def spec_to_dict(spec) -> dict:
-    if isinstance(spec, LfmSpec):
-        return {
-            "kind": "lfm",
-            "outputs": [op.to_dict() for op in spec.outputs],
-            "lengthscales": spec.lengthscales.tolist(),
-            "sensitivities": spec.sensitivities.tolist(),
-            "noise_vars": spec.noise_vars.tolist(),
-        }
-    return {
-        "kind": "mogp",
-        "input_dim": spec.input_dim,
-        "inv_widths": spec.inv_widths.tolist(),
-        "lengthscales": spec.lengthscales.tolist(),
-        "sensitivities": spec.sensitivities.tolist(),
-        "noise_vars": spec.noise_vars.tolist(),
-    }
+    return spec.to_dict()
 
 
 def spec_from_dict(d):
-    if d["kind"] == "lfm":
-        return LfmSpec(
-            [_operator_from_dict(o) for o in d["outputs"]],
-            len(d["lengthscales"]),
-            d["lengthscales"],
-            d["sensitivities"],
-            d["noise_vars"],
-        )
-    return MogpSpec(
-        d["input_dim"],
-        d["inv_widths"],
-        len(d["lengthscales"]),
-        d["lengthscales"],
-        d["sensitivities"],
-        d["noise_vars"],
-    )
-
-
-def _operator_from_dict(o):
-    kind = OPERATOR_KINDS.get(o["type"])
+    """Spec of a fit file's ``spec`` object; DataError for an unknown ``kind``."""
+    kind = SPEC_KINDS.get(d["kind"])
     if kind is None:
-        raise ValueError(f"unknown output type {o['type']!r}")
-    return kind.from_dict(o)
+        raise DataError(f"unknown spec kind {d['kind']!r}")
+    return kind.from_dict(d)
 
 
 def write_fit_file(path, fit: FitResult, model_kind, train_csv):
@@ -367,12 +331,6 @@ def _grid_and_spec(path, cfg):
     return ids, grid, spec
 
 
-def _draws_for_spec(spec, cfg):
-    if isinstance(spec, LfmSpec):
-        return sample_frequencies(cfg.samples, spec.num_forces, cfg.seed)
-    return sample_spectral(cfg.samples, spec.num_forces, spec.input_dim, cfg.seed)
-
-
 def _features_for(spec, draws, inputs, ids):
     if isinstance(spec, LfmSpec):
         return feature_matrix(inputs, ids, spec, draws)
@@ -406,10 +364,9 @@ def cmd_train(args) -> int:
     if len(data) == 0:
         raise DataError(f"{args.train_csv}: no data rows")
     d_count = cfg.outputs or int(data.output_ids.max())
-    input_dim = data.input_dim if cfg.model == "mogp" else 1
-    init = build_spec(cfg, d_count, input_dim)
+    init = build_spec(cfg, d_count, data.input_dim)
     validate_dataset(data, init)
-    draws = _draws_for_spec(init, cfg)
+    draws = sample_draws(init, cfg.samples, cfg.seed)
 
     fit = optimize(
         init,
@@ -483,7 +440,7 @@ def cmd_kernel_eval(args) -> int:
     wrote = []
     k_rff = k_oracle = None
     if cfg.mode in ("rff", "both"):
-        draws = _draws_for_spec(spec, cfg)
+        draws = sample_draws(spec, cfg.samples, cfg.seed)
         k_rff = approx_cov(_features_for(spec, draws, grid, ids))
         path = _out_path(cfg, "kernel_rff.csv")
         _kernel_csv(path, k_rff)
@@ -507,7 +464,7 @@ def cmd_kernel_eval(args) -> int:
 def cmd_sample_features(args) -> int:
     cfg = _resolve_config(args)
     ids, grid, spec = _grid_and_spec(args.grid_csv, cfg)
-    draws = _draws_for_spec(spec, cfg)
+    draws = sample_draws(spec, cfg.samples, cfg.seed)
     n_cols = spec.num_forces * cfg.samples
     header = ["output_id"] + _input_header(grid)
     for k in range(1, n_cols + 1):

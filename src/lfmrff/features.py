@@ -8,20 +8,22 @@ inner products of these features across sampled frequencies approximate the
 model covariance.  The convolved MOGP's feature is a Gaussian amplitude
 times exp(j*lam.x).
 
-Feature blocks, for every model type, come in two steps:
-``block_params`` fixes the parameters of each (output, force) block once
-per call (frequencies, their collision perturbation and its one warning,
-roots and a_0 or the MOGP amplitude), and ``fill_block`` fills given rows.
-``write_phi_block`` is the one writer that places a block, or rows of it,
-into Phi_c, the real view of Phi.  ``feature_blocks`` fills whole blocks
-for the likelihood objective.
+``sample_draws`` draws a spec's frequencies and ``check_draws`` is the one
+check that draws fit a spec.  Feature blocks, for every model type, come
+in two steps: ``block_params`` fixes the parameters of each (output,
+force) block once per call (frequencies, their collision perturbation and
+its one warning, roots and a_0 or the MOGP amplitude) in a
+``ResponseBlock`` or ``MogpBlock``, whose ``fill`` fills given rows and
+whose ``grads`` contracts dL/dPhi on them.  ``write_phi_block`` is the one
+writer that places a block, or rows of it, into Phi_c, the real view of
+Phi.  ``feature_blocks`` fills whole blocks for the likelihood objective.
 
 Every other pass over rows of Phi_c goes through one function,
 ``run_chunks``: ``feature_matrix`` and ``mogp_feature_matrix`` (through
 ``assemble_phi_c``), ``likelihood.weight_posterior`` and the two
 predictions.  It splits the rows into chunks of ``backends.CHUNK_ROWS``,
 fills each chunk's rows (``phi_fill`` writes them from ``block_params``'
-entries) and hands them to a per-chunk ``work`` function, so no fill
+blocks) and hands them to a per-chunk ``work`` function, so no fill
 temporary is larger than a chunk.  The calling thread and, when the
 process may run on two CPUs, one helper thread take chunks in turn; the
 fills and products that dominate a chunk release the interpreter lock,
@@ -56,6 +58,8 @@ __all__ = [
     "sample_spectral",
     "force_frequencies",
     "mogp_frequencies",
+    "sample_draws",
+    "check_draws",
     "operator_roots",
     "residue_coeffs",
     "rfrf_general",
@@ -63,8 +67,9 @@ __all__ = [
     "rfrf_ode2",
     "perturb_collisions",
     "output_rows",
+    "ResponseBlock",
+    "MogpBlock",
     "block_params",
-    "fill_block",
     "feature_blocks",
     "write_phi_block",
     "run_chunks",
@@ -176,6 +181,26 @@ def mogp_frequencies(draws: SpectralDraws, q, lengthscale):
     if lengthscale <= 0:
         raise ValueError(f"lengthscale must be positive, got {lengthscale}")
     return (math.sqrt(2.0) / lengthscale) * draws.base[q - 1]
+
+
+def sample_draws(spec, num_samples, seed):
+    """The frequency draws of ``spec``'s kind (see ``check_draws``); reproducible from seed."""
+    if isinstance(spec, LfmSpec):
+        return sample_frequencies(num_samples, spec.num_forces, seed)
+    return sample_spectral(num_samples, spec.num_forces, spec.input_dim, seed)
+
+
+def check_draws(spec, draws):
+    """TypeError unless ``draws`` are FrequencyDraws for an LFM or SpectralDraws
+    for a MOGP; ValueError if their force count or input dimension differs."""
+    lfm = isinstance(spec, LfmSpec)
+    kind = FrequencyDraws if lfm else SpectralDraws
+    if not isinstance(draws, kind):
+        raise TypeError(f"{type(spec).__name__} needs {kind.__name__}, not {type(draws).__name__}")
+    if not lfm and draws.input_dim != spec.input_dim:
+        raise ValueError(f"draws have input_dim {draws.input_dim}, spec has {spec.input_dim}")
+    if draws.num_forces != spec.num_forces:
+        raise ValueError(f"draws carry {draws.num_forces} forces, spec has {spec.num_forces}")
 
 
 # ---------------------------------------------------------------------------
@@ -361,16 +386,63 @@ def output_rows(output_ids):
     return {int(d): np.flatnonzero(output_ids == d) for d in np.unique(output_ids)}
 
 
-def block_params(outputs, spec, draws):
-    """Parameters of the feature block (d, q) of every output d in ``outputs``.
+@dataclass(frozen=True, eq=False)
+class ResponseBlock:
+    """An LFM block: operator ``op``'s unscaled response at frequencies ``lam``,
+    perturbed off its characteristic ``roots``; ``leading`` is its a_0."""
 
-    Returns {(d, q): entry}, where entry["lam"] holds the frequencies the
-    block is filled at.  An LFM entry adds the operator's "roots" and
-    "leading" coefficient; its frequencies are perturbed off the roots
-    here, once, with a NumericsWarning per colliding block.  A MOGP entry
-    adds "b" = |lam|^2 and the Gaussian amplitude "amp" per sample.
-    Raises DataError for an output id outside 1..D.
+    lam: np.ndarray
+    roots: np.ndarray
+    leading: float
+    op: object
+
+    def fill(self, x):
+        return backends.residue_fill(x, self.lam, self.roots, self.leading)
+
+    def grads(self, x, h, v):
+        """(Re sum h v, d/d(packed head slots), d/dlog ell) for h = conj(dL/dPhi)
+        and v on rows of the block at inputs x, unscaled by its sensitivity."""
+        hv, dcoeffs, dl = backends.residue_grads(x, self.lam, self.roots, self.leading, h, v)
+        # lam = sqrt(2) z / ell, so dlam/dlog ell = -lam
+        return float(np.sum(hv)), self.op.packed_gradient(dcoeffs), -float(dl @ self.lam)
+
+
+@dataclass(frozen=True, eq=False)
+class MogpBlock:
+    """A MOGP block amp exp(j x.lam): ``lam`` (S, p), b = |lam|^2, inverse width
+    ``prec`` = P_d and amp = (2 pi / P_d)^(p/2) exp(-b / (2 P_d))."""
+
+    lam: np.ndarray
+    b: np.ndarray
+    amp: np.ndarray
+    prec: float
+
+    def fill(self, x):
+        return backends.mogp_fill(x.reshape(x.shape[0], -1), self.lam, self.amp)
+
+    def grads(self, x, h, v):
+        # v = amp(|lam|^2, P_d) exp(j x.lam): dv/dlog P_d = v (b/(2 P_d) - p/2)
+        # and dv/dlog ell = v (b/P_d - j x.lam), so colsum(h v) and
+        # colsum(h v x_j) are all the data-sized work.
+        x = x.reshape(x.shape[0], -1)
+        weights = np.concatenate([np.ones((x.shape[0], 1)), x], axis=1)
+        stats = weights.T @ (h * v)
+        hv = stats[0].real
+        d_width = float(hv @ (self.b / (2.0 * self.prec) - 0.5 * x.shape[1]))
+        dlogell = float(hv @ (self.b / self.prec) + np.sum(self.lam.T * stats[1:].imag))
+        return float(np.sum(hv)), np.array([d_width]), dlogell
+
+
+def block_params(outputs, spec, draws):
+    """The feature block (d, q) of every output d in ``outputs``.
+
+    Returns {(d, q): block}: a ``ResponseBlock`` for an LFM, whose
+    frequencies are perturbed off the operator's roots here, once, with a
+    NumericsWarning per colliding block; a ``MogpBlock`` for a MOGP.
+    Raises like ``check_draws`` for draws that do not fit ``spec``, and
+    DataError for an output id outside 1..D.
     """
+    check_draws(spec, draws)
     bad = [d for d in outputs if not 1 <= d <= spec.num_outputs]
     if bad:
         raise DataError(f"output_id {bad[0]} outside 1..{spec.num_outputs}")
@@ -381,7 +453,7 @@ def block_params(outputs, spec, draws):
             for q in range(1, spec.num_forces + 1):
                 lam = force_frequencies(draws, q, spec.lengthscales[q - 1])
                 lam = perturb_collisions(lam, rs.roots)
-                params[(d, q)] = {"lam": lam, "roots": rs.roots, "leading": rs.leading}
+                params[(d, q)] = ResponseBlock(lam, rs.roots, rs.leading, spec.outputs[d - 1])
         return params
     p = spec.input_dim
     for q in range(1, spec.num_forces + 1):
@@ -390,26 +462,19 @@ def block_params(outputs, spec, draws):
         for d in outputs:
             prec = spec.inv_widths[d - 1]
             amp = (2.0 * math.pi / prec) ** (p / 2.0) * np.exp(-b / (2.0 * prec))
-            params[(d, q)] = {"lam": lam, "b": b, "amp": amp}
+            params[(d, q)] = MogpBlock(lam, b, amp, prec)
     return params
-
-
-def fill_block(x, entry):
-    """Unscaled feature block of ``block_params``' entry at inputs ``x``."""
-    if "roots" in entry:
-        return backends.residue_fill(x, entry["lam"], entry["roots"], entry["leading"])
-    return backends.mogp_fill(x.reshape(x.shape[0], -1), entry["lam"], entry["amp"])
 
 
 def feature_blocks(inputs, rows, spec, draws):
     """Unscaled feature blocks of every output d and force q.
 
     ``rows`` maps each output id d to its rows of ``inputs`` (see
-    ``output_rows``).  Yields ((d, q), entry): the ``block_params`` entry
-    plus "v", the (len(rows[d]), S) block filled at those rows.
+    ``output_rows``).  Returns {(d, q): (block, v)}: the ``block_params``
+    block and v, the (len(rows[d]), S) block filled at those rows.
     """
-    for (d, q), entry in block_params(rows, spec, draws).items():
-        yield (d, q), {**entry, "v": fill_block(inputs[rows[d]], entry)}
+    return {(d, q): (block, block.fill(inputs[rows[d]]))
+            for (d, q), block in block_params(rows, spec, draws).items()}
 
 
 def write_phi_block(out, rows, spec, num_samples, d, q, v):
@@ -417,10 +482,10 @@ def write_phi_block(out, rows, spec, num_samples, d, q, v):
 
     Phi_c is the real view of Phi: column 2k holds Re Phi[:, k] and
     column 2k+1 Im Phi[:, k], so ``out.view(complex)`` is Phi.  ``v`` is
-    the unscaled block (``feature_blocks``' entry["v"], or a row slice of
-    it) and ``rows`` indexes the rows of ``out`` it fills.  Phi has
-    force-major column blocks: column (q-1)*S + s holds sample s of force
-    q, and the block enters scaled by S_{d,q}/sqrt(S).
+    the unscaled block (``feature_blocks``' v, or a row slice of it) and
+    ``rows`` indexes the rows of ``out`` it fills.  Phi has force-major
+    column blocks: column (q-1)*S + s holds sample s of force q, and the
+    block enters scaled by S_{d,q}/sqrt(S).
     """
     root_s = 1.0 / math.sqrt(num_samples)
     cols = slice((q - 1) * num_samples, q * num_samples)
@@ -521,7 +586,7 @@ def phi_fill(inputs, output_ids, spec, draws):
                 part = r[lo : lo + backends.PIECE_ROWS]
                 for q in range(1, spec.num_forces + 1):
                     write_phi_block(rows, part, spec, s_count, d, q,
-                                    fill_block(x[part], params[(d, q)]))
+                                    params[(d, q)].fill(x[part]))
         return rows
 
     return fill

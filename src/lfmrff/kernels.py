@@ -75,10 +75,6 @@ def feature_matrix(times, output_ids, spec: LfmSpec, draws: FrequencyDraws) -> F
     Rows follow the order of ``times``/``output_ids``; no sorting by output
     is performed.
     """
-    if draws.num_forces != spec.num_forces:
-        raise ValueError(
-            f"draws carry {draws.num_forces} forces, spec has {spec.num_forces}"
-        )
     times = np.asarray(times, dtype=float)
     output_ids = np.asarray(output_ids, dtype=int)
     if times.shape != output_ids.shape:

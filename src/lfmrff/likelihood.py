@@ -23,13 +23,14 @@ array is formed besides those blocks.  In pass 2 the gradient takes
 dL/dPhi_c = beta m^T - Sigma^-1 Phi_c A^-1 on each chunk (Phi_c^T beta
 equals m), whose complex view is dL/dPhi as Phi_c is the real view of
 Phi, and contracts it against the chunk's rows of each feature
-block without forming derivatives: ``backends.residue_grads`` reduces an
-LFM block of any operator order to per-column sums through the
-characteristic roots, and the chain rules through the frequency
-reparameterization lam = sqrt(2) z / ell, the packed operator slots (each
-operator's ``packed_gradient``, see ``model``), the log-transformed
-parameters and the per-output noise variances act on those sums.  The
-sums are linear in dL/dPhi_c, so they add over chunks.  A is factored
+block without forming derivatives, each block by its own ``grads``:
+``backends.residue_grads`` reduces an LFM block of any operator order to
+per-column sums through the characteristic roots, and the chain rules
+through the frequency reparameterization lam = sqrt(2) z / ell, the
+packed head slots (each operator's ``packed_gradient``, see ``model``, or
+a MOGP's log inverse width), the log-transformed parameters and the
+per-output noise variances act on those sums.  The sums are linear in
+dL/dPhi_c, so they add over chunks.  A is factored
 with LAPACK potrf; the objective solves for m with potrs and forms the
 R x R A^-1 for the gradient with potri.
 
@@ -52,8 +53,8 @@ from scipy.optimize import minimize
 
 from . import backends
 from .features import (
-    FrequencyDraws,
     NumericsWarning,
+    check_draws,
     feature_blocks,
     output_rows,
     phi_fill,
@@ -63,10 +64,10 @@ from .features import (
     run_chunks,
     write_phi_block,
 )
+from .kernels import FeatureMatrix
 from .model import (
     DataError,
     Dataset,
-    LfmSpec,
     NumericalError,
     HyperParamVector,
     NOISE_FLOOR,
@@ -74,7 +75,6 @@ from .model import (
     unpack,
     validate_dataset,
 )
-from .mogp import SpectralDraws
 
 __all__ = [
     "WeightPosterior",
@@ -122,10 +122,6 @@ class WeightPosterior:
 LowRankState = WeightPosterior
 
 
-def _phi_c_of(phi):
-    return phi.phi_c if hasattr(phi, "phi_c") else np.asarray(phi, dtype=float)
-
-
 def _factor(chunks, r2):
     """Pass 1: A = I + Phi_c^T Sigma^-1 Phi_c, alpha = Phi_c^T Sigma^-1 y.
 
@@ -171,12 +167,13 @@ def _lml(data_fit, chol, noise):
 def low_rank_log_marginal(phi, noise, y):
     """Log marginal likelihood of y under N(0, Phi_c Phi_c^T + Sigma).
 
+    ``phi`` is a ``kernels.FeatureMatrix`` or the (N, R) array Phi_c.
     Returns (value, WeightPosterior).  Cost is O(N R^2) for R = 2QS feature
     columns; A is accumulated over chunks of ``backends.CHUNK_ROWS`` rows,
     so no N x N or N x R array is formed besides Phi_c.  Raises NumericalError
     when Phi is not finite or A is not positive definite.
     """
-    phi_c = _phi_c_of(phi)
+    phi_c = phi.phi_c if isinstance(phi, FeatureMatrix) else np.asarray(phi, dtype=float)
     y = np.asarray(y, dtype=float)
     noise = np.asarray(noise, dtype=float)
     n = y.size
@@ -258,24 +255,12 @@ class LmlObjective:
 
     def __init__(self, data: Dataset, template, draws):
         validate_dataset(data, template)
-        if isinstance(template, LfmSpec):
-            if not isinstance(draws, FrequencyDraws):
-                raise TypeError("LFM objective needs FrequencyDraws")
-        else:
-            if not isinstance(draws, SpectralDraws):
-                raise TypeError("MOGP objective needs SpectralDraws")
-            if draws.input_dim != template.input_dim:
-                raise ValueError("draws/spec input_dim mismatch")
-        if draws.num_forces != template.num_forces:
-            raise ValueError("draws/spec num_forces mismatch")
+        check_draws(template, draws)
         self.data = data
         self.template = template
         self.draws = draws
         self.labels = pack(template).labels
-        self._op_sizes = (
-            [op.num_slots for op in template.outputs]
-            if isinstance(template, LfmSpec) else [1] * template.num_outputs
-        )
+        self._head_sizes = template.head_sizes()
         self._rows = output_rows(data.output_ids)
         # each output's inputs and targets, in its blocks' row order
         self._x = {d: data.inputs[r] for d, r in self._rows.items()}
@@ -288,9 +273,6 @@ class LmlObjective:
         self._phi_buf = np.empty((chunk, 2 * template.num_forces * draws.num_samples))
         self._t_buf = np.empty_like(self._phi_buf)
         self._h_buf = np.empty((chunk, draws.num_samples), dtype=complex)
-
-    def _blocks(self, spec):
-        return dict(feature_blocks(self.data.inputs, self._rows, spec, self.draws))
 
     def _chunks(self, spec, blocks):
         """Yield (d, rows, phi) for each chunk of each output's rows.
@@ -306,41 +288,11 @@ class LmlObjective:
                 sl = slice(lo, lo + step)
                 phi = self._phi_buf[: min(step, rows.size - lo)]
                 for q in range(1, spec.num_forces + 1):
-                    v = blocks[(d, q)]["v"][sl]
+                    v = blocks[(d, q)][1][sl]
                     write_phi_block(phi, slice(None), spec, s_count, d, q, v)
                 yield d, sl, phi
 
-    # -- block gradients ------------------------------------------------------
-    #
-    # Each returns (Re sum h v, contractions with dv/d(packed operator
-    # slots), contraction with dv/dlog ell) for h = conj(dL/dPhi) on rows of
-    # a block, v the block's same rows and x their inputs, all unscaled by
-    # the block's sensitivity.
-
-    def _lfm_block_grads(self, spec, d, x, entry, h, v):
-        lam = entry["lam"]
-        hv, dcoeffs, dl = backends.residue_grads(x, lam, entry["roots"], entry["leading"], h, v)
-        # lam = sqrt(2) z / ell, so dlam/dlog ell = -lam
-        return float(np.sum(hv)), spec.outputs[d - 1].packed_gradient(dcoeffs), -float(dl @ lam)
-
-    def _mogp_block_grads(self, spec, d, x, entry, h, v):
-        # v = amp(|lam|^2, P_d) exp(j x.lam): dv/dlog P_d = v (b/(2 P_d) - p/2)
-        # and dv/dlog ell = v (b/P_d - j x.lam), so colsum(h v) and
-        # colsum(h v x_j) are all the data-sized work.
-        x = x.reshape(x.shape[0], -1)
-        lam, b = entry["lam"], entry["b"]
-        prec = spec.inv_widths[d - 1]
-        weights = np.concatenate([np.ones((x.shape[0], 1)), x], axis=1)
-        stats = weights.T @ (h * v)
-        hv = stats[0].real
-        d_width = float(hv @ (b / (2.0 * prec) - 0.5 * spec.input_dim))
-        dlogell = float(hv @ (b / prec) + np.sum(lam.T * stats[1:].imag))
-        return float(np.sum(hv)), np.array([d_width]), dlogell
-
     # -- evaluations ----------------------------------------------------------
-
-    def _spec_of(self, theta):
-        return unpack(theta, self.template)
 
     def value(self, theta) -> float:
         return self._evaluate(theta, gradient=False)[0]
@@ -349,8 +301,8 @@ class LmlObjective:
         return self._evaluate(theta, gradient=True)
 
     def _evaluate(self, theta, gradient):
-        spec = self._spec_of(theta)
-        blocks = self._blocks(spec)
+        spec = unpack(theta, self.template)
+        blocks = feature_blocks(self.data.inputs, self._rows, spec, self.draws)
         r2 = self._phi_buf.shape[1]
         sinvs = 1.0 / spec.noise_vars
         roots = np.sqrt(sinvs)
@@ -392,7 +344,7 @@ class LmlObjective:
         """
         s_count, n_q = self.draws.num_samples, spec.num_forces
         root_s = 1.0 / math.sqrt(s_count)
-        op_grad = [np.zeros(k) for k in self._op_sizes]
+        head_grad = [np.zeros(k) for k in self._head_sizes]
         ell_grad = np.zeros(n_q)
         noise_grad = np.zeros(spec.num_outputs)
         sens_grad = np.zeros((spec.num_outputs, n_q))
@@ -410,18 +362,17 @@ class LmlObjective:
         # dL/dPhi_c = beta beta^T Phi_c - T = beta m^T - T, written over T;
         # its complex view is dL/dRe Phi + j dL/dIm Phi
         g = np.subtract(np.multiply.outer(beta, m), t_mat, out=t_mat).view(complex)
-        block_grads = self._lfm_block_grads if isinstance(spec, LfmSpec) else self._mogp_block_grads
         h = self._h_buf[: phi.shape[0]]
         for q in range(1, n_q + 1):
             # h = conj(dL/dPhi) on block (d, q)
             np.conjugate(g[:, (q - 1) * s_count : q * s_count], out=h)
-            entry = blocks[(d, q)]
-            hv, dops, dlogell = block_grads(spec, d, self._x[d][sl], entry, h, entry["v"][sl])
+            block, v = blocks[(d, q)]
+            hv, dheads, dlogell = block.grads(self._x[d][sl], h, v[sl])
             scale = spec.sensitivities[d - 1, q - 1] * root_s
-            op_grad[d - 1] += scale * dops
+            head_grad[d - 1] += scale * dheads
             ell_grad[q - 1] += scale * dlogell
             sens_grad[d - 1, q - 1] = root_s * hv
-        return np.concatenate([*op_grad, ell_grad, noise_grad, sens_grad.ravel()])
+        return np.concatenate([*head_grad, ell_grad, noise_grad, sens_grad.ravel()])
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,10 @@ from d/d(a_0..a_P) to them.  ``OPERATOR_KINDS`` maps each name to its
 class, and the command line, ``pack``/``unpack`` and the likelihood's
 gradient read these facts instead of switching on the type.
 
+Each model kind (``LfmSpec``, ``MogpSpec``, mapped from fit-file kinds by
+``SPEC_KINDS``) is described on its class the same way, packing and input
+checks included.
+
 Output and force identifiers are 1-based everywhere, matching the on-disk
 CSV convention (``output_id,t,y``).  Internal array indices are 0-based.
 """
@@ -230,8 +234,56 @@ def _as_readonly(a, dtype=float, ndim=1):
 # model specifications
 
 
+class _ModelKind:
+    """What the other modules read off a model kind, so none switches on it.
+
+    A spec's fields are its head fields, then the four checked here.  Each
+    kind states its fit-file ``kind``, its head checks and fit-file form,
+    each output's packed head slot count (``head_sizes``), the slots'
+    labels and values (``head_slots``) and their inverse (``with_packed``),
+    and ``check_inputs``, DataError for a dataset's inputs that do not fit.
+    """
+
+    def __post_init__(self):
+        self._check_heads()
+        q = int(self.num_forces)
+        if q < 1:
+            raise DataError("num_forces must be >= 1")
+        object.__setattr__(self, "num_forces", q)
+        ell = _as_readonly(self.lengthscales)
+        if ell.shape != (q,):
+            raise DataError(f"lengthscales must have shape ({q},), got {ell.shape}")
+        if not np.all(ell > 0):
+            raise DataError("lengthscales must be positive")
+        object.__setattr__(self, "lengthscales", ell)
+        d = self.num_outputs
+        sens = _as_readonly(self.sensitivities, ndim=2)
+        if sens.shape != (d, q):
+            raise DataError(f"sensitivities must be {d}x{q}, got {sens.shape}")
+        object.__setattr__(self, "sensitivities", sens)
+        noise = _as_readonly(self.noise_vars)
+        if noise.shape != (d,):
+            raise DataError(f"noise_vars must have shape ({d},), got {noise.shape}")
+        if not np.all(noise > 0):
+            raise DataError("noise variances must be positive")
+        object.__setattr__(self, "noise_vars", noise)
+
+    @classmethod
+    def from_dict(cls, doc):
+        """Inverse of ``to_dict``; KeyError names a missing field."""
+        heads = cls._heads_from_dict(doc)
+        ell = doc["lengthscales"]
+        return cls(*heads, len(ell), ell, doc["sensitivities"], doc["noise_vars"])
+
+    def to_dict(self) -> dict:
+        """Fit-file form: ``{"kind": kind, field: value, ...}`` without num_forces."""
+        shared = ("lengthscales", "sensitivities", "noise_vars")
+        return {"kind": self.kind, **self._heads_to_dict(),
+                **{key: getattr(self, key).tolist() for key in shared}}
+
+
 @dataclass(frozen=True, eq=False)
-class LfmSpec:
+class LfmSpec(_ModelKind):
     """Latent force model: D outputs driven through ODE operators by Q forces.
 
     Fields
@@ -250,45 +302,59 @@ class LfmSpec:
     sensitivities: np.ndarray
     noise_vars: np.ndarray
 
-    def __post_init__(self):
+    kind = "lfm"
+
+    def _check_heads(self):
         object.__setattr__(self, "outputs", tuple(self.outputs))
         if not self.outputs:
             raise DataError("spec needs at least one output")
         for op in self.outputs:
             if not isinstance(op, _OperatorKind):
                 raise DataError(f"unsupported output operator: {op!r}")
-        q = int(self.num_forces)
-        if q < 1:
-            raise DataError("num_forces must be >= 1")
-        object.__setattr__(self, "num_forces", q)
-        ell = _as_readonly(self.lengthscales)
-        if ell.shape != (q,):
-            raise DataError(f"lengthscales must have shape ({q},), got {ell.shape}")
-        if not np.all(ell > 0):
-            raise DataError("lengthscales must be positive")
-        object.__setattr__(self, "lengthscales", ell)
-        d = len(self.outputs)
-        sens = _as_readonly(self.sensitivities, ndim=2)
-        if sens.shape != (d, q):
-            raise DataError(f"sensitivities must be {d}x{q}, got {sens.shape}")
-        object.__setattr__(self, "sensitivities", sens)
-        noise = _as_readonly(self.noise_vars)
-        if noise.shape != (d,):
-            raise DataError(f"noise_vars must have shape ({d},), got {noise.shape}")
-        if not np.all(noise > 0):
-            raise DataError("noise variances must be positive")
-        object.__setattr__(self, "noise_vars", noise)
 
     @property
     def num_outputs(self) -> int:
         return len(self.outputs)
 
+    def head_sizes(self) -> list:
+        return [op.num_slots for op in self.outputs]
+
+    def head_slots(self):
+        slots = [op.packed_slots(d) for d, op in enumerate(self.outputs, start=1)]
+        return [x for labels, _ in slots for x in labels], [x for _, vals in slots for x in vals]
+
+    def with_packed(self, head, *shared):
+        parts = np.split(head, np.cumsum(self.head_sizes())[:-1])
+        ops = tuple(op.unpacked(x) for op, x in zip(self.outputs, parts))
+        return LfmSpec(ops, self.num_forces, *shared)
+
+    @staticmethod
+    def _heads_from_dict(doc):
+        outputs = []
+        for o in doc["outputs"]:
+            kind = OPERATOR_KINDS.get(o["type"])
+            if kind is None:
+                raise ValueError(f"unknown output type {o['type']!r}")
+            outputs.append(kind.from_dict(o))
+        return (outputs,)
+
+    def _heads_to_dict(self):
+        return {"outputs": [op.to_dict() for op in self.outputs]}
+
+    def check_inputs(self, data):
+        if data.inputs.ndim != 1:
+            raise DataError("LFM data must have scalar time inputs")
+        if np.any(data.inputs < 0):
+            i = int(np.argmax(data.inputs < 0))
+            raise DataError(f"negative time {data.inputs[i]} at row {i}")
+
 
 @dataclass(frozen=True, eq=False)
-class MogpSpec:
+class MogpSpec(_ModelKind):
     """Convolved multi-output GP over R^p with Gaussian smoothing kernels.
 
-    One isotropic inverse-width per output; one latent copy per force.
+    One isotropic inverse-width per output, packed as its log; one latent
+    copy per force.
     """
 
     input_dim: int
@@ -298,7 +364,9 @@ class MogpSpec:
     sensitivities: np.ndarray
     noise_vars: np.ndarray
 
-    def __post_init__(self):
+    kind = "mogp"
+
+    def _check_heads(self):
         p = int(self.input_dim)
         if p < 1:
             raise DataError("input_dim must be >= 1")
@@ -309,31 +377,38 @@ class MogpSpec:
         if not np.all(pd > 0):
             raise DataError("inverse widths must be positive")
         object.__setattr__(self, "inv_widths", pd)
-        q = int(self.num_forces)
-        if q < 1:
-            raise DataError("num_forces must be >= 1")
-        object.__setattr__(self, "num_forces", q)
-        ell = _as_readonly(self.lengthscales)
-        if ell.shape != (q,):
-            raise DataError(f"lengthscales must have shape ({q},), got {ell.shape}")
-        if not np.all(ell > 0):
-            raise DataError("lengthscales must be positive")
-        object.__setattr__(self, "lengthscales", ell)
-        d = pd.size
-        sens = _as_readonly(self.sensitivities, ndim=2)
-        if sens.shape != (d, q):
-            raise DataError(f"sensitivities must be {d}x{q}, got {sens.shape}")
-        object.__setattr__(self, "sensitivities", sens)
-        noise = _as_readonly(self.noise_vars)
-        if noise.shape != (d,):
-            raise DataError(f"noise_vars must have shape ({d},), got {noise.shape}")
-        if not np.all(noise > 0):
-            raise DataError("noise variances must be positive")
-        object.__setattr__(self, "noise_vars", noise)
 
     @property
     def num_outputs(self) -> int:
         return self.inv_widths.size
+
+    def head_sizes(self) -> list:
+        return [1] * self.num_outputs
+
+    def head_slots(self):
+        labels = [f"log_inv_width[d={d}]" for d in range(1, self.num_outputs + 1)]
+        return labels, [math.log(w) for w in self.inv_widths]
+
+    def with_packed(self, head, *shared):
+        return MogpSpec(self.input_dim, np.exp(head), self.num_forces, *shared)
+
+    @staticmethod
+    def _heads_from_dict(doc):
+        return doc["input_dim"], doc["inv_widths"]
+
+    def _heads_to_dict(self):
+        return {"input_dim": self.input_dim, "inv_widths": self.inv_widths.tolist()}
+
+    def check_inputs(self, data):
+        if data.input_dim != self.input_dim:
+            raise DataError(
+                f"input dimension {data.input_dim} does not match spec "
+                f"input_dim {self.input_dim}"
+            )
+
+
+# fit-file spec kind -> model kind
+SPEC_KINDS = {cls.kind: cls for cls in (LfmSpec, MogpSpec)}
 
 
 # ---------------------------------------------------------------------------
@@ -395,8 +470,10 @@ def validate_dataset(data: Dataset, spec) -> None:
 
     Empty datasets are valid.  LFM inputs must be nonnegative scalar times
     (response integrals start at 0); MOGP inputs must match the spec's
-    input dimension.
+    input dimension (each kind's ``check_inputs``).
     """
+    if not isinstance(spec, _ModelKind):
+        raise DataError(f"unsupported spec type: {type(spec).__name__}")
     if len(data) == 0:
         return
     d_max = spec.num_outputs
@@ -407,20 +484,7 @@ def validate_dataset(data: Dataset, spec) -> None:
         raise DataError(
             f"output_id {ids[i]} at row {i} outside 1..{d_max}"
         )
-    if isinstance(spec, LfmSpec):
-        if data.inputs.ndim != 1:
-            raise DataError("LFM data must have scalar time inputs")
-        if np.any(data.inputs < 0):
-            i = int(np.argmax(data.inputs < 0))
-            raise DataError(f"negative time {data.inputs[i]} at row {i}")
-    elif isinstance(spec, MogpSpec):
-        if data.input_dim != spec.input_dim:
-            raise DataError(
-                f"input dimension {data.input_dim} does not match spec "
-                f"input_dim {spec.input_dim}"
-            )
-    else:
-        raise DataError(f"unsupported spec type: {type(spec).__name__}")
+    spec.check_inputs(data)
     if not np.all(np.isfinite(data.y)) or not np.all(np.isfinite(data.inputs)):
         raise DataError("inputs and observations must be finite")
 
@@ -455,21 +519,12 @@ class HyperParamVector:
 def pack(spec) -> HyperParamVector:
     """Flatten a spec into the optimizer's packed vector.
 
-    Index map: per-output operator parameters first (outputs in order), then
-    log lengthscales, then log noise variances, then sensitivities row-major.
+    Index map: per-output head slots first (outputs in order, ``head_slots``),
+    then log lengthscales, log noise variances and sensitivities row-major.
     """
-    labels, vals = [], []
-    if isinstance(spec, LfmSpec):
-        for d, op in enumerate(spec.outputs, start=1):
-            lab, v = op.packed_slots(d)
-            labels += lab
-            vals += v
-    elif isinstance(spec, MogpSpec):
-        for d in range(1, spec.num_outputs + 1):
-            labels.append(f"log_inv_width[d={d}]")
-            vals.append(math.log(spec.inv_widths[d - 1]))
-    else:
+    if not isinstance(spec, _ModelKind):
         raise DataError(f"cannot pack {type(spec).__name__}")
+    labels, vals = spec.head_slots()
     for q in range(1, spec.num_forces + 1):
         labels.append(f"log_lengthscale[q={q}]")
         vals.append(math.log(spec.lengthscales[q - 1]))
@@ -483,10 +538,6 @@ def pack(spec) -> HyperParamVector:
     return HyperParamVector(np.array(vals, dtype=float), tuple(labels))
 
 
-def _values_of(v):
-    return v.values if isinstance(v, HyperParamVector) else np.asarray(v, dtype=float)
-
-
 def unpack(v, template):
     """Rebuild a spec of ``template``'s shape from a packed vector.
 
@@ -494,24 +545,17 @@ def unpack(v, template):
     Noise variances are floored at NOISE_FLOOR so the likelihood's Sigma
     stays invertible.  Raises on length mismatch or non-finite slots.
     """
-    vals = _values_of(v)
+    vals = v.values if isinstance(v, HyperParamVector) else np.asarray(v, dtype=float)
     q, nd = template.num_forces, template.num_outputs
-    lfm = isinstance(template, LfmSpec)
-    sizes = [op.num_slots for op in template.outputs] if lfm else [nd]
-    sizes += [q, nd, nd * q]
+    sizes = [sum(template.head_sizes()), q, nd, nd * q]
     if vals.ndim != 1 or vals.size != sum(sizes):
         raise DataError(f"packed vector has {vals.size} slots, expected {sum(sizes)}")
     if not np.all(np.isfinite(vals)):
         i = int(np.argmax(~np.isfinite(vals)))
         raise DataError(f"non-finite value at packed slot {i}")
-    *heads, log_ell, log_noise, sens = np.split(vals, np.cumsum(sizes)[:-1])
-    lengthscales = np.exp(log_ell)
+    head, log_ell, log_noise, sens = np.split(vals, np.cumsum(sizes)[:-1])
     noise = np.maximum(np.exp(log_noise), NOISE_FLOOR)
-    sens = sens.reshape(nd, q)
-    if lfm:
-        outputs = tuple(op.unpacked(x) for op, x in zip(template.outputs, heads))
-        return LfmSpec(outputs, q, lengthscales, sens, noise)
-    return MogpSpec(template.input_dim, np.exp(heads[0]), q, lengthscales, sens, noise)
+    return template.with_packed(head, np.exp(log_ell), sens.reshape(nd, q), noise)
 
 
 # ---------------------------------------------------------------------------

@@ -37,17 +37,7 @@ __all__ = [
 
 def mogp_feature_matrix(x, output_ids, spec: MogpSpec, draws: SpectralDraws) -> FeatureMatrix:
     """Assemble Phi with entries S_{d,q}/sqrt(S) * phi_d(x_n, lam_{s,q})."""
-    if draws.num_forces != spec.num_forces:
-        raise ValueError(
-            f"draws carry {draws.num_forces} forces, spec has {spec.num_forces}"
-        )
-    if draws.input_dim != spec.input_dim:
-        raise ValueError(
-            f"draws have input_dim {draws.input_dim}, spec has {spec.input_dim}"
-        )
     x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
     output_ids = np.asarray(output_ids, dtype=int)
     phi_c = assemble_phi_c(x, output_ids, spec, draws)
     return FeatureMatrix(phi_c, output_ids, spec.num_forces, draws.num_samples)

@@ -26,7 +26,7 @@ import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
 
 from . import backends
-from .features import force_frequencies, phi_fill, run_chunks, sample_frequencies
+from .features import force_frequencies, phi_fill, run_chunks, sample_draws
 from .kernels import (
     # feature_matrix and latent_feature_matrix are not used here: kept for
     # the benchmark's tracer, which wraps these names; delete with ROADMAP
@@ -37,7 +37,6 @@ from .kernels import (
 )
 from .likelihood import FitResult, WeightPosterior, noise_vector
 from .model import Dataset, LfmSpec, validate_dataset
-from .mogp import sample_spectral
 
 __all__ = [
     "Posterior",
@@ -59,10 +58,7 @@ class Posterior:
 
 def draws_for(fit: FitResult):
     """Recreate the frequency draws a fit was trained with (seed + count)."""
-    spec = fit.spec
-    if isinstance(spec, LfmSpec):
-        return sample_frequencies(fit.num_samples, spec.num_forces, fit.seed)
-    return sample_spectral(fit.num_samples, spec.num_forces, spec.input_dim, fit.seed)
+    return sample_draws(fit.spec, fit.num_samples, fit.seed)
 
 
 def _weights(state: WeightPosterior):

@@ -369,6 +369,28 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert str(fit) in err and field in err
 
+    @pytest.mark.parametrize("model,kind", [("mogp", "lfmx"), ("ode1", "LFM")])
+    def test_unknown_spec_kind_is_data_error(self, tmp_path, train_csv, capsys, model, kind):
+        # A trained fit whose spec kind is edited to one no model has: it
+        # names neither the MOGP nor the LFM, so nothing is predicted.
+        data = train_csv
+        if model == "mogp":
+            rng = np.random.default_rng(3)
+            x = rng.uniform(-1, 1, size=(20, 2))
+            data = tmp_path / "mogp.csv"
+            write_dataset_csv(data, Dataset(rng.integers(1, 3, size=20), x, np.sin(x[:, 0])))
+        out = tmp_path / "o"
+        assert run(["train", str(data), "--model", model, "--samples", "5",
+                    "--out-dir", str(out), "--config", _cfg(tmp_path, "max_iters=0")]) == 0
+        doc = json.loads((out / "fit.json").read_text())
+        doc["spec"]["kind"] = kind
+        fit = tmp_path / "fit.json"
+        fit.write_text(json.dumps(doc))
+        pred = tmp_path / "pred"
+        assert run(["predict", str(fit), str(data), "--out-dir", str(pred)]) == 2
+        assert f"unknown spec kind {kind!r}" in capsys.readouterr().err
+        assert not (pred / "predictions.csv").exists()
+
     def test_numerical_error_repeated_roots(self, tmp_path, train_csv, capsys):
         # A generic operator with a double root has no residue expansion.
         cfg = _cfg(tmp_path, "model=odeP\ncoeffs1=1,2,1\ncoeffs2=1,2,1")

@@ -19,6 +19,7 @@ from lfmrff.likelihood import (
     low_rank_log_marginal,
     noise_vector,
     optimize,
+    weight_posterior,
 )
 from lfmrff.model import (
     Dataset,
@@ -407,8 +408,51 @@ class TestGradient:
         with pytest.raises(ValueError):
             LmlObjective(data, spec, sample_frequencies(4, 1, seed=0))
         mogp = MogpSpec(1, [1.0], 1, [1.0], [[1.0]], [0.1])
-        with pytest.raises((TypeError, ValueError)):
+        with pytest.raises(TypeError):
             LmlObjective(data, mogp, sample_frequencies(4, 1, seed=0))
+        with pytest.raises(ValueError):
+            LmlObjective(data, mogp, sample_spectral(4, 1, 2, seed=0))
+
+
+LFM_Q1 = LfmSpec((Ode1Params(1.0),), 1, [1.0], [[1.0]], [0.1])
+MOGP_Q1 = MogpSpec(2, [1.0], 1, [1.0], [[1.0]], [0.1])
+LFM_ROWS = Dataset([1, 1], [0.5, 1.0], [0.1, 0.2])
+MOGP_ROWS = Dataset([1, 1], [[0.5, 0.1], [1.0, -0.3]], [0.1, 0.2])
+TAKES_DRAWS = {
+    "feature_matrix": lambda data, spec, draws: feature_matrix(
+        data.inputs, data.output_ids, spec, draws),
+    "mogp_feature_matrix": lambda data, spec, draws: mogp_feature_matrix(
+        data.inputs, data.output_ids, spec, draws),
+    "weight_posterior": weight_posterior,
+    "LmlObjective": LmlObjective,
+}
+LFM_TAKERS = ("feature_matrix", "weight_posterior", "LmlObjective")
+MOGP_TAKERS = ("mogp_feature_matrix", "weight_posterior", "LmlObjective")
+# (what is wrong, spec, its rows, draws, error type, message)
+WRONG_DRAWS = [
+    ("spectral-for-lfm", LFM_Q1, LFM_ROWS, sample_spectral(4, 1, 1, seed=0),
+     TypeError, "FrequencyDraws"),
+    ("extra-force-lfm", LFM_Q1, LFM_ROWS, sample_frequencies(4, 2, seed=0),
+     ValueError, "2 forces"),
+    ("frequency-for-mogp", MOGP_Q1, MOGP_ROWS, sample_frequencies(4, 1, seed=0),
+     TypeError, "SpectralDraws"),
+    ("extra-force-mogp", MOGP_Q1, MOGP_ROWS, sample_spectral(4, 2, 2, seed=0),
+     ValueError, "2 forces"),
+    ("input-dim-mogp", MOGP_Q1, MOGP_ROWS, sample_spectral(4, 1, 3, seed=0),
+     ValueError, "input_dim 3"),
+]
+
+
+@pytest.mark.parametrize("taker,case", [
+    (taker, case) for case in WRONG_DRAWS
+    for taker in (LFM_TAKERS if isinstance(case[1], LfmSpec) else MOGP_TAKERS)
+], ids=lambda v: v if isinstance(v, str) else v[0])
+def test_draws_that_do_not_fit_the_spec_raise_typed_errors(taker, case):
+    # Each caller of the feature fills rejects such draws with the same
+    # check, before any fill; none reads only some of the draws' forces.
+    _, spec, data, draws, error, message = case
+    with pytest.raises(error, match=message):
+        TAKES_DRAWS[taker](data, spec, draws)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import csv
 import math
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -131,6 +132,17 @@ class TestPacking:
         rebuilt = unpack(v, spec)
         assert rebuilt.noise_vars[0] == NOISE_FLOOR
 
+    def test_pack_rejects_non_spec(self):
+        with pytest.raises(DataError, match="cannot pack"):
+            pack(SimpleNamespace(num_outputs=1, num_forces=1))
+
+    def test_unpack_rejects_missized_mogp_vector(self):
+        spec = MogpSpec(2, [1.0, 2.0], 1, [1.0], [[1.0], [0.5]], [0.1, 0.2])
+        size = len(pack(spec))
+        for n in (size - 1, size + 1):
+            with pytest.raises(DataError, match=f"expected {size}"):
+                unpack(np.zeros(n), spec)
+
     def test_unpack_rejects_bad_vectors(self):
         spec = _lfm()
         with pytest.raises(DataError):
@@ -160,6 +172,14 @@ class TestDataset:
     def test_validate_negative_time(self):
         with pytest.raises(DataError, match="negative time"):
             validate_dataset(Dataset([1], [-0.5], [0.0]), _lfm())
+
+    def test_validate_lfm_needs_scalar_times(self):
+        with pytest.raises(DataError, match="scalar time"):
+            validate_dataset(Dataset([1], [[1.0, 2.0]], [0.0]), _lfm())
+
+    def test_validate_rejects_non_spec(self):
+        with pytest.raises(DataError, match="unsupported spec type"):
+            validate_dataset(Dataset([1], [1.0], [0.0]), SimpleNamespace(num_outputs=1))
 
     def test_validate_mogp_dimension(self):
         spec = MogpSpec(2, [1.0], 1, [1.0], [[1.0]], [0.1])

@@ -63,9 +63,9 @@ class TestFeatures:
         fm = mogp_feature_matrix(x, ids, SPEC_2D, draws)
         rows = output_rows(ids)
         expected = np.empty((7, 32), dtype=complex)
-        for (d, q), entry in feature_blocks(x, rows, SPEC_2D, draws):
+        for (d, q), (_, v) in feature_blocks(x, rows, SPEC_2D, draws).items():
             scale = SPEC_2D.sensitivities[d - 1, q - 1] / 4.0
-            expected[rows[d], (q - 1) * 16 : q * 16] = scale * entry["v"]
+            expected[rows[d], (q - 1) * 16 : q * 16] = scale * v
         assert fm.phi_c.shape == (7, 64)
         assert_allclose(fm.phi_c[:, 0::2], expected.real, rtol=1e-14, atol=1e-16)
         assert_allclose(fm.phi_c[:, 1::2], expected.imag, rtol=1e-14, atol=1e-16)

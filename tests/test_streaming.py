@@ -96,8 +96,8 @@ def whole_block_phi_c(data, spec, draws):
     s_count = draws.num_samples
     phi_c = np.zeros((len(data), 2 * spec.num_forces * s_count))
     rows = output_rows(data.output_ids)
-    for (d, q), entry in feature_blocks(data.inputs, rows, spec, draws):
-        write_phi_block(phi_c, rows[d], spec, s_count, d, q, entry["v"])
+    for (d, q), (_, v) in feature_blocks(data.inputs, rows, spec, draws).items():
+        write_phi_block(phi_c, rows[d], spec, s_count, d, q, v)
     return phi_c
 
 
