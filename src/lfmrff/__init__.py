@@ -10,8 +10,6 @@ from .features import (
     NumericsWarning,
     force_frequencies,
     rfrf_general,
-    rfrf_ode1,
-    rfrf_ode2,
     sample_frequencies,
 )
 from .kernels import (
@@ -59,4 +57,4 @@ from .mogp import (
 )
 from .predict import Posterior, nlpd, nmse, predict_latent_forces, predict_outputs
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"

@@ -2,6 +2,8 @@
 
 Commands: train, predict, kernel-eval, sample-features.
 Configuration comes from an optional key=value file plus flags; flags win.
+Each command takes only the flags it reads (``_COMMANDS``), but a config
+file may set keys that the command ignores.
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 
 The ``model`` choices, the operator config keys and their defaults come
@@ -207,10 +209,6 @@ def build_spec(cfg: RunConfig, num_outputs, input_dim=1):
     return LfmSpec(outputs, q_count, ell, sens, noise)
 
 
-def spec_to_dict(spec) -> dict:
-    return spec.to_dict()
-
-
 def spec_from_dict(d):
     """Spec of a fit file's ``spec`` object; DataError for an unknown ``kind``."""
     kind = SPEC_KINDS.get(d["kind"])
@@ -226,7 +224,7 @@ def write_fit_file(path, fit: FitResult, model_kind, train_csv):
         "seed": fit.seed,
         "num_samples": fit.num_samples,
         "num_forces": fit.spec.num_forces,
-        "spec": spec_to_dict(fit.spec),
+        "spec": fit.spec.to_dict(),
         "final_lml": fit.final_lml,
         "status": fit.status,
         "iterations": fit.iterations,
@@ -488,41 +486,43 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_common_flags(sub):
-    sub.add_argument("--model", choices=_MODEL_KINDS)
-    sub.add_argument("--samples", type=int, metavar="S")
-    sub.add_argument("--forces", type=int, metavar="Q")
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--config")
-    sub.add_argument("--out-dir", dest="out_dir")
-    sub.add_argument("--oracle-tol", dest="oracle_tol", type=float)
-    sub.add_argument("--mode", choices=["rff", "oracle", "both"])
+_FLAGS = {
+    "--config": {},
+    "--out-dir": {"dest": "out_dir"},
+    "--model": {"choices": _MODEL_KINDS},
+    "--samples": {"type": int, "metavar": "S"},
+    "--forces": {"type": int, "metavar": "Q"},
+    "--seed": {"type": int},
+    "--oracle-tol": {"dest": "oracle_tol", "type": float},
+    "--mode": {"choices": ["rff", "oracle", "both"]},
+}
+# predict takes the spec and draws from the fit file; the others build them
+_SPEC_FLAGS = ("--config", "--out-dir", "--model", "--samples", "--forces", "--seed")
+
+# (name, help, positionals, handler, the flags the handler reads); any
+# other flag is a usage error
+_COMMANDS = (
+    ("train", "fit hyperparameters to a dataset CSV", ("train_csv",), cmd_train,
+     _SPEC_FLAGS),
+    ("predict", "predict from a fit file at test inputs", ("fit_file", "test_csv"),
+     cmd_predict, ("--config", "--out-dir")),
+    ("kernel-eval", "evaluate the covariance on a grid", ("grid_csv",), cmd_kernel_eval,
+     (*_SPEC_FLAGS, "--oracle-tol", "--mode")),
+    ("sample-features", "write sampled features on a grid", ("grid_csv",),
+     cmd_sample_features, _SPEC_FLAGS),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="lfmrff", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("train", help="fit hyperparameters to a dataset CSV")
-    p.add_argument("train_csv")
-    _add_common_flags(p)
-    p.set_defaults(func=cmd_train)
-
-    p = subs.add_parser("predict", help="predict from a fit file at test inputs")
-    p.add_argument("fit_file")
-    p.add_argument("test_csv")
-    _add_common_flags(p)
-    p.set_defaults(func=cmd_predict)
-
-    p = subs.add_parser("kernel-eval", help="evaluate the covariance on a grid")
-    p.add_argument("grid_csv")
-    _add_common_flags(p)
-    p.set_defaults(func=cmd_kernel_eval)
-
-    p = subs.add_parser("sample-features", help="write sampled features on a grid")
-    p.add_argument("grid_csv")
-    _add_common_flags(p)
-    p.set_defaults(func=cmd_sample_features)
+    for name, text, positionals, func, flags in _COMMANDS:
+        p = subs.add_parser(name, help=text)
+        for arg in positionals:
+            p.add_argument(arg)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
+        p.set_defaults(func=func)
     return parser
 
 

@@ -11,12 +11,11 @@ times exp(j*lam.x).
 ``sample_draws`` draws a spec's frequencies and ``check_draws`` is the one
 check that draws fit a spec.  Feature blocks, for every model type, come
 in two steps: ``block_params`` fixes the parameters of each (output,
-force) block once per call (frequencies, their collision perturbation and
-its one warning, roots and a_0 or the MOGP amplitude) in a
-``ResponseBlock`` or ``MogpBlock``, whose ``fill`` fills given rows and
-whose ``grads`` contracts dL/dPhi on them.  ``write_phi_block`` is the one
-writer that places a block, or rows of it, into Phi_c, the real view of
-Phi.  ``feature_blocks`` fills whole blocks for the likelihood objective.
+force) block once per call in a ``ResponseBlock`` (which moves its
+frequencies off the operator's roots) or ``MogpBlock``, whose ``fill``
+fills given rows and whose ``grads`` contracts dL/dPhi on them.
+``write_phi_block`` places a block, or rows of it, into Phi_c, the real
+view of Phi, whose layout ``force_columns`` and ``phi_c_width`` state.
 
 Every other pass over rows of Phi_c goes through one function,
 ``run_chunks``: ``feature_matrix`` and ``mogp_feature_matrix`` (through
@@ -47,7 +46,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import backends
-from .model import DataError, LfmSpec, NumericalError, Ode1Params, Ode2Params, OdeOperator
+from .model import DataError, LfmSpec, MogpSpec, NumericalError, Ode1Params, OdeOperator
 
 __all__ = [
     "NumericsWarning",
@@ -63,14 +62,12 @@ __all__ = [
     "operator_roots",
     "residue_coeffs",
     "rfrf_general",
-    "rfrf_ode1",
-    "rfrf_ode2",
-    "perturb_collisions",
     "output_rows",
     "ResponseBlock",
     "MogpBlock",
     "block_params",
-    "feature_blocks",
+    "force_columns",
+    "phi_c_width",
     "write_phi_block",
     "run_chunks",
     "phi_fill",
@@ -306,7 +303,7 @@ def residue_coeffs(roots):
     return out
 
 
-def perturb_collisions(lam, roots):
+def _perturb_collisions(lam, roots):
     """Nudge frequencies whose excitation root j*lam collides with an ODE root.
 
     Collisions are measure-zero under continuous sampling but reachable in
@@ -342,26 +339,9 @@ def rfrf_general(t, params, lam):
     is an ODE1, ODE2 or general operator; ``t`` and ``lam`` may be scalars
     or arrays.
     """
-    rs = operator_roots(params)
-    lam_arr = perturb_collisions(np.atleast_1d(np.asarray(lam, dtype=float)), rs.roots)
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    v = backends.residue_fill(t_arr, lam_arr, rs.roots, rs.leading)
+    block = ResponseBlock(params, operator_roots(params), np.atleast_1d(lam))
+    v = block.fill(np.atleast_1d(np.asarray(t, dtype=float)))
     return _squeeze_tl(v, t, lam)
-
-
-def rfrf_ode1(t, params: Ode1Params, lam):
-    """First-order response (exp(j*lam*t) - exp(-gamma*t)) / (gamma + j*lam)."""
-    return rfrf_general(t, params, lam)
-
-
-def rfrf_ode2(t, params: Ode2Params, lam):
-    """Second-order response (A1 e^{s1 t} + A2 e^{s2 t} + A3 e^{s3 t}) / m.
-
-    s1, s2 are the system roots (real when overdamped, conjugate pair when
-    underdamped) and s3 = j*lam; the A_p are the partial-fraction residues
-    over all three roots.
-    """
-    return rfrf_general(t, params, lam)
 
 
 def _squeeze_tl(v, t, lam):
@@ -389,20 +369,23 @@ def output_rows(output_ids):
 @dataclass(frozen=True, eq=False)
 class ResponseBlock:
     """An LFM block: operator ``op``'s unscaled response at frequencies ``lam``,
-    perturbed off its characteristic ``roots``; ``leading`` is its a_0."""
+    which construction moves off the roots ``rs`` of ``op`` (a ``RootSet``)."""
 
-    lam: np.ndarray
-    roots: np.ndarray
-    leading: float
     op: object
+    rs: RootSet
+    lam: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "lam", _perturb_collisions(self.lam, self.rs.roots))
 
     def fill(self, x):
-        return backends.residue_fill(x, self.lam, self.roots, self.leading)
+        return backends.residue_fill(x, self.lam, self.rs.roots, self.rs.leading)
 
     def grads(self, x, h, v):
         """(Re sum h v, d/d(packed head slots), d/dlog ell) for h = conj(dL/dPhi)
         and v on rows of the block at inputs x, unscaled by its sensitivity."""
-        hv, dcoeffs, dl = backends.residue_grads(x, self.lam, self.roots, self.leading, h, v)
+        rs = self.rs
+        hv, dcoeffs, dl = backends.residue_grads(x, self.lam, rs.roots, rs.leading, h, v)
         # lam = sqrt(2) z / ell, so dlam/dlog ell = -lam
         return float(np.sum(hv)), self.op.packed_gradient(dcoeffs), -float(dl @ self.lam)
 
@@ -436,9 +419,8 @@ class MogpBlock:
 def block_params(outputs, spec, draws):
     """The feature block (d, q) of every output d in ``outputs``.
 
-    Returns {(d, q): block}: a ``ResponseBlock`` for an LFM, whose
-    frequencies are perturbed off the operator's roots here, once, with a
-    NumericsWarning per colliding block; a ``MogpBlock`` for a MOGP.
+    Returns {(d, q): block}: a ``ResponseBlock`` for an LFM, from the
+    operator's roots found once per output; a ``MogpBlock`` for a MOGP.
     Raises like ``check_draws`` for draws that do not fit ``spec``, and
     DataError for an output id outside 1..D.
     """
@@ -452,8 +434,7 @@ def block_params(outputs, spec, draws):
             rs = operator_roots(spec.outputs[d - 1])
             for q in range(1, spec.num_forces + 1):
                 lam = force_frequencies(draws, q, spec.lengthscales[q - 1])
-                lam = perturb_collisions(lam, rs.roots)
-                params[(d, q)] = ResponseBlock(lam, rs.roots, rs.leading, spec.outputs[d - 1])
+                params[(d, q)] = ResponseBlock(spec.outputs[d - 1], rs, lam)
         return params
     p = spec.input_dim
     for q in range(1, spec.num_forces + 1):
@@ -466,30 +447,31 @@ def block_params(outputs, spec, draws):
     return params
 
 
-def feature_blocks(inputs, rows, spec, draws):
-    """Unscaled feature blocks of every output d and force q.
+def force_columns(q, num_samples):
+    """Force q's columns of Phi: column (q-1)*S + s holds its sample s.
 
-    ``rows`` maps each output id d to its rows of ``inputs`` (see
-    ``output_rows``).  Returns {(d, q): (block, v)}: the ``block_params``
-    block and v, the (len(rows[d]), S) block filled at those rows.
+    Phi_c, the real view of Phi, holds column k of Phi in columns 2k (Re)
+    and 2k+1 (Im).
     """
-    return {(d, q): (block, block.fill(inputs[rows[d]]))
-            for (d, q), block in block_params(rows, spec, draws).items()}
+    return slice((q - 1) * num_samples, q * num_samples)
+
+
+def phi_c_width(num_forces, num_samples):
+    """Columns of Phi_c: the real and imaginary parts of Q*S complex columns."""
+    return 2 * num_forces * num_samples
 
 
 def write_phi_block(out, rows, spec, num_samples, d, q, v):
     """Write block (d, q) of Phi into ``out[rows]``, rows of Phi_c.
 
-    Phi_c is the real view of Phi: column 2k holds Re Phi[:, k] and
-    column 2k+1 Im Phi[:, k], so ``out.view(complex)`` is Phi.  ``v`` is
-    the unscaled block (``feature_blocks``' v, or a row slice of it) and
-    ``rows`` indexes the rows of ``out`` it fills.  Phi has force-major
-    column blocks: column (q-1)*S + s holds sample s of force q, and the
-    block enters scaled by S_{d,q}/sqrt(S).
+    ``out.view(complex)`` is Phi, whose ``force_columns(q, S)`` the block
+    fills, scaled by S_{d,q}/sqrt(S).  ``v`` is the unscaled block (a
+    block's ``fill``, or a row slice of it) and ``rows`` indexes the rows
+    of ``out`` it fills.
     """
     root_s = 1.0 / math.sqrt(num_samples)
-    cols = slice((q - 1) * num_samples, q * num_samples)
-    out.view(complex)[rows, cols] = spec.sensitivities[d - 1, q - 1] * root_s * v
+    out.view(complex)[rows, force_columns(q, num_samples)] = (
+        spec.sensitivities[d - 1, q - 1] * root_s * v)
 
 
 def _helper_count():
@@ -572,8 +554,8 @@ def phi_fill(inputs, output_ids, spec, draws):
     filled.  The returned ``fill(sl, rows)`` writes rows ``sl`` of Phi_c
     for ``inputs`` and ``output_ids`` into ``rows``, output by output and
     ``backends.PIECE_ROWS`` rows at a time with ``write_phi_block``, and
-    returns ``rows``; they equal the rows of the blocks ``feature_blocks``
-    fills at once, bit for bit.
+    returns ``rows``; they equal the rows of each block filled over all
+    its rows at once, bit for bit.
     """
     output_ids = np.asarray(output_ids, dtype=int)
     params = block_params(np.unique(output_ids).tolist(), spec, draws)
@@ -593,8 +575,15 @@ def phi_fill(inputs, output_ids, spec, draws):
 
 
 def assemble_phi_c(inputs, output_ids, spec, draws):
-    """Real feature matrix Phi_c, (N, 2QS), chunk by chunk; ``.view(complex)`` is Phi."""
-    phi_c = np.empty((len(output_ids), 2 * spec.num_forces * draws.num_samples))
+    """Real feature matrix Phi_c, (N, 2QS), chunk by chunk; ``.view(complex)`` is Phi.
+
+    DataError unless ``inputs`` have the spec's input dimension (1 for an LFM).
+    """
+    dim = 1 if inputs.ndim == 1 else inputs.shape[1]
+    want = spec.input_dim if isinstance(spec, MogpSpec) else 1
+    if dim != want:
+        raise DataError(f"input dimension {dim} does not match spec input_dim {want}")
+    phi_c = np.empty((len(output_ids), phi_c_width(spec.num_forces, draws.num_samples)))
     fill = phi_fill(inputs, output_ids, spec, draws)
     run_chunks(len(output_ids), 0, lambda sl, _: fill(sl, phi_c[sl]))
     return phi_c

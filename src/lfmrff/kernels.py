@@ -22,8 +22,10 @@ from .features import (
     NumericsWarning,
     FrequencyDraws,
     assemble_phi_c,
+    force_columns,
     force_frequencies,
     operator_roots,
+    phi_c_width,
     residue_coeffs,
     # not used here: kept for the benchmark's tracer, which wraps this name;
     # delete with ROADMAP item 1
@@ -53,10 +55,10 @@ __all__ = [
 class FeatureMatrix:
     """Feature matrix Phi, (N, Q*S) complex, force-major column blocks.
 
-    Column (q-1)*S + s holds sample s of force q.  It is stored as its real
-    view ``phi_c``, (N, 2QS): column 2k holds Re Phi[:, k] and column 2k+1
-    Im Phi[:, k], so phi_c phi_c^T equals Re(Phi Phi^H).  ``phi`` is the
-    complex view of ``phi_c`` and shares its memory.
+    It is stored as its real view ``phi_c`` (column layout:
+    ``features.force_columns`` and ``features.phi_c_width``), so
+    phi_c phi_c^T equals Re(Phi Phi^H).  ``phi`` is the complex view of
+    ``phi_c`` and shares its memory.
     """
 
     phi_c: np.ndarray
@@ -110,8 +112,8 @@ def latent_feature_matrix(times, q, spec: LfmSpec, draws: FrequencyDraws) -> Fea
         raise ValueError(f"force index {q} outside 1..{spec.num_forces}")
     times = np.asarray(times, dtype=float)
     s_count = draws.num_samples
-    phi_c = np.zeros((times.size, 2 * spec.num_forces * s_count))
-    phi_c.view(complex)[:, (q - 1) * s_count : q * s_count] = latent_block(
+    phi_c = np.zeros((times.size, phi_c_width(spec.num_forces, s_count)))
+    phi_c.view(complex)[:, force_columns(q, s_count)] = latent_block(
         times, force_frequencies(draws, q, spec.lengthscales[q - 1])
     )
     return FeatureMatrix(phi_c, None, spec.num_forces, s_count)

@@ -16,7 +16,7 @@ held together (pass 1 alone: the weight posterior that prediction reads),
 filled and multiplied on two threads by ``features.run_chunks``.  The
 objective runs on the calling thread alone.
 The objective keeps only the complex feature blocks of
-``features.feature_blocks``, filled once per evaluation, and rebuilds
+``features.block_params``, filled once per evaluation, and rebuilds
 each chunk's rows of Phi_c from them with ``features.write_phi_block``,
 the writer ``feature_matrix`` and ``mogp_feature_matrix`` use; no N x R
 array is formed besides those blocks.  In pass 2 the gradient takes
@@ -54,9 +54,11 @@ from scipy.optimize import minimize
 from . import backends
 from .features import (
     NumericsWarning,
+    block_params,
     check_draws,
-    feature_blocks,
+    force_columns,
     output_rows,
+    phi_c_width,
     phi_fill,
     # not used here: kept for the benchmark's tracer, which wraps this name;
     # delete with ROADMAP item 1
@@ -209,7 +211,7 @@ def weight_posterior(data: Dataset, spec, draws) -> WeightPosterior:
     validate_dataset(data, spec)
     fill = phi_fill(data.inputs, data.output_ids, spec, draws)
     root = np.sqrt(1.0 / noise_vector(spec, data.output_ids))
-    r2 = 2 * spec.num_forces * draws.num_samples
+    r2 = phi_c_width(spec.num_forces, draws.num_samples)
     a = np.zeros((r2, r2))
     alpha = np.zeros(r2)
 
@@ -270,7 +272,7 @@ class LmlObjective:
         # Fresh chunk-sized arrays would page-fault again on every chunk,
         # a large share of an evaluation at a few thousand rows.
         chunk = min(backends.CHUNK_ROWS, max((r.size for r in self._rows.values()), default=0))
-        self._phi_buf = np.empty((chunk, 2 * template.num_forces * draws.num_samples))
+        self._phi_buf = np.empty((chunk, phi_c_width(template.num_forces, draws.num_samples)))
         self._t_buf = np.empty_like(self._phi_buf)
         self._h_buf = np.empty((chunk, draws.num_samples), dtype=complex)
 
@@ -302,7 +304,8 @@ class LmlObjective:
 
     def _evaluate(self, theta, gradient):
         spec = unpack(theta, self.template)
-        blocks = feature_blocks(self.data.inputs, self._rows, spec, self.draws)
+        blocks = {(d, q): (block, block.fill(self._x[d]))
+                  for (d, q), block in block_params(self._rows, spec, self.draws).items()}
         r2 = self._phi_buf.shape[1]
         sinvs = 1.0 / spec.noise_vars
         roots = np.sqrt(sinvs)
@@ -365,7 +368,7 @@ class LmlObjective:
         h = self._h_buf[: phi.shape[0]]
         for q in range(1, n_q + 1):
             # h = conj(dL/dPhi) on block (d, q)
-            np.conjugate(g[:, (q - 1) * s_count : q * s_count], out=h)
+            np.conjugate(g[:, force_columns(q, s_count)], out=h)
             block, v = blocks[(d, q)]
             hv, dheads, dlogell = block.grads(self._x[d][sl], h, v[sl])
             scale = spec.sensitivities[d - 1, q - 1] * root_s

@@ -26,7 +26,14 @@ import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
 
 from . import backends
-from .features import force_frequencies, phi_fill, run_chunks, sample_draws
+from .features import (
+    force_columns,
+    force_frequencies,
+    phi_c_width,
+    phi_fill,
+    run_chunks,
+    sample_draws,
+)
 from .kernels import (
     # feature_matrix and latent_feature_matrix are not used here: kept for
     # the benchmark's tracer, which wraps these names; delete with ROADMAP
@@ -106,9 +113,8 @@ def predict_outputs(fit: FitResult, state: WeightPosterior, test: Dataset,
         mean[sl] = backends.matmul_rows(phi, m)
         var[sl] = _sq_row_norms(phi, l_inv_t)
 
-    width = 2 * spec.num_forces * fit.num_samples
-    run_chunks(len(test), width, phi_fill(test.inputs, test.output_ids, spec, draws_for(fit)),
-               work)
+    run_chunks(len(test), phi_c_width(spec.num_forces, fit.num_samples),
+               phi_fill(test.inputs, test.output_ids, spec, draws_for(fit)), work)
     if include_noise:
         var += noise_vector(spec, test.output_ids)
     return Posterior(mean, var, bool(include_noise))
@@ -131,7 +137,7 @@ def predict_latent_forces(fit: FitResult, state: WeightPosterior, times, q) -> P
     lam = force_frequencies(draws_for(fit), q, spec.lengthscales[q - 1])
     m, l_inv_t = _weights(state)
     s_count, n = fit.num_samples, times.size
-    block = slice((q - 1) * s_count, q * s_count)  # force q's columns of Phi
+    block = force_columns(q, s_count)  # force q's columns of Phi
     cols = slice(2 * block.start, 2 * block.stop)  # and of Phi_c
     l_inv_t_q = l_inv_t[cols]  # the rows of L^-T that force q's columns meet
     mean = np.empty(n)
@@ -148,7 +154,7 @@ def predict_latent_forces(fit: FitResult, state: WeightPosterior, times, q) -> P
         mean[sl] = backends.matmul_rows(rows, m)
         var[sl] = _sq_row_norms(rows[:, cols], l_inv_t_q)
 
-    run_chunks(n, 2 * spec.num_forces * s_count, fill, work)
+    run_chunks(n, phi_c_width(spec.num_forces, s_count), fill, work)
     return Posterior(mean, var, False)
 
 

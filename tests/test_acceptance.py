@@ -46,7 +46,7 @@ from lfmrff.mogp import (
     sample_spectral,
 )
 from lfmrff.predict import nlpd, nmse, predict_latent_forces, predict_outputs
-from lfmrff.features import rfrf_ode1, rfrf_ode2
+from lfmrff.features import rfrf_general
 
 
 def test_criterion_1_features_match_quadrature_oracle():
@@ -55,15 +55,15 @@ def test_criterion_1_features_match_quadrature_oracle():
     t_grid = np.linspace(0.0, 3.0, 10)
     lam_grid = np.linspace(-5.0, 5.0, 10)
     cases = [
-        (Ode1Params(0.5), rfrf_ode1),
-        (Ode1Params(1.0), rfrf_ode1),
-        (Ode1Params(2.0), rfrf_ode1),
-        (Ode2Params(1.0, 3.0, 2.0), rfrf_ode2),
-        (Ode2Params(1.0, 2.0, 5.0), rfrf_ode2),
+        Ode1Params(0.5),
+        Ode1Params(1.0),
+        Ode1Params(2.0),
+        Ode2Params(1.0, 3.0, 2.0),
+        Ode2Params(1.0, 2.0, 5.0),
     ]
     worst = 0.0
-    for params, fill in cases:
-        got = fill(t_grid, params, lam_grid)
+    for params in cases:
+        got = rfrf_general(t_grid, params, lam_grid)
         for i, t in enumerate(t_grid):
             for j, lam in enumerate(lam_grid):
                 want = response_quadrature(t, params, lam)

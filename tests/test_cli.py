@@ -321,7 +321,30 @@ class TestExitCodes:
         assert "no_such_key" in capsys.readouterr().err
 
     def test_usage_error_bad_flag(self, capsys):
-        assert run(["train", "x.csv", "--mode", "sideways"]) == 1
+        assert run(["kernel-eval", "x.csv", "--mode", "sideways"]) == 1
+
+    def test_flags_a_command_does_not_read_are_usage_errors(self, tmp_path, train_csv, capsys):
+        # predict takes the model, S, Q and seed from the fit file
+        out = tmp_path / "o"
+        assert run(["train", train_csv, "--samples", "5", "--out-dir", str(out),
+                    "--config", _cfg(tmp_path, "max_iters=0")]) == 0
+        test_csv = tmp_path / "test.csv"
+        write_csv(test_csv, ["output_id", "t"], [[1, 0.5]])
+        predict = ["predict", str(out / "fit.json"), str(test_csv), "--out-dir", str(out)]
+        ignored = [("--samples", "50"), ("--model", "ode1"), ("--forces", "1"), ("--seed", "0"),
+                   ("--oracle-tol", "1e-3"), ("--mode", "rff")]
+        for flag, value in ignored:
+            assert run([*predict, flag, value]) == 1
+            assert flag in capsys.readouterr().err
+        assert not (out / "predictions.csv").exists()
+        for command in ("train", "sample-features"):
+            for flag, value in ignored[-2:]:
+                assert run([command, train_csv, "--out-dir", str(out), flag, value]) == 1
+        assert sorted(p.name for p in out.iterdir()) == ["fit.json", "trace.csv"]
+        # config files stay permissive: keys a command does not read are ignored
+        cfg = _cfg(tmp_path, "samples=50\nmode=oracle", name="extra.cfg")
+        assert run([*predict, "--config", cfg]) == 0
+        assert (out / "predictions.csv").exists()
 
     def test_removed_benchmark_command_is_usage_error(self, capsys):
         assert run(["benchmark"]) == 1

@@ -7,16 +7,18 @@ from numpy.testing import assert_allclose
 from lfmrff.features import (
     FrequencyDraws,
     NumericsWarning,
+    block_params,
+    force_columns,
     force_frequencies,
     operator_roots,
+    phi_c_width,
     residue_coeffs,
     rfrf_general,
-    rfrf_ode1,
-    rfrf_ode2,
     sample_frequencies,
+    write_phi_block,
 )
-from lfmrff.kernels import response_quadrature
-from lfmrff.model import NumericalError, Ode1Params, Ode2Params, OdeOperator
+from lfmrff.kernels import feature_matrix, response_quadrature
+from lfmrff.model import LfmSpec, NumericalError, Ode1Params, Ode2Params, OdeOperator
 
 
 class TestResidues:
@@ -81,13 +83,13 @@ class TestResponseFeatures:
     def test_ode1_matches_quadrature_frozen_value(self):
         # Independent value: scipy.integrate.quad of exp(-0.8 u) exp(j(-2)(1.3-u))
         # over u in [0, 1.3].
-        got = rfrf_ode1(np.array([1.3]), Ode1Params(0.8), np.array([-2.0]))
+        got = rfrf_general(np.array([1.3]), Ode1Params(0.8), np.array([-2.0]))
         assert_allclose(
             got[0, 0], 0.01351896452171259 - 0.6105793034725487j, rtol=1e-12
         )
 
     def test_ode2_matches_quadrature_frozen_value(self):
-        got = rfrf_ode2(np.array([0.7]), Ode2Params(1.0, 3.0, 2.0), np.array([1.0]))
+        got = rfrf_general(np.array([0.7]), Ode2Params(1.0, 3.0, 2.0), np.array([1.0]))
         assert_allclose(
             got[0, 0], 0.12009565858069397 + 0.03394237164580603j, rtol=1e-10
         )
@@ -95,7 +97,7 @@ class TestResponseFeatures:
     @pytest.mark.parametrize("lam", [-3.1, -0.4, 0.9, 4.2])
     @pytest.mark.parametrize("t", [0.1, 0.7, 2.4])
     def test_ode1_grid_vs_quadrature(self, t, lam):
-        got = rfrf_ode1(np.array([t]), Ode1Params(1.3), np.array([lam]))[0, 0]
+        got = rfrf_general(np.array([t]), Ode1Params(1.3), np.array([lam]))[0, 0]
         want = response_quadrature(t, Ode1Params(1.3), lam)
         assert abs(got - want) < 1e-8
 
@@ -106,7 +108,7 @@ class TestResponseFeatures:
     def test_ode2_grid_vs_quadrature(self, params):
         for t in (0.3, 1.9):
             for lam in (-1.7, 2.5):
-                got = rfrf_ode2(np.array([t]), params, np.array([lam]))[0, 0]
+                got = rfrf_general(np.array([t]), params, np.array([lam]))[0, 0]
                 want = response_quadrature(t, params, lam)
                 assert abs(got - want) < 1e-8
 
@@ -123,23 +125,23 @@ class TestResponseFeatures:
     def test_general_agrees_with_ode1(self):
         t = np.linspace(0.05, 2.5, 7)
         lam = np.array([-1.2, 0.5, 3.0])
-        a = rfrf_ode1(t, Ode1Params(0.9), lam)
+        a = rfrf_general(t, Ode1Params(0.9), lam)
         b = rfrf_general(t, OdeOperator((1.0, 0.9)), lam)
         assert_allclose(a, b, rtol=1e-11, atol=1e-13)
 
     def test_general_agrees_with_ode2(self):
         t = np.linspace(0.05, 2.5, 7)
         lam = np.array([-1.2, 0.5, 3.0])
-        a = rfrf_ode2(t, Ode2Params(1.0, 2.0, 5.0), lam)
+        a = rfrf_general(t, Ode2Params(1.0, 2.0, 5.0), lam)
         b = rfrf_general(t, OdeOperator((1.0, 2.0, 5.0)), lam)
         assert_allclose(a, b, rtol=1e-11, atol=1e-13)
 
     def test_zero_time_is_zero(self):
-        got = rfrf_ode1(np.array([0.0]), Ode1Params(1.0), np.array([1.5]))
+        got = rfrf_general(np.array([0.0]), Ode1Params(1.0), np.array([1.5]))
         assert_allclose(got, 0.0, atol=1e-15)
 
     def test_scalar_inputs_squeeze(self):
-        v = rfrf_ode1(0.5, Ode1Params(1.0), 1.0)
+        v = rfrf_general(0.5, Ode1Params(1.0), 1.0)
         assert np.ndim(v) == 0
 
     def test_frequency_collision_perturbed(self):
@@ -147,7 +149,7 @@ class TestResponseFeatures:
         # one with the sampled frequency must not produce a NaN.
         params = Ode2Params(1.0, 0.0, 4.0)
         with pytest.warns(NumericsWarning):
-            v = rfrf_ode2(np.array([0.8]), params, np.array([2.0]))
+            v = rfrf_general(np.array([0.8]), params, np.array([2.0]))
         assert np.all(np.isfinite(v))
 
 
@@ -192,3 +194,28 @@ class TestDraws:
 def test_frequency_draws_rejects_bad_base():
     with pytest.raises(ValueError):
         FrequencyDraws(np.zeros((3,)), seed=0, num_samples=3)
+
+
+@pytest.mark.parametrize("q_count", [1, 3])
+def test_phi_c_layout_helpers_match_writer_and_view(q_count):
+    # Force-major complex columns, Re/Im interleaved in Phi_c: force q's
+    # block lands in Phi_c columns 2(q-1)S .. 2qS, and phi views phi_c.
+    s_count, t = 4, np.linspace(0.1, 2.0, 5)
+    spec = LfmSpec((Ode2Params(1.0, 2.0, 5.0),), q_count, np.linspace(0.8, 1.4, q_count),
+                   [np.linspace(0.5, 1.5, q_count)], [0.1])
+    draws = sample_frequencies(s_count, q_count, seed=2)
+    width = phi_c_width(q_count, s_count)
+    assert width == 2 * q_count * s_count
+    fm = feature_matrix(t, np.ones(5, int), spec, draws)
+    assert fm.phi_c.shape == (5, width)
+    assert fm.phi.shape == (5, q_count * s_count)
+    assert np.shares_memory(fm.phi, fm.phi_c)
+    for (_, q), block in block_params([1], spec, draws).items():
+        cols = force_columns(q, s_count)
+        assert cols == slice((q - 1) * s_count, q * s_count)
+        out = np.zeros((5, width))
+        write_phi_block(out, slice(None), spec, s_count, 1, q, block.fill(t))
+        assert np.flatnonzero(np.any(out != 0.0, axis=0)).tolist() == list(
+            range(2 * cols.start, 2 * cols.stop))
+        assert np.array_equal(out[:, 2 * cols.start : 2 * cols.stop : 2], fm.phi[:, cols].real)
+        assert np.array_equal(out[:, 2 * cols.start + 1 : 2 * cols.stop : 2], fm.phi[:, cols].imag)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from lfmrff.features import force_frequencies, rfrf_ode1, rfrf_ode2, sample_frequencies
+from lfmrff.features import force_frequencies, rfrf_general, sample_frequencies
 from lfmrff.kernels import (
     approx_cov,
     cross_cov_entry,
@@ -69,8 +69,7 @@ class TestFeatureMatrix:
         for q in (1, 2):
             lam = force_frequencies(draws, q, spec.lengthscales[q - 1])
             for n, (tn, d) in enumerate(zip(t, ids)):
-                op = spec.outputs[d - 1]
-                resp = rfrf_ode1(tn, op, lam) if d == 1 else rfrf_ode2(tn, op, lam)
+                resp = rfrf_general(tn, spec.outputs[d - 1], lam)
                 scale = spec.sensitivities[d - 1, q - 1] / np.sqrt(s_count)
                 expected[n, (q - 1) * s_count : q * s_count] = scale * resp
         pc = fm.phi_c

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from lfmrff.features import feature_blocks, output_rows
+from lfmrff.features import block_params, output_rows
 from lfmrff.kernels import approx_cov
 from lfmrff.model import DataError, MogpSpec
 from lfmrff.mogp import (
@@ -63,9 +63,9 @@ class TestFeatures:
         fm = mogp_feature_matrix(x, ids, SPEC_2D, draws)
         rows = output_rows(ids)
         expected = np.empty((7, 32), dtype=complex)
-        for (d, q), (_, v) in feature_blocks(x, rows, SPEC_2D, draws).items():
+        for (d, q), block in block_params(rows, SPEC_2D, draws).items():
             scale = SPEC_2D.sensitivities[d - 1, q - 1] / 4.0
-            expected[rows[d], (q - 1) * 16 : q * 16] = scale * v
+            expected[rows[d], (q - 1) * 16 : q * 16] = scale * block.fill(x[rows[d]])
         assert fm.phi_c.shape == (7, 64)
         assert_allclose(fm.phi_c[:, 0::2], expected.real, rtol=1e-14, atol=1e-16)
         assert_allclose(fm.phi_c[:, 1::2], expected.imag, rtol=1e-14, atol=1e-16)
@@ -75,8 +75,10 @@ class TestFeatures:
 
     def test_input_dim_checked(self):
         draws = sample_spectral(4, 2, 2, seed=0)
-        with pytest.raises(ValueError):
-            mogp_feature_matrix(np.zeros((3, 1)), np.ones(3, int), SPEC_2D, draws)
+        for x in (np.zeros(3), np.zeros((3, 1)), np.zeros((3, 3))):
+            dim = 1 if x.ndim == 1 else x.shape[1]
+            with pytest.raises(DataError, match=f"dimension {dim} does not match spec input_dim 2"):
+                mogp_feature_matrix(x, np.ones(3, int), SPEC_2D, draws)
 
     def test_draw_compatibility_checked(self):
         draws = sample_spectral(4, 1, 2, seed=0)

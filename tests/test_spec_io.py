@@ -10,7 +10,7 @@ import math
 
 import pytest
 
-from lfmrff.cli import build_spec, load_config, main, spec_from_dict, spec_to_dict, write_fit_file
+from lfmrff.cli import build_spec, load_config, main, spec_from_dict, write_fit_file
 from lfmrff.likelihood import FitResult
 from lfmrff.model import LfmSpec, MogpSpec, Ode1Params, Ode2Params, OdeOperator, pack, unpack
 
@@ -162,7 +162,7 @@ def test_mixed_packing_layout():
     )
 
 
-# (config text, input_dim, packed labels, packed values, spec_to_dict) per kind.
+# (config text, input_dim, packed labels, packed values, spec.to_dict()) per kind.
 # Each config also sets a key of another kind, which must be ignored.
 CASES = {
     "ode1": (
@@ -244,8 +244,8 @@ def test_config_to_fit_file_round_trip(tmp_path, kind):
     rebuilt = unpack(packed, spec)
     assert pack(rebuilt).values.tolist() == [math.log(math.exp(v)) if lab.startswith("log_")
                                              else v for lab, v in zip(labels, values)]
-    assert spec_to_dict(spec) == doc
-    assert spec_to_dict(spec_from_dict(doc)) == doc
+    assert spec.to_dict() == doc
+    assert spec_from_dict(doc).to_dict() == doc
 
 
 def _kernel_bytes(tmp_path, name, text):

@@ -22,7 +22,7 @@ from scipy.linalg import cho_solve
 from lfmrff import backends, cli, features
 from lfmrff.features import (
     NumericsWarning,
-    feature_blocks,
+    block_params,
     output_rows,
     run_chunks,
     sample_frequencies,
@@ -96,8 +96,8 @@ def whole_block_phi_c(data, spec, draws):
     s_count = draws.num_samples
     phi_c = np.zeros((len(data), 2 * spec.num_forces * s_count))
     rows = output_rows(data.output_ids)
-    for (d, q), (_, v) in feature_blocks(data.inputs, rows, spec, draws).items():
-        write_phi_block(phi_c, rows[d], spec, s_count, d, q, v)
+    for (d, q), block in block_params(rows, spec, draws).items():
+        write_phi_block(phi_c, rows[d], spec, s_count, d, q, block.fill(data.inputs[rows[d]]))
     return phi_c
 
 
