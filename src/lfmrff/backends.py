@@ -9,8 +9,11 @@ roots s_1..s_P and the excitation root x = j*lam,
 
 so one fill, ``residue_fill``, serves operators of every order, and one
 contraction, ``residue_grads``, reduces a block's derivatives against
-dL/dPhi to per-column sums without forming them.  ``mogp_fill`` is the
-convolved MOGP's fill.  Nothing in the library calls ``ode1_fill``,
+dL/dPhi to per-column sums without forming them.  It is two steps: the
+row sums of ``residue_sums`` and the O(P^2 S) ``residue_algebra`` on
+them.  The objective reads the same row sums off its Gram matrices
+instead of rows (see ``likelihood``) and calls ``residue_algebra``
+alone.  ``mogp_fill`` is the convolved MOGP's fill.  Nothing in the library calls ``ode1_fill``,
 ``ode2_fill``, ``ode1_grads``, ``ode2_grads`` or ``backend_name``: they
 are kept for the benchmark, whose tracer wraps the first four and whose
 report names the backend, and go with ROADMAP item 1.
@@ -27,8 +30,8 @@ from __future__ import annotations
 import numpy as np
 
 # Rows per chunk of every streamed pass: the fills here, the feature-matrix
-# assembly and prediction in ``features`` and ``predict``, and the two-pass
-# likelihood.  It bounds each pass's temporaries to a few CHUNK_ROWS x R
+# assembly and prediction in ``features`` and ``predict``, and the
+# objective's one pass in ``likelihood``.  It bounds each pass's temporaries to a few CHUNK_ROWS x R
 # arrays, 1.6 MB each at R = 200, small enough to stay in cache (512 to 2048
 # rows ran equally fast, 4096 slower); being fixed, it also fixes the
 # summation order, so results repeat bit for bit.  A multiple of 4 keeps
@@ -134,36 +137,44 @@ def ode2_fill(t, lam, mass, s1, s2):
 # needs only F_p = h^T e_p and Ft_p = h^T (t e_p), which are small matrix
 # products, and the e^{x t} sums X = colsum(h * E), Xt = colsum(h * t E).
 # A_x X and A_x Xt are read off a_0 colsum(h * v) and a_0 colsum(h * t v)
-# less the system terms, so the only full-size pass is h * v.  Operator
+# less the system terms, so these four row sums are all the data-sized
+# work (``residue_sums``) and the rest is per column.  Operator
 # coefficients follow by the implicit function theorem on the
 # characteristic polynomial a(s) = sum_i a_i s^(P-i):
 #     ds_p/da_i = -s_p^(P-i) / a'(s_p),  a'(s_p) = a_0 / R_p,
 # plus -v/a_0 for a_0, which also divides the sum.
 
 
-def residue_grads(t, lam, roots, leading, h, v):
-    """Per-column contractions of ``h`` against a response block's derivatives.
+def root_exponentials(t, roots):
+    """[E | tE] for E = e^{s_p t}, one column per root: shape (len(t), 2P)."""
+    t = np.ascontiguousarray(t, dtype=float)
+    e = np.exp(np.outer(t, np.asarray(roots, dtype=complex)))
+    return np.concatenate([e, t[:, None] * e], axis=1)
 
-    ``v`` is the (len(t), len(lam)) response of an operator with distinct
-    characteristic ``roots`` and leading coefficient a_0 = ``leading`` to
-    exp(j*lam*t), the block a fill returned; ``h`` has its shape.  Returns
-    (hv, dcoeffs, dlam), where for column k
 
-        hv[k]         = Re sum_i h[i, k] v[i, k],
-        dcoeffs[i, k] = Re sum_i h[i, k] dv[i, k]/da_i   (i = 0..P),
-        dlam[k]       = Re sum_i h[i, k] dv[i, k]/dlam_k.
+def residue_sums(t, roots, h, v):
+    """The row sums of ``h`` that ``residue_algebra`` reads, one column each.
+
+    Returns (f, ft, hv, hvt): f = E^T h and ft = (tE)^T h, both (P, S),
+    for E = e^{s_p t}, and hv = colsum(h v), hvt = colsum(h t v).
     """
     t = np.ascontiguousarray(t, dtype=float)
+    p_count = np.size(roots)
+    f_all = root_exponentials(t, roots).T @ h  # (2P, S)
+    hv_all = np.stack([np.ones_like(t), t]) @ (h * v)  # colsum(h v), colsum(h t v)
+    return f_all[:p_count], f_all[p_count:], hv_all[0], hv_all[1]
+
+
+def residue_algebra(lam, roots, leading, f, ft, hv, hvt):
+    """``residue_grads`` from the row sums of ``residue_sums``: O(P^2 S) work.
+
+    The sums are linear in ``h``, so they may come from anywhere that adds
+    them up, such as chunks of rows or the objective's Gram matrices.
+    """
     s = np.asarray(roots, dtype=complex)
     x = 1j * np.asarray(lam, dtype=float)
     p_count = s.size
     res, inv_diff, inv_sx, a_sys = _residues(s, x)
-
-    e = np.exp(np.outer(t, s))
-    f_all = np.concatenate([e, t[:, None] * e], axis=1).T @ h  # (2P, S)
-    f, ft = f_all[:p_count], f_all[p_count:]
-    hv_all = np.stack([np.ones_like(t), t]) @ (h * v)  # colsum(h v), colsum(h t v)
-    hv, hvt = hv_all[0], hv_all[1]
     af = a_sys * f
     y = leading * hv - af.sum(axis=0)  # A_x X
     yt = leading * hvt - (a_sys * ft).sum(axis=0)  # A_x Xt
@@ -179,6 +190,23 @@ def residue_grads(t, lam, roots, leading, h, v):
     dcoeffs[0] -= hv.real / leading
     dlam = -c_exc.imag / leading  # Re(j c_exc) / a_0
     return hv.real, dcoeffs, dlam
+
+
+def residue_grads(t, lam, roots, leading, h, v):
+    """Per-column contractions of ``h`` against a response block's derivatives.
+
+    ``v`` is the (len(t), len(lam)) response of an operator with distinct
+    characteristic ``roots`` and leading coefficient a_0 = ``leading`` to
+    exp(j*lam*t), the block a fill returned; ``h`` has its shape.  Returns
+    (hv, dcoeffs, dlam), where for column k
+
+        hv[k]         = Re sum_i h[i, k] v[i, k],
+        dcoeffs[i, k] = Re sum_i h[i, k] dv[i, k]/da_i   (i = 0..P),
+        dlam[k]       = Re sum_i h[i, k] dv[i, k]/dlam_k.
+
+    It is the row sums of ``residue_sums`` followed by ``residue_algebra``.
+    """
+    return residue_algebra(lam, roots, leading, *residue_sums(t, roots, h, v))
 
 
 # kept for the benchmark's tracer, which wraps it; delete with ROADMAP item 1

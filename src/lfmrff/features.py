@@ -13,7 +13,9 @@ check that draws fit a spec.  Feature blocks, for every model type, come
 in two steps: ``block_params`` fixes the parameters of each (output,
 force) block once per call in a ``ResponseBlock`` (which moves its
 frequencies off the operator's roots) or ``MogpBlock``, whose ``fill``
-fills given rows and whose ``grads`` contracts dL/dPhi on them.
+fills given rows and whose ``grads`` turns per-column sums of dL/dPhi
+over them into parameter slopes.  ``output_blocks`` makes one block per
+output that spans all forces, for the likelihood objective.
 ``write_phi_block`` places a block, or rows of it, into Phi_c, the real
 view of Phi, whose layout ``force_columns`` and ``phi_c_width`` state.
 
@@ -46,7 +48,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import backends
-from .model import DataError, LfmSpec, MogpSpec, NumericalError, Ode1Params, OdeOperator
+from .model import DataError, LfmSpec, NumericalError, Ode1Params, OdeOperator
 
 __all__ = [
     "NumericsWarning",
@@ -66,6 +68,7 @@ __all__ = [
     "ResponseBlock",
     "MogpBlock",
     "block_params",
+    "output_blocks",
     "force_columns",
     "phi_c_width",
     "write_phi_block",
@@ -381,13 +384,23 @@ class ResponseBlock:
     def fill(self, x):
         return backends.residue_fill(x, self.lam, self.rs.roots, self.rs.leading)
 
-    def grads(self, x, h, v):
-        """(Re sum h v, d/d(packed head slots), d/dlog ell) for h = conj(dL/dPhi)
-        and v on rows of the block at inputs x, unscaled by its sensitivity."""
+    def row_weights(self, x):
+        """[E | tE] for E = e^{s_p t}: the rows ``grads`` needs ``ht`` against."""
+        return backends.root_exponentials(x, self.rs.roots)
+
+    def grads(self, hv, hvx, ht):
+        """(d/d(packed head slots), d/dlog ell per column) from column sums of h.
+
+        h = conj(dL/dv) on the block's unscaled features v at inputs x, and
+        hv = colsum(h v), hvx[0] = colsum(h t v) and ht = row_weights(x)^T h
+        are its sums over the block's rows.
+        """
         rs = self.rs
-        hv, dcoeffs, dl = backends.residue_grads(x, self.lam, rs.roots, rs.leading, h, v)
+        p_count = rs.roots.size
+        _, dcoeffs, dl = backends.residue_algebra(
+            self.lam, rs.roots, rs.leading, ht[:p_count], ht[p_count:], hv, hvx[0])
         # lam = sqrt(2) z / ell, so dlam/dlog ell = -lam
-        return float(np.sum(hv)), self.op.packed_gradient(dcoeffs), -float(dl @ self.lam)
+        return self.op.packed_gradient(dcoeffs), -dl * self.lam
 
 
 @dataclass(frozen=True, eq=False)
@@ -400,20 +413,29 @@ class MogpBlock:
     amp: np.ndarray
     prec: float
 
+    @classmethod
+    def at(cls, lam, prec):
+        """The block of frequencies ``lam`` for an output of inverse width ``prec``."""
+        b = np.sum(lam * lam, axis=1)
+        amp = (2.0 * math.pi / prec) ** (lam.shape[1] / 2.0) * np.exp(-b / (2.0 * prec))
+        return cls(lam, b, amp, prec)
+
     def fill(self, x):
         return backends.mogp_fill(x.reshape(x.shape[0], -1), self.lam, self.amp)
 
-    def grads(self, x, h, v):
+    def row_weights(self, x):
+        """No rows besides v and x: ``grads`` reads no ``ht``."""
+        return np.empty((x.shape[0], 0), dtype=complex)
+
+    def grads(self, hv, hvx, ht):
+        """As ``ResponseBlock.grads``, with hvx[j] = colsum(h v x_j)."""
         # v = amp(|lam|^2, P_d) exp(j x.lam): dv/dlog P_d = v (b/(2 P_d) - p/2)
         # and dv/dlog ell = v (b/P_d - j x.lam), so colsum(h v) and
         # colsum(h v x_j) are all the data-sized work.
-        x = x.reshape(x.shape[0], -1)
-        weights = np.concatenate([np.ones((x.shape[0], 1)), x], axis=1)
-        stats = weights.T @ (h * v)
-        hv = stats[0].real
-        d_width = float(hv @ (self.b / (2.0 * self.prec) - 0.5 * x.shape[1]))
-        dlogell = float(hv @ (self.b / self.prec) + np.sum(self.lam.T * stats[1:].imag))
-        return float(np.sum(hv)), np.array([d_width]), dlogell
+        hv = hv.real
+        d_width = float(hv @ (self.b / (2.0 * self.prec) - 0.5 * self.lam.shape[1]))
+        dlogell = hv * (self.b / self.prec) + np.sum(self.lam.T * hvx.imag, axis=0)
+        return np.array([d_width]), dlogell
 
 
 def block_params(outputs, spec, draws):
@@ -424,10 +446,7 @@ def block_params(outputs, spec, draws):
     Raises like ``check_draws`` for draws that do not fit ``spec``, and
     DataError for an output id outside 1..D.
     """
-    check_draws(spec, draws)
-    bad = [d for d in outputs if not 1 <= d <= spec.num_outputs]
-    if bad:
-        raise DataError(f"output_id {bad[0]} outside 1..{spec.num_outputs}")
+    _check_outputs(outputs, spec, draws)
     params = {}
     if isinstance(spec, LfmSpec):
         for d in outputs:
@@ -436,15 +455,36 @@ def block_params(outputs, spec, draws):
                 lam = force_frequencies(draws, q, spec.lengthscales[q - 1])
                 params[(d, q)] = ResponseBlock(spec.outputs[d - 1], rs, lam)
         return params
-    p = spec.input_dim
     for q in range(1, spec.num_forces + 1):
         lam = mogp_frequencies(draws, q, spec.lengthscales[q - 1])
-        b = np.sum(lam * lam, axis=1)
         for d in outputs:
-            prec = spec.inv_widths[d - 1]
-            amp = (2.0 * math.pi / prec) ** (p / 2.0) * np.exp(-b / (2.0 * prec))
-            params[(d, q)] = MogpBlock(lam, b, amp, prec)
+            params[(d, q)] = MogpBlock.at(lam, spec.inv_widths[d - 1])
     return params
+
+
+def output_blocks(outputs, spec, draws):
+    """One block per output d in ``outputs`` that spans all Q forces.
+
+    Block d's columns are the frequencies of forces 1..Q in turn, so its
+    fill is output d's rows of Phi in ``force_columns`` order, each force's
+    columns unscaled by S_{d,q}/sqrt(S).  Raises like ``block_params``.
+    """
+    _check_outputs(outputs, spec, draws)
+    if isinstance(spec, LfmSpec):
+        lam = np.concatenate([force_frequencies(draws, q, spec.lengthscales[q - 1])
+                              for q in range(1, spec.num_forces + 1)])
+        return {d: ResponseBlock(spec.outputs[d - 1], operator_roots(spec.outputs[d - 1]), lam)
+                for d in outputs}
+    lam = np.concatenate([mogp_frequencies(draws, q, spec.lengthscales[q - 1])
+                          for q in range(1, spec.num_forces + 1)])
+    return {d: MogpBlock.at(lam, spec.inv_widths[d - 1]) for d in outputs}
+
+
+def _check_outputs(outputs, spec, draws):
+    check_draws(spec, draws)
+    bad = [d for d in outputs if not 1 <= d <= spec.num_outputs]
+    if bad:
+        raise DataError(f"output_id {bad[0]} outside 1..{spec.num_outputs}")
 
 
 def force_columns(q, num_samples):
@@ -577,12 +617,13 @@ def phi_fill(inputs, output_ids, spec, draws):
 def assemble_phi_c(inputs, output_ids, spec, draws):
     """Real feature matrix Phi_c, (N, 2QS), chunk by chunk; ``.view(complex)`` is Phi.
 
-    DataError unless ``inputs`` have the spec's input dimension (1 for an LFM).
+    DataError unless ``inputs`` fit the spec as ``model.validate_dataset``
+    checks them: its ``check_inputs`` (times nonnegative scalars for an
+    LFM, the spec's input dimension for a MOGP), and finite.
     """
-    dim = 1 if inputs.ndim == 1 else inputs.shape[1]
-    want = spec.input_dim if isinstance(spec, MogpSpec) else 1
-    if dim != want:
-        raise DataError(f"input dimension {dim} does not match spec input_dim {want}")
+    spec.check_inputs(inputs)
+    if not np.all(np.isfinite(inputs)):
+        raise DataError("inputs must be finite")
     phi_c = np.empty((len(output_ids), phi_c_width(spec.num_forces, draws.num_samples)))
     fill = phi_fill(inputs, output_ids, spec, draws)
     run_chunks(len(output_ids), 0, lambda sl, _: fill(sl, phi_c[sl]))

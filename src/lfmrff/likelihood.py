@@ -3,36 +3,44 @@
 The low-rank evaluation rewrites the usual GP objective through the matrix
 inversion and determinant lemmas around A = I + Phi_c^T Sigma^-1 Phi_c,
 so cost is linear in the number of observations at fixed feature count.
-The data-fit term is y^T beta with beta = (K + Sigma)^-1 y, which avoids
-the cancellation between y^T Sigma^-1 y and alpha^T A^-1 alpha.
+The data-fit term is y^T beta with beta = (K + Sigma)^-1 y.  When the
+residuals y - Phi_c m are near the noise level, that term is a small
+difference of large sums, and float64 rounds the value at the noise floor
+(1e-8) to about 1e-9 relative whichever way it is summed.  On one draw of
+data from the features (N=400, R=200), the objective was within 3.2e-9
+and ``low_rank_log_marginal`` within 2.8e-9 of a 40-digit reference at
+the floor; at noise 1e-6 both were within 6.3e-11.
 
-Every objective evaluation streams over fixed chunks of
-``backends.CHUNK_ROWS`` rows in two passes.  Pass 1 accumulates A and
-alpha = Phi_c^T Sigma^-1 y and factors A once.  Pass 2 forms beta on each
-chunk from m = A^-1 alpha and sums the data-fit term.
-``low_rank_log_marginal`` accumulates A the same way over the Phi_c it is
-given, and ``weight_posterior`` over row chunks of Phi_c that are never
-held together (pass 1 alone: the weight posterior that prediction reads),
-filled and multiplied on two threads by ``features.run_chunks``.  The
-objective runs on the calling thread alone.
-The objective keeps only the complex feature blocks of
-``features.block_params``, filled once per evaluation, and rebuilds
-each chunk's rows of Phi_c from them with ``features.write_phi_block``,
-the writer ``feature_matrix`` and ``mogp_feature_matrix`` use; no N x R
-array is formed besides those blocks.  In pass 2 the gradient takes
-dL/dPhi_c = beta m^T - Sigma^-1 Phi_c A^-1 on each chunk (Phi_c^T beta
-equals m), whose complex view is dL/dPhi as Phi_c is the real view of
-Phi, and contracts it against the chunk's rows of each feature
-block without forming derivatives, each block by its own ``grads``:
-``backends.residue_grads`` reduces an LFM block of any operator order to
-per-column sums through the characteristic roots, and the chain rules
-through the frequency reparameterization lam = sqrt(2) z / ell, the
-packed head slots (each operator's ``packed_gradient``, see ``model``, or
-a MOGP's log inverse width), the log-transformed parameters and the
-per-output noise variances act on those sums.  The sums are linear in
-dL/dPhi_c, so they add over chunks.  A is factored
-with LAPACK potrf; the objective solves for m with potrs and forms the
-R x R A^-1 for the gradient with potri.
+``low_rank_log_marginal`` accumulates A over chunks of
+``backends.CHUNK_ROWS`` rows of the Phi_c it is given, and
+``weight_posterior`` over row chunks of Phi_c that are never held
+together (the weight posterior that prediction reads), filled and
+multiplied on two threads by ``features.run_chunks``.
+
+The objective runs on the calling thread in one pass over each output's
+rows, ``CHUNK_ROWS`` at a time, and holds no array that grows with N.  It
+fills each chunk once, as the output's one block of ``features.
+output_blocks`` (all Q forces, unscaled by the sensitivities), and adds
+the chunk into that output's Gram matrices (``_OutputSums``): G = psi^T
+psi and a = psi^T y for the value, and for the gradient the same sums
+weighted by each input coordinate and the rows' e^{s_p t} terms.  A,
+alpha and the data-fit term follow from G and a; A is factored with
+LAPACK potrf and m = A^-1 alpha solved with potrs.  The gradient takes
+dL/dPhi_c = beta m^T - Sigma^-1 Phi_c A^-1, whose complex view is dL/dPhi
+as Phi_c is the real view of Phi.  With beta = Sigma^-1 (y - Phi_c m) it
+is linear in y and Phi_c, so each per-column sum that a block's ``grads``
+reads (colsum(h v), colsum(h v x_j) and the root terms, h =
+conj(dL/dPhi)) is a column-wise dot of a Gram with C M, for M = m m^T +
+A^-1 the weights' posterior second moment: an O(R^2) step per Gram that
+reads no row again.  A block's ``grads`` then
+reduces those sums to its parameters' slopes: ``backends.residue_algebra``
+for an LFM block of any operator order, through the characteristic
+roots, and the chain rules through the frequency reparameterization
+lam = sqrt(2) z / ell, the packed head slots (each operator's
+``packed_gradient``, see ``model``, or a MOGP's log inverse width), the
+log-transformed parameters and the per-output noise variances.  The Grams
+are of the unscaled features, so no step divides by a sensitivity, and
+the slope at a zero sensitivity is exact.
 
 ``optimize`` maximizes the objective over the packed parameters with
 scipy's L-BFGS-B, one ``value_and_gradient`` per evaluation, and stops on
@@ -48,15 +56,15 @@ from time import perf_counter
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
-from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
+from scipy.linalg.blas import dsyr, dsyrk, dtrmm
+from scipy.linalg.lapack import dlauum, dpotrf, dpotrs, dtrtri
 from scipy.optimize import minimize
 
 from . import backends
 from .features import (
     NumericsWarning,
-    block_params,
     check_draws,
-    force_columns,
+    output_blocks,
     output_rows,
     phi_c_width,
     phi_fill,
@@ -64,7 +72,6 @@ from .features import (
     # delete with ROADMAP item 1
     rfrf_general,
     run_chunks,
-    write_phi_block,
 )
 from .kernels import FeatureMatrix
 from .model import (
@@ -147,11 +154,19 @@ def _finish(a):
     LAPACK potrf on the same matrix).
     """
     a[np.diag_indices(a.shape[0])] += 1.0
-    a = 0.5 * (a + a.T)
+    return _cholesky(0.5 * (a + a.T))
+
+
+def _cholesky(a):
+    """potrf's lower factor of A, upper triangle zero; in place when ``a`` is Fortran-ordered.
+
+    Reads only the lower triangle of ``a``.  Raises NumericalError when Phi
+    is not finite or A is not positive definite.
+    """
     # a non-finite entry of Phi makes its column's diagonal of A non-finite
     if not np.all(np.isfinite(np.diag(a))):
         raise NumericalError("feature matrix Phi is not finite")
-    chol, info = dpotrf(a, lower=1, clean=1)
+    chol, info = dpotrf(a, lower=1, clean=1, overwrite_a=1)
     if info != 0:
         raise NumericalError(
             f"A = I + Phi^T Sigma^-1 Phi not SPD: {info}-th leading minor of the array "
@@ -160,10 +175,10 @@ def _finish(a):
     return chol
 
 
-def _lml(data_fit, chol, noise):
-    """Log marginal likelihood given y^T beta and chol(A)."""
+def _lml(data_fit, chol, log_noise, n):
+    """Log marginal likelihood of n rows given y^T beta, chol(A) and sum_i log sigma_i^2."""
     log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
-    return -0.5 * (data_fit + log_det + float(np.sum(np.log(noise))) + noise.size * LOG_2PI)
+    return -0.5 * (data_fit + log_det + log_noise + n * LOG_2PI)
 
 
 def low_rank_log_marginal(phi, noise, y):
@@ -193,7 +208,7 @@ def low_rank_log_marginal(phi, noise, y):
     )
     alpha, chol = _factor(chunks, phi_c.shape[1])
     beta = sinv * (y - phi_c @ cho_solve((chol, True), alpha))
-    value = _lml(float(y @ beta), chol, noise)
+    value = _lml(float(y @ beta), chol, float(np.sum(np.log(noise))), n)
     return value, WeightPosterior(alpha, np.tril(chol))
 
 
@@ -245,14 +260,123 @@ def full_log_marginal(cov, noise, y):
 # packed-space objective with analytic gradient
 
 
+class _OutputSums:
+    """Sums over one output's rows of psi, the output's unscaled features.
+
+    psi is the fill of the output's ``features.output_blocks`` block in
+    Phi_c's real column layout, without the factors S_dq/sqrt(S): Phi_c's
+    rows of output d are psi C_d.  The value reads the Gram G = psi^T psi,
+    a = psi^T y, yy = y^T y and the row count n.  The gradient also reads,
+    for each input dimension j, Gx_j = sum_i (x_ij - x0_j) psi_i^T psi_i
+    (x0_j the output's least x_j, so each row's weight has a real square
+    root) and ax_j = sum_i x_ij y_i psi_i, and Omega^T psi and Omega^T y
+    for the block's ``row_weights`` Omega.  dsyrk adds each chunk into a
+    Gram's lower triangle in place; the upper triangle stays zero.
+    """
+
+    def __init__(self, x, y, r2):
+        self.x = x  # as the block's fill takes it
+        self.y = y
+        self.x2 = x.reshape(y.size, -1)
+        self.x0 = self.x2.min(axis=0)
+        self.n = y.size
+        self.yy = float(y @ y)
+        self.a = self._grad_sums = None  # set by add
+        self.gram = np.zeros((r2, r2), order="F")
+        self.gram_x = [np.zeros((r2, r2), order="F") for _ in self.x0]
+
+    def add(self, block, gradient, step, rows):
+        """Sum over the rows for ``block``, ``step`` rows at a time.
+
+        ``rows`` is a (step, R) work array for the rows of sqrt(x_j - x0_j) psi.
+        """
+        for lo in range(0, self.n, step):
+            sl = slice(lo, lo + step)
+            y = self.y[sl]
+            psi = block.fill(self.x[sl]).view(float)
+            keep = float(lo > 0)  # dsyrk's beta: the first chunk overwrites the sums
+            dsyrk(1.0, psi.T, keep, self.gram, lower=1, overwrite_c=1)
+            a = psi.T @ y
+            self.a = self.a + a if lo else a
+            if not gradient:
+                continue
+            x = self.x2[sl]
+            w = rows[: y.size]
+            for j, gram in enumerate(self.gram_x):
+                np.multiply(psi, np.sqrt(x[:, j] - self.x0[j])[:, None], out=w)
+                dsyrk(1.0, w.T, keep, gram, lower=1, overwrite_c=1)
+            # the real view of Omega keeps psi real: (Re, Im) row pairs of Omega^T psi
+            omega = block.row_weights(self.x[sl]).view(float)
+            sums = ((x * y[:, None]).T @ psi, omega.T @ psi, omega.T @ y)
+            if lo:
+                sums = [old + new for old, new in zip(self._grad_sums, sums)]
+            self._grad_sums = sums
+
+    def column_sums(self, m, mat, c, sig2, sym):
+        """(hv, hvx, ht, z): column sums over these rows of h = conj(dL/dPhi).
+
+        dL/dPhi_c = beta m^T - Sigma^-1 Phi_c A^-1 with beta = Sigma^-1 (y -
+        Phi_c m), so on these rows it is (y m^T - psi C_d M) / sigma^2 for
+        M = m m^T + A^-1, whose complex column view is ``mat``.  With v the
+        complex view of psi, hv = colsum(h v), hvx[j] = colsum(h v x_j) and
+        ht = Omega^T h; each is linear in y and psi, so it is a column-wise
+        dot of a Gram with C_d M and no row is read again.  z is the term of
+        hv in G, times -sigma^2.  ``c`` holds S_dq/sqrt(S) per force and
+        ``sym`` is a Fortran-ordered R x R work array.
+        """
+        m_conj = m.view(complex).conj()
+        a_x, omega_psi, omega_y = self._grad_sums
+        z = _gram_dot(self.gram, mat, c, sym)
+        hv = (m_conj * self.a.view(complex) - z) / sig2
+        hvx = np.array([m_conj * ax.view(complex) - _gram_dot(gram, mat, c, sym) - x0 * z
+                        for ax, gram, x0 in zip(a_x, self.gram_x, self.x0)]) / sig2
+        # Omega^T psi C_d conj(M) = conj(conj(Omega^T psi C_d) M)
+        omega_psi = (omega_psi[0::2] + 1j * omega_psi[1::2]) * np.repeat(c, mat.shape[0] // c.size)
+        ht = (np.multiply.outer(omega_y[0::2] + 1j * omega_y[1::2], m_conj)
+              - (omega_psi.conj() @ mat).conj()) / sig2
+        return hv, hvx, ht, z
+
+
+def _gram_dot(gram, mat, c, sym):
+    """colsum(conj(C M) * G) in complex column view, for G with the lower triangle ``gram``.
+
+    ``mat`` is the complex column view of M and ``c`` holds C's factor per
+    force, so force q's rows take c[q-1].  G is written into ``sym``.
+    """
+    np.add(gram, gram.T, out=sym)
+    np.fill_diagonal(sym, gram.diagonal())
+    rows = (c.size, -1, mat.shape[1])
+    # G is symmetric, so sym.T is G with contiguous rows
+    return c @ np.vecdot(mat.reshape(rows), sym.T.view(complex).reshape(rows), axis=1)
+
+
+def _inverse(chol):
+    """A^-1's lower triangle, in place over A's lower Cholesky factor (Fortran order).
+
+    LAPACK potri, with the triangular inverse L^-1 taken by halves:
+    [[X11, 0], [-X22 L21 X11, X22]] for X = inverse of each diagonal block.
+    The two triangular products make it about 40% faster than potri at
+    R = 200.
+    """
+    h = chol.shape[0] // 2
+    x11, x22, l21 = chol[:h, :h], chol[h:, h:], chol[h:, :h]
+    x11[...] = dtrtri(x11, lower=1)[0]
+    x22[...] = dtrtri(x22, lower=1)[0]
+    l21[...] = dtrmm(1.0, x11, dtrmm(-1.0, x22, l21, lower=1), lower=1, side=1)
+    return dlauum(chol, lower=1, overwrite_c=1)[0]
+
+
 class LmlObjective:
     """Deterministic packed-parameter objective over fixed frequency draws.
 
     Frequencies are held fixed across evaluations (common random numbers),
     so the objective is smooth in the lengthscales through the
-    reparameterization of the draws rather than stochastic.  Evaluations
-    reuse the objective's chunk work arrays, so one objective must not be
-    evaluated from two threads at once.
+    reparameterization of the draws rather than stochastic.  Each
+    evaluation is one pass over each output's rows, which adds the rows'
+    features into that output's Gram matrices; value and gradient follow
+    from those in O(D R^2) work (see the module docstring).  The sums and
+    the work arrays are allocated at the first evaluation and reused, so
+    one objective must not be evaluated from two threads at once.
     """
 
     def __init__(self, data: Dataset, template, draws):
@@ -267,32 +391,21 @@ class LmlObjective:
         # each output's inputs and targets, in its blocks' row order
         self._x = {d: data.inputs[r] for d, r in self._rows.items()}
         self._y = {d: data.y[r] for d, r in self._rows.items()}
-        # Chunk work arrays, reused by every evaluation: a chunk's rows of
-        # Phi_c, of T = Sigma^-1 Phi_c A^-1, and of one block of dL/dPhi.
-        # Fresh chunk-sized arrays would page-fault again on every chunk,
-        # a large share of an evaluation at a few thousand rows.
-        chunk = min(backends.CHUNK_ROWS, max((r.size for r in self._rows.values()), default=0))
-        self._phi_buf = np.empty((chunk, phi_c_width(template.num_forces, draws.num_samples)))
-        self._t_buf = np.empty_like(self._phi_buf)
-        self._h_buf = np.empty((chunk, draws.num_samples), dtype=complex)
+        self._sums = None  # {d: _OutputSums}, made at the first evaluation
 
-    def _chunks(self, spec, blocks):
-        """Yield (d, rows, phi) for each chunk of each output's rows.
+    def _allocate(self):
+        """The per-output sums and the R x R and chunk-sized work arrays.
 
-        ``rows`` slices output d's blocks, inputs and targets, and ``phi``
-        holds those rows of Phi_c.  Every chunk is written into the same
-        work array, so ``phi`` is valid until the next chunk.
+        Fresh arrays of these sizes would page-fault again on every
+        evaluation, a large share of one at a thousand rows.
         """
-        s_count = self.draws.num_samples
-        step = self._phi_buf.shape[0]
-        for d, rows in self._rows.items():
-            for lo in range(0, rows.size, step):
-                sl = slice(lo, lo + step)
-                phi = self._phi_buf[: min(step, rows.size - lo)]
-                for q in range(1, spec.num_forces + 1):
-                    v = blocks[(d, q)][1][sl]
-                    write_phi_block(phi, slice(None), spec, s_count, d, q, v)
-                yield d, sl, phi
+        r2 = phi_c_width(self.template.num_forces, self.draws.num_samples)
+        self._sums = {d: _OutputSums(self._x[d], self._y[d], r2) for d in self._rows}
+        self._step = min(backends.CHUNK_ROWS, max((s.n for s in self._sums.values()), default=0))
+        self._rows_buf = np.empty((self._step, r2))
+        self._a = np.empty((r2, r2), order="F")  # A, its factor, then M's lower triangle
+        self._mat = np.empty((r2, r2), order="F")  # M = m m^T + A^-1
+        self._sym = np.empty((r2, r2), order="F")
 
     # -- evaluations ----------------------------------------------------------
 
@@ -304,78 +417,74 @@ class LmlObjective:
 
     def _evaluate(self, theta, gradient):
         spec = unpack(theta, self.template)
-        blocks = {(d, q): (block, block.fill(self._x[d]))
-                  for (d, q), block in block_params(self._rows, spec, self.draws).items()}
-        r2 = self._phi_buf.shape[1]
-        sinvs = 1.0 / spec.noise_vars
-        roots = np.sqrt(sinvs)
-        # pass 1 whitens each chunk in place; pass 2 writes it again
-        alpha, chol = _factor(
-            ((np.multiply(phi, roots[d - 1], out=phi), roots[d - 1] * self._y[d][sl])
-             for d, sl, phi in self._chunks(spec, blocks)),
-            r2,
-        )
+        blocks = output_blocks(self._rows, spec, self.draws)
+        if self._sums is None:
+            self._allocate()
+        s_count, n_q = self.draws.num_samples, spec.num_forces
+        r2 = self._a.shape[0]
+        sig2 = {d: spec.noise_vars[d - 1] for d in self._sums}
+        # C_d's factor S_dq/sqrt(S) per force, and per column of Phi_c
+        scales = spec.sensitivities / math.sqrt(s_count)
+        cols = {d: np.repeat(scales[d - 1], 2 * s_count) for d in self._sums}
+        # A = I + sum_d C_d G_d C_d / sigma_d^2.  C_d takes one factor per
+        # force, so A's blocks are the Grams' blocks times a Q x Q array:
+        # with Fortran order, axes (column within force, force) twice.
+        blocks4 = (2 * s_count, n_q) * 2
+        a_mat, sym = self._a, self._sym
+        a_mat.fill(0.0)
+        alpha = np.zeros(r2)
+        for d, sums in self._sums.items():
+            sums.add(blocks[d], gradient, self._step, self._rows_buf)
+            np.multiply(sums.gram.reshape(blocks4, order="F"),
+                        np.multiply.outer(scales[d - 1], scales[d - 1] / sig2[d])[None, :, None, :],
+                        out=sym.reshape(blocks4, order="F"))
+            a_mat += sym
+            alpha += cols[d] * sums.a / sig2[d]
+        a_mat[np.diag_indices(r2)] += 1.0
+        chol = _cholesky(a_mat)
         m = dpotrs(chol, alpha, lower=1)[0]
-        if gradient:
-            # A^-1 is formed once (R x R), so T is one GEMM per chunk; potri
-            # writes its lower triangle, and chol's upper triangle is zero
-            a_inv = dpotri(chol, lower=1)[0]
-            a_inv += np.tril(a_inv, -1).T
-            grad = np.zeros(len(self.labels))
-        data_fit = 0.0
-        for d, sl, phi in self._chunks(spec, blocks):
-            y = self._y[d][sl]
-            beta = sinvs[d - 1] * (y - phi @ m)
-            data_fit += float(y @ beta)
-            if gradient:
-                grad += self._chunk_gradient(spec, blocks, d, sl, phi, beta, m, a_inv)
-        value = _lml(data_fit, chol, noise_vector(spec, self.data.output_ids))
+        # yy - a^T C_d m = y^T (y - Phi_c m) on output d's rows
+        fits = {d: sums.yy - float((cols[d] * sums.a) @ m) for d, sums in self._sums.items()}
+        value = _lml(sum(fits[d] / sig2[d] for d in fits), chol,
+                     sum(sums.n * math.log(sig2[d]) for d, sums in self._sums.items()),
+                     len(self.data))
         if not gradient:
             return value, None
+
+        # M = m m^T + A^-1: A^-1's lower triangle over the factor (whose
+        # upper triangle is zero), then m m^T added
+        low = dsyr(1.0, m, lower=1, a=_inverse(chol), overwrite_a=1)
+        np.add(low, low.T, out=self._mat)
+        np.fill_diagonal(self._mat, low.diagonal())
+        mat = self._mat.T.view(complex)
+
+        head_grad = [np.zeros(k) for k in self._head_sizes]
+        ell_grad = np.zeros(n_q)
+        noise_grad = np.zeros(spec.num_outputs)
+        sens_grad = np.zeros((spec.num_outputs, n_q))
+        for d, sums in self._sums.items():
+            hv, hvx, ht, z = sums.column_sums(m, mat, scales[d - 1], sig2[d], sym)
+            c = cols[d][::2]  # per complex column
+            # dL/dsigma^2 = (sum_i beta_i^2 - sum_i (K + Sigma)^-1_ii) / 2, then
+            # the log chain; floored variances have zero derivative through max().
+            # On these rows sigma^4 sum beta_i^2 = yy - 2 a^T C m + m^T C G C m
+            # and sigma^2 sum (K + Sigma)^-1_ii = n - tr(A^-1 C G C) / sigma^2,
+            # whose two terms in G add up to c . Re z.
+            if sig2[d] > NOISE_FLOOR:
+                noise_grad[d - 1] = 0.5 * ((2.0 * fits[d] - sums.yy + float(c @ z.real))
+                                           / sig2[d] - sums.n)
+            sens_grad[d - 1] = hv.real.reshape(n_q, s_count).sum(axis=1) / math.sqrt(s_count)
+            # h C_d = conj(dL/dv) for the unscaled block v
+            dheads, dlogell = blocks[d].grads(c * hv, c * hvx, c * ht)
+            head_grad[d - 1] += dheads
+            ell_grad += dlogell.reshape(n_q, s_count).sum(axis=1)
+        grad = np.concatenate([*head_grad, ell_grad, noise_grad, sens_grad.ravel()])
         if not np.all(np.isfinite(grad)):
             i = int(np.argmax(~np.isfinite(grad)))
             raise NumericalError(
                 f"non-finite gradient at packed slot {i} ({self.labels[i]})"
             )
         return value, grad
-
-    def _chunk_gradient(self, spec, blocks, d, sl, phi, beta, m, a_inv):
-        """Packed-gradient terms of output d's rows ``sl``.
-
-        ``phi`` holds those rows of Phi_c, ``beta`` their entries of
-        (K + Sigma)^-1 y, and m = A^-1 alpha = Phi_c^T beta.
-        """
-        s_count, n_q = self.draws.num_samples, spec.num_forces
-        root_s = 1.0 / math.sqrt(s_count)
-        head_grad = [np.zeros(k) for k in self._head_sizes]
-        ell_grad = np.zeros(n_q)
-        noise_grad = np.zeros(spec.num_outputs)
-        sens_grad = np.zeros((spec.num_outputs, n_q))
-
-        # T = Sigma^-1 Phi_c A^-1 on these rows
-        sig2 = spec.noise_vars[d - 1]
-        t_mat = np.matmul(phi, a_inv, out=self._t_buf[: phi.shape[0]])
-        t_mat /= sig2
-        # noise: dL/dSigma_ii = (beta_i^2 - (K+Sigma)^-1_ii) / 2, then the
-        # log chain; floored variances have zero derivative through max().
-        if sig2 > NOISE_FLOOR:
-            minv_diag = (1.0 - np.einsum("ij,ij->i", phi, t_mat)) / sig2
-            noise_grad[d - 1] = sig2 * float(np.sum(0.5 * (beta**2 - minv_diag)))
-
-        # dL/dPhi_c = beta beta^T Phi_c - T = beta m^T - T, written over T;
-        # its complex view is dL/dRe Phi + j dL/dIm Phi
-        g = np.subtract(np.multiply.outer(beta, m), t_mat, out=t_mat).view(complex)
-        h = self._h_buf[: phi.shape[0]]
-        for q in range(1, n_q + 1):
-            # h = conj(dL/dPhi) on block (d, q)
-            np.conjugate(g[:, force_columns(q, s_count)], out=h)
-            block, v = blocks[(d, q)]
-            hv, dheads, dlogell = block.grads(self._x[d][sl], h, v[sl])
-            scale = spec.sensitivities[d - 1, q - 1] * root_s
-            head_grad[d - 1] += scale * dheads
-            ell_grad[q - 1] += scale * dlogell
-            sens_grad[d - 1, q - 1] = root_s * hv
-        return np.concatenate([*head_grad, ell_grad, noise_grad, sens_grad.ravel()])
 
 
 # ---------------------------------------------------------------------------

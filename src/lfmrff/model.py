@@ -241,7 +241,7 @@ class _ModelKind:
     kind states its fit-file ``kind``, its head checks and fit-file form,
     each output's packed head slot count (``head_sizes``), the slots'
     labels and values (``head_slots``) and their inverse (``with_packed``),
-    and ``check_inputs``, DataError for a dataset's inputs that do not fit.
+    and ``check_inputs``, DataError for inputs that do not fit.
     """
 
     def __post_init__(self):
@@ -341,12 +341,12 @@ class LfmSpec(_ModelKind):
     def _heads_to_dict(self):
         return {"outputs": [op.to_dict() for op in self.outputs]}
 
-    def check_inputs(self, data):
-        if data.inputs.ndim != 1:
+    def check_inputs(self, inputs):
+        if inputs.ndim != 1:
             raise DataError("LFM data must have scalar time inputs")
-        if np.any(data.inputs < 0):
-            i = int(np.argmax(data.inputs < 0))
-            raise DataError(f"negative time {data.inputs[i]} at row {i}")
+        if np.any(inputs < 0):
+            i = int(np.argmax(inputs < 0))
+            raise DataError(f"negative time {inputs[i]} at row {i}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -399,11 +399,11 @@ class MogpSpec(_ModelKind):
     def _heads_to_dict(self):
         return {"input_dim": self.input_dim, "inv_widths": self.inv_widths.tolist()}
 
-    def check_inputs(self, data):
-        if data.input_dim != self.input_dim:
+    def check_inputs(self, inputs):
+        dim = 1 if inputs.ndim == 1 else inputs.shape[1]
+        if dim != self.input_dim:
             raise DataError(
-                f"input dimension {data.input_dim} does not match spec "
-                f"input_dim {self.input_dim}"
+                f"input dimension {dim} does not match spec input_dim {self.input_dim}"
             )
 
 
@@ -484,7 +484,7 @@ def validate_dataset(data: Dataset, spec) -> None:
         raise DataError(
             f"output_id {ids[i]} at row {i} outside 1..{d_max}"
         )
-    spec.check_inputs(data)
+    spec.check_inputs(data.inputs)
     if not np.all(np.isfinite(data.y)) or not np.all(np.isfinite(data.inputs)):
         raise DataError("inputs and observations must be finite")
 

@@ -288,7 +288,8 @@ def test_criterion_6_objective_scales_linearly():
     medians = json.loads(child.stdout.splitlines()[-1])
     slope = float(np.polyfit(np.log(sizes), np.log(medians), 1)[0])
     elapsed = perf_counter() - started
-    assert 0.8 <= slope <= 1.3
+    timings = ", ".join(f"N={n}: {1e3 * t:.2f} ms" for n, t in zip(sizes, medians))
+    assert 0.8 <= slope <= 1.3, f"slope {slope:.3f} from medians {timings}"
     assert elapsed < 300.0
     print(f"PASS criterion 6: log-log wall-time slope {slope:.2f} over "
           f"N=1k..8k, inside [0.8, 1.3] ({elapsed:.1f} s)")

@@ -43,4 +43,4 @@ def test_removed_names_are_not_exported():
 
 
 def test_version():
-    assert lfmrff.__version__ == "0.5.0"
+    assert lfmrff.__version__ == "0.6.0"

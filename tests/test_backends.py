@@ -3,7 +3,10 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from lfmrff import backends
+from lfmrff.features import MogpBlock, ResponseBlock, operator_roots
 from lfmrff.kernels import latent_block
+from lfmrff.likelihood import _OutputSums
+from lfmrff.model import Ode1Params, Ode2Params, OdeOperator
 
 RNG = np.random.default_rng(8)
 T = np.sort(RNG.uniform(0.0, 3.0, 37))
@@ -242,3 +245,87 @@ def test_latent_block_is_bitwise_the_exponential_form(times):
     # the last rows put |lam t| at 1e3 in some column
     want = np.exp(1j * np.outer(times, LAM)) / np.sqrt(LAM.size)
     assert_array_equal(latent_block(times, LAM), want)
+
+
+# ---------------------------------------------------------------------------
+# the objective's Gram path against contractions of explicit rows
+#
+# The objective never forms h = conj(dL/dPhi) row by row: it adds each
+# output's rows into Gram matrices and reads the per-column sums off them.
+# Here h is formed explicitly for a given m, M = m m^T + A^-1 and C, and
+# the per-column sums and what each block makes of them must match.
+
+GRAM_Q, GRAM_S = 2, 5
+GRAM_LAM = RNG.normal(scale=2.0, size=GRAM_Q * GRAM_S)
+
+
+def gram_path_case(block, x, seed):
+    """(per-column sums from the Gram path, the same sums from explicit rows, h, v)."""
+    rng = np.random.default_rng(seed)
+    n, r2 = x.shape[0], 2 * GRAM_Q * GRAM_S
+    y = rng.normal(size=n)
+    m = rng.normal(size=r2)
+    root = rng.normal(size=(r2, r2))
+    mat = root @ root.T / r2 + np.outer(m, m)
+    c = rng.uniform(0.2, 1.5, GRAM_Q)
+    sig2 = 0.3
+    # three chunks, the last one short
+    sums = _OutputSums(x, y, r2)
+    sums.add(block, True, 15, np.empty((15, r2)))
+    got = sums.column_sums(m, mat.view(complex), c, sig2, np.empty((r2, r2), order="F"))[:3]
+
+    v = block.fill(x)
+    psi = v.view(float)
+    h = np.conj(((np.outer(y, m) - psi @ (np.repeat(c, 2 * GRAM_S)[:, None] * mat)) / sig2)
+                .view(complex))
+    x2 = x.reshape(n, -1)
+    want = (np.sum(h * v, axis=0), (x2.T[:, :, None] * (h * v)[None]).sum(axis=1),
+            block.row_weights(x).T @ h)
+    return got, want, h, v
+
+
+def assert_sums_match(got, want):
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert_allclose(g, w, rtol=1e-12, atol=1e-12 * np.max(np.abs(w), initial=0.0))
+
+
+@pytest.mark.parametrize("op", [
+    Ode1Params(0.6),
+    Ode2Params(1.0, 3.0, 2.0),
+    Ode2Params(1.4, 0.5, 3.0),
+    OdeOperator((2.0, 3.0, 9.0, 4.0)),
+], ids=["ode1", "ode2-overdamped", "ode2-underdamped-m", "order3-a0=2"])
+def test_gram_path_matches_residue_grads(op):
+    # (2s + 1)(s^2 + s + 4) has a_0 = 2 and a complex root pair
+    block = ResponseBlock(op, operator_roots(op), GRAM_LAM)
+    t = np.sort(np.random.default_rng(1).uniform(0.0, 3.0, 37))
+    got, want, h, v = gram_path_case(block, t, seed=1)
+    assert_sums_match(got, want)
+    hv, hvx, ht = got
+    p_count = block.rs.roots.size
+    algebra = backends.residue_algebra(block.lam, block.rs.roots, block.rs.leading,
+                                       ht[:p_count], ht[p_count:], hv, hvx[0])
+    reference = backends.residue_grads(t, block.lam, block.rs.roots, block.rs.leading, h, v)
+    assert_sums_match(algebra, reference)
+    dheads, dlogell = block.grads(hv, hvx, ht)
+    assert_sums_match([dheads, dlogell],
+                      [op.packed_gradient(reference[1]), -reference[2] * block.lam])
+
+
+def test_gram_path_matches_mogp_contractions():
+    # inputs on both sides of 0, so the Grams' weights x_j - min x_j differ from x_j
+    rng = np.random.default_rng(2)
+    x = rng.uniform(-2.0, 1.0, size=(37, 2))
+    lam = rng.normal(size=(GRAM_Q * GRAM_S, 2))
+    prec = 1.7
+    block = MogpBlock.at(lam, prec)
+    got, want, h, v = gram_path_case(block, x, seed=2)
+    assert_sums_match(got, want)
+    # closed-form derivative blocks: dv/dlog P = v (b/(2P) - p/2) and
+    # dv/dlog ell = v (b/P - j x.lam), lam = sqrt(2) z / ell
+    b = np.sum(lam * lam, axis=1)
+    dv_dwidth = v * (b / (2.0 * prec) - 1.0)
+    dv_dlogell = v * (b / prec - 1j * (x @ lam.T))
+    assert_sums_match(block.grads(*got),
+                      [np.array([np.sum((h * dv_dwidth).real)]), contract(h, dv_dlogell)])

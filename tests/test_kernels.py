@@ -138,6 +138,18 @@ class TestFeatureMatrix:
         with pytest.raises(DataError, match=f"output_id {bad_id}"):
             feature_matrix([0.5, 1.0], [1, bad_id], TWO_OUTPUT_SPEC, draws)
 
+    @pytest.mark.parametrize("bad,message", [
+        (-2.0, "negative time -2.0 at row 1"),
+        (np.nan, "inputs must be finite"),
+        (np.inf, "inputs must be finite"),
+    ], ids=["negative", "nan", "inf"])
+    def test_time_outside_the_response_is_data_error(self, bad, message):
+        # Responses start at rest at t = 0: at a negative time the fill
+        # would return the response extrapolated backwards, not a feature.
+        _, _, draws = small_problem()
+        with pytest.raises(DataError, match=message):
+            feature_matrix([0.5, bad], [1, 2], TWO_OUTPUT_SPEC, draws)
+
 
 class TestLatentFeatures:
     def test_prior_variance_is_one(self):

@@ -22,6 +22,7 @@ from lfmrff.likelihood import (
     weight_posterior,
 )
 from lfmrff.model import (
+    NOISE_FLOOR,
     Dataset,
     LfmSpec,
     MogpSpec,
@@ -200,6 +201,28 @@ def test_objective_value_matches_feature_matrix(case, data):
     assert_allclose(got, ref, rtol=1e-12)
 
 
+@pytest.mark.parametrize("noise,rtol", [(1e-6, 1e-10), (NOISE_FLOOR, 1e-9)],
+                         ids=["noise-1e-6", "noise-floor"])
+def test_small_noise_value_matches_feature_matrix(noise, rtol):
+    # Data drawn from the features themselves with noise this small leave
+    # residuals near the noise level, so the data-fit term cancels most:
+    # the objective reads it off Gram sums, low_rank_log_marginal off the
+    # rows' residuals y - Phi_c m.  Against a 50-digit reference on these
+    # 200 rows (R=40), over data seeds 0-7, both were within 2e-11 at noise
+    # 1e-6 and within 2.5e-9 at the floor, where float64 rounding sets the
+    # spread; on seed 0 they differ by 3.1e-10.
+    spec = LfmSpec((Ode1Params(1.0), Ode2Params(1.0, 3.0, 2.0)), 2, [1.0, 0.7],
+                   [[1.0, 0.5], [0.6, 1.0]], [noise, noise])
+    draws = sample_frequencies(10, 2, 0)
+    rng = np.random.default_rng(0)
+    t, ids = np.tile(np.linspace(0.0, 3.0, 100), 2), np.repeat([1, 2], 100)
+    fm = feature_matrix(t, ids, spec, draws)
+    y = fm.phi_c @ rng.normal(size=fm.phi_c.shape[1]) + math.sqrt(noise) * rng.normal(size=200)
+    ref, _ = low_rank_log_marginal(fm, noise_vector(spec, ids), y)
+    got = LmlObjective(Dataset(ids, t, y), spec, draws).value(pack(spec).values)
+    assert_allclose(got, ref, rtol=rtol)
+
+
 # ---------------------------------------------------------------------------
 # analytic gradient vs central differences
 
@@ -255,33 +278,53 @@ def test_chunked_objective_matches_dense(monkeypatch, case, rows):
     check_gradient(spec, data, draws)
 
 
-def test_evaluation_memory_is_linear_with_small_constant():
-    # Q=2, S=50 (R=200), N=16000.  The complex feature blocks the objective
-    # keeps take 1.6 KB per row; everything else is chunk-sized.
-    spec = LfmSpec((Ode1Params(1.0), Ode2Params(1.0, 3.0, 2.0)), 2, [1.0, 0.7],
-                   [[1.0, 0.5], [0.6, 1.0]], [0.1, 0.1])
-    n = 16000
+MEMORY_SPEC = LfmSpec((Ode1Params(1.0), Ode2Params(1.0, 3.0, 2.0)), 2, [1.0, 0.7],
+                      [[1.0, 0.5], [0.6, 1.0]], [0.1, 0.1])
+
+
+def memory_problem(n):
+    """Q=2, S=50 (R=200): n rows split between two outputs, and the objective."""
     data = Dataset(np.repeat([1, 2], n // 2), np.tile(np.linspace(0.0, 3.0, n // 2), 2),
                    np.random.default_rng(0).normal(size=n))
     draws = sample_frequencies(50, 2, 0)
-    obj = LmlObjective(data, spec, draws)
-    theta = pack(spec).values
+    return data, draws, LmlObjective(data, MEMORY_SPEC, draws)
+
+
+def peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_evaluation_memory_is_linear_with_small_constant():
+    # N=16000.  The objective holds no array that grows with N: its Gram
+    # matrices are R x R and every other array is chunk-sized.
+    n = 16000
+    data, draws, obj = memory_problem(n)
+    theta = pack(MEMORY_SPEC).values
     obj.value_and_gradient(theta)  # warm-up
-    fm = feature_matrix(data.inputs, data.output_ids, spec, draws)
-    noise = noise_vector(spec, data.output_ids)
-
-    def peak(fn, *args):
-        tracemalloc.start()
-        try:
-            fn(*args)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
+    fm = feature_matrix(data.inputs, data.output_ids, MEMORY_SPEC, draws)
+    noise = noise_vector(MEMORY_SPEC, data.output_ids)
     assert peak(obj.value_and_gradient, theta) <= 3000 * n
     assert peak(obj.value, theta) <= 3000 * n
     # no N x R temporary besides the input Phi_c (1.6 KB per row)
     assert peak(low_rank_log_marginal, fm, noise, data.y) <= 500 * n
+
+
+def test_evaluation_memory_is_flat_in_n():
+    # After the first evaluation has made the sums and work arrays, an
+    # evaluation allocates only chunk-sized temporaries, whatever N.
+    theta = pack(MEMORY_SPEC).values
+    peaks = []
+    for n in (16000, 64000):
+        obj = memory_problem(n)[2]
+        obj.value_and_gradient(theta)  # warm-up
+        peaks.append(peak(obj.value_and_gradient, theta))
+    assert peaks[1] <= 8e6
+    assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0]
 
 
 class TestGradient:
@@ -294,6 +337,16 @@ class TestGradient:
         spec = LfmSpec((Ode1Params(1.1), Ode2Params(1.0, 3.0, 2.0)), 1, [0.9],
                        [[0.7], [-0.5]], [0.3, 0.1])
         check_gradient(spec, lfm_data(1), sample_frequencies(6, 1, seed=4))
+
+    def test_zero_sensitivity(self):
+        # The gradient's sums are taken before scaling by S_dq, so a zero
+        # sensitivity still has its exact slope.
+        spec = LfmSpec((Ode1Params(1.1), Ode2Params(1.0, 3.0, 2.0)), 2, [0.9, 1.7],
+                       [[0.7, 0.0], [-0.5, 1.1]], [0.3, 0.1])
+        draws = sample_frequencies(6, 2, seed=4)
+        _, g = LmlObjective(lfm_data(1), spec, draws).value_and_gradient(pack(spec).values)
+        assert g[pack(spec).labels.index("sensitivity[d=1,q=2]")] != 0.0
+        check_gradient(spec, lfm_data(1), draws)
 
     def test_underdamped_ode2(self):
         spec = LfmSpec((Ode2Params(1.0, 2.0, 5.0),), 1, [1.3], [[0.9]], [0.25])

@@ -80,6 +80,12 @@ class TestFeatures:
             with pytest.raises(DataError, match=f"dimension {dim} does not match spec input_dim 2"):
                 mogp_feature_matrix(x, np.ones(3, int), SPEC_2D, draws)
 
+    def test_non_finite_location_is_data_error(self):
+        draws = sample_spectral(4, 2, 2, seed=0)
+        x = np.array([[0.5, -1.0], [np.nan, 0.2]])
+        with pytest.raises(DataError, match="inputs must be finite"):
+            mogp_feature_matrix(x, np.array([1, 2]), SPEC_2D, draws)
+
     def test_draw_compatibility_checked(self):
         draws = sample_spectral(4, 1, 2, seed=0)
         with pytest.raises(ValueError):
