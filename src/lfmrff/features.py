@@ -14,7 +14,7 @@ in two steps: ``block_params`` fixes the parameters of each (output,
 force) block once per call in a ``ResponseBlock`` (which moves its
 frequencies off the operator's roots) or ``MogpBlock``, whose ``fill``
 fills given rows and whose ``grads`` turns per-column sums of dL/dPhi
-over them into parameter slopes.  ``output_blocks`` makes one block per
+over them into parameter slopes.  ``_output_blocks`` makes one block per
 output that spans all forces, for the likelihood objective.
 ``write_phi_block`` places a block, or rows of it, into Phi_c, the real
 view of Phi, whose layout ``force_columns`` and ``phi_c_width`` state.
@@ -68,7 +68,6 @@ __all__ = [
     "ResponseBlock",
     "MogpBlock",
     "block_params",
-    "output_blocks",
     "force_columns",
     "phi_c_width",
     "write_phi_block",
@@ -423,12 +422,9 @@ class MogpBlock:
     def fill(self, x):
         return backends.mogp_fill(x.reshape(x.shape[0], -1), self.lam, self.amp)
 
-    def row_weights(self, x):
-        """No rows besides v and x: ``grads`` reads no ``ht``."""
-        return np.empty((x.shape[0], 0), dtype=complex)
-
     def grads(self, hv, hvx, ht):
-        """As ``ResponseBlock.grads``, with hvx[j] = colsum(h v x_j)."""
+        """As ``ResponseBlock.grads``, with hvx[j] = colsum(h v x_j); ``ht`` is
+        None, as a MOGP block has no ``row_weights``."""
         # v = amp(|lam|^2, P_d) exp(j x.lam): dv/dlog P_d = v (b/(2 P_d) - p/2)
         # and dv/dlog ell = v (b/P_d - j x.lam), so colsum(h v) and
         # colsum(h v x_j) are all the data-sized work.
@@ -462,7 +458,7 @@ def block_params(outputs, spec, draws):
     return params
 
 
-def output_blocks(outputs, spec, draws):
+def _output_blocks(outputs, spec, draws):
     """One block per output d in ``outputs`` that spans all Q forces.
 
     Block d's columns are the frequencies of forces 1..Q in turn, so its

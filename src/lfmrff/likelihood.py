@@ -5,11 +5,14 @@ inversion and determinant lemmas around A = I + Phi_c^T Sigma^-1 Phi_c,
 so cost is linear in the number of observations at fixed feature count.
 The data-fit term is y^T beta with beta = (K + Sigma)^-1 y.  When the
 residuals y - Phi_c m are near the noise level, that term is a small
-difference of large sums, and float64 rounds the value at the noise floor
-(1e-8) to about 1e-9 relative whichever way it is summed.  On one draw of
-data from the features (N=400, R=200), the objective was within 3.2e-9
-and ``low_rank_log_marginal`` within 2.8e-9 of a 40-digit reference at
-the floor; at noise 1e-6 both were within 6.3e-11.
+difference of large sums.  The objective takes it from sums over the rows
+(yy - a^T C m, below), which round worse at the noise floor than the
+residuals y - Phi_c m that ``low_rank_log_marginal`` reads.  On data
+drawn from the features (200 rows, R=40, data seeds 0-7), against a
+50-digit reference, the objective was within 2.4e-9 relative at the floor
+(1e-8) and 1.0e-11 at noise 1e-6; ``low_rank_log_marginal`` within 1.3e-9
+and 1.9e-11; the two-pass objective of version 0.5.0, which read the
+residuals, within 5.4e-10 and 9.0e-12.
 
 ``low_rank_log_marginal`` accumulates A over chunks of
 ``backends.CHUNK_ROWS`` rows of the Phi_c it is given, and
@@ -18,14 +21,18 @@ together (the weight posterior that prediction reads), filled and
 multiplied on two threads by ``features.run_chunks``.
 
 The objective runs on the calling thread in one pass over each output's
-rows, ``CHUNK_ROWS`` at a time, and holds no array that grows with N.  It
-fills each chunk once, as the output's one block of ``features.
-output_blocks`` (all Q forces, unscaled by the sensitivities), and adds
-the chunk into that output's Gram matrices (``_OutputSums``): G = psi^T
-psi and a = psi^T y for the value, and for the gradient the same sums
-weighted by each input coordinate and the rows' e^{s_p t} terms.  A,
-alpha and the data-fit term follow from G and a; A is factored with
-LAPACK potrf and m = A^-1 alpha solved with potrs.  The gradient takes
+rows, ``CHUNK_ROWS`` at a time.  It holds 1 + p Grams of R x R per output
+(p the input dimension) and no array that grows with an output's rows,
+so its memory is flat in N at a fixed number of outputs D but grows with
+D; the Grams save work and memory only where an output has many more
+rows than R (see README, Numerical notes).  It fills each chunk once, as
+the output's one block of ``features._output_blocks`` (all Q forces,
+unscaled by the sensitivities), and adds the chunk into that output's
+Gram matrices (``_OutputSums``): G = psi^T psi and a = psi^T y for the
+value, and for the gradient the same sums weighted by each input
+coordinate and the rows' e^{s_p t} terms.  A, alpha and the data-fit
+term follow from G and a; A is factored with LAPACK potrf, m = A^-1
+alpha solved with potrs, and the gradient takes A^-1 from potri.  It uses
 dL/dPhi_c = beta m^T - Sigma^-1 Phi_c A^-1, whose complex view is dL/dPhi
 as Phi_c is the real view of Phi.  With beta = Sigma^-1 (y - Phi_c m) it
 is linear in y and Phi_c, so each per-column sum that a block's ``grads``
@@ -56,15 +63,15 @@ from time import perf_counter
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
-from scipy.linalg.blas import dsyr, dsyrk, dtrmm
-from scipy.linalg.lapack import dlauum, dpotrf, dpotrs, dtrtri
+from scipy.linalg.blas import dsyr, dsyrk
+from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
 from scipy.optimize import minimize
 
 from . import backends
 from .features import (
     NumericsWarning,
     check_draws,
-    output_blocks,
+    _output_blocks,
     output_rows,
     phi_c_width,
     phi_fill,
@@ -263,15 +270,17 @@ def full_log_marginal(cov, noise, y):
 class _OutputSums:
     """Sums over one output's rows of psi, the output's unscaled features.
 
-    psi is the fill of the output's ``features.output_blocks`` block in
+    psi is the fill of the output's ``features._output_blocks`` block in
     Phi_c's real column layout, without the factors S_dq/sqrt(S): Phi_c's
     rows of output d are psi C_d.  The value reads the Gram G = psi^T psi,
     a = psi^T y, yy = y^T y and the row count n.  The gradient also reads,
     for each input dimension j, Gx_j = sum_i (x_ij - x0_j) psi_i^T psi_i
     (x0_j the output's least x_j, so each row's weight has a real square
-    root) and ax_j = sum_i x_ij y_i psi_i, and Omega^T psi and Omega^T y
-    for the block's ``row_weights`` Omega.  dsyrk adds each chunk into a
-    Gram's lower triangle in place; the upper triangle stays zero.
+    root) and ax_j = sum_i x_ij y_i psi_i, and, for a block with
+    ``row_weights`` Omega, Omega^T psi and Omega^T y.  ``grams`` holds G
+    and the Gx_j as its slices [:, :, 0], [:, :, 1], ...; dsyrk adds each
+    chunk into a slice's lower triangle in place, and the upper triangle
+    stays zero.
     """
 
     def __init__(self, x, y, r2):
@@ -282,88 +291,94 @@ class _OutputSums:
         self.n = y.size
         self.yy = float(y @ y)
         self.a = self._grad_sums = None  # set by add
-        self.gram = np.zeros((r2, r2), order="F")
-        self.gram_x = [np.zeros((r2, r2), order="F") for _ in self.x0]
+        self.grams = np.zeros((r2, r2, 1 + self.x0.size), order="F")
 
     def add(self, block, gradient, step, rows):
         """Sum over the rows for ``block``, ``step`` rows at a time.
 
         ``rows`` is a (step, R) work array for the rows of sqrt(x_j - x0_j) psi.
         """
+        weights = getattr(block, "row_weights", None) if gradient else None
         for lo in range(0, self.n, step):
             sl = slice(lo, lo + step)
             y = self.y[sl]
             psi = block.fill(self.x[sl]).view(float)
             keep = float(lo > 0)  # dsyrk's beta: the first chunk overwrites the sums
-            dsyrk(1.0, psi.T, keep, self.gram, lower=1, overwrite_c=1)
+            dsyrk(1.0, psi.T, keep, self.grams[:, :, 0], lower=1, overwrite_c=1)
             a = psi.T @ y
             self.a = self.a + a if lo else a
             if not gradient:
                 continue
             x = self.x2[sl]
             w = rows[: y.size]
-            for j, gram in enumerate(self.gram_x):
+            for j in range(self.x0.size):
                 np.multiply(psi, np.sqrt(x[:, j] - self.x0[j])[:, None], out=w)
-                dsyrk(1.0, w.T, keep, gram, lower=1, overwrite_c=1)
-            # the real view of Omega keeps psi real: (Re, Im) row pairs of Omega^T psi
-            omega = block.row_weights(self.x[sl]).view(float)
-            sums = ((x * y[:, None]).T @ psi, omega.T @ psi, omega.T @ y)
+                dsyrk(1.0, w.T, keep, self.grams[:, :, 1 + j], lower=1, overwrite_c=1)
+            sums = [(x * y[:, None]).T @ psi]
+            if weights is not None:
+                # the real view of Omega keeps psi real: (Re, Im) row pairs of Omega^T psi
+                omega = weights(self.x[sl]).view(float)
+                sums += [omega.T @ psi, omega.T @ y]
             if lo:
                 sums = [old + new for old, new in zip(self._grad_sums, sums)]
             self._grad_sums = sums
 
-    def column_sums(self, m, mat, c, sig2, sym):
+    def column_sums(self, m, mat, c, sig2):
         """(hv, hvx, ht, z): column sums over these rows of h = conj(dL/dPhi).
 
         dL/dPhi_c = beta m^T - Sigma^-1 Phi_c A^-1 with beta = Sigma^-1 (y -
         Phi_c m), so on these rows it is (y m^T - psi C_d M) / sigma^2 for
         M = m m^T + A^-1, whose complex column view is ``mat``.  With v the
         complex view of psi, hv = colsum(h v), hvx[j] = colsum(h v x_j) and
-        ht = Omega^T h; each is linear in y and psi, so it is a column-wise
-        dot of a Gram with C_d M and no row is read again.  z is the term of
-        hv in G, times -sigma^2.  ``c`` holds S_dq/sqrt(S) per force and
-        ``sym`` is a Fortran-ordered R x R work array.
+        ht = Omega^T h (None for a block without row weights); each is
+        linear in y and psi, so it is a column-wise dot of a Gram with C_d M
+        and no row is read again.  z is the term of hv in G, times
+        -sigma^2.  ``c`` holds S_dq/sqrt(S) per force.  Halves the Grams'
+        diagonals (see ``_gram_dots``), so it runs once per ``add``.
         """
         m_conj = m.view(complex).conj()
-        a_x, omega_psi, omega_y = self._grad_sums
-        z = _gram_dot(self.gram, mat, c, sym)
+        a_x, *omega_sums = self._grad_sums
+        dots = _gram_dots(self.grams, mat, c)
+        z = dots[0]
         hv = (m_conj * self.a.view(complex) - z) / sig2
-        hvx = np.array([m_conj * ax.view(complex) - _gram_dot(gram, mat, c, sym) - x0 * z
-                        for ax, gram, x0 in zip(a_x, self.gram_x, self.x0)]) / sig2
-        # Omega^T psi C_d conj(M) = conj(conj(Omega^T psi C_d) M)
-        omega_psi = (omega_psi[0::2] + 1j * omega_psi[1::2]) * np.repeat(c, mat.shape[0] // c.size)
+        hvx = (m_conj * a_x.view(complex) - dots[1:] - np.multiply.outer(self.x0, z)) / sig2
+        if not omega_sums:
+            return hv, hvx, None, z
+        omega_psi, omega_y = omega_sums
+        # w = (Re, Im) row pairs of Omega^T psi C_d M, so that Omega^T conj(psi
+        # C_d M) in complex column view is w's (Re, Im) blocks combined
+        w = (omega_psi * np.repeat(c, mat.shape[0] // c.size)) @ mat.view(float)
         ht = (np.multiply.outer(omega_y[0::2] + 1j * omega_y[1::2], m_conj)
-              - (omega_psi.conj() @ mat).conj()) / sig2
+              - (w[0::2, 0::2] + w[1::2, 1::2]) - 1j * (w[1::2, 0::2] - w[0::2, 1::2])) / sig2
         return hv, hvx, ht, z
 
 
-def _gram_dot(gram, mat, c, sym):
-    """colsum(conj(C M) * G) in complex column view, for G with the lower triangle ``gram``.
+def _gram_dots(grams, mat, c):
+    """colsum(conj(C M) * G) in complex column view, for each Gram G of ``grams``.
 
-    ``mat`` is the complex column view of M and ``c`` holds C's factor per
-    force, so force q's rows take c[q-1].  G is written into ``sym``.
+    ``grams`` holds each Gram's lower triangle as in ``_OutputSums``; ``mat``
+    is the complex column view of the symmetric M and ``c`` holds C's
+    factor per force, so force q's rows take c[q-1].  Returns one row per
+    Gram.
+
+    No Gram is made symmetric.  With its diagonal halved (done here, in
+    place), G = T + T^T for the triangle T = grams[:, :, k].T, so column
+    pair (2k, 2k+1) of C M against G is a complex dot of T's columns with
+    C M's, plus the 2 x 2 diagonal block of M C T^T, T's rows against M C's.
     """
-    np.add(gram, gram.T, out=sym)
-    np.fill_diagonal(sym, gram.diagonal())
-    rows = (c.size, -1, mat.shape[1])
-    # G is symmetric, so sym.T is G with contiguous rows
-    return c @ np.vecdot(mat.reshape(rows), sym.T.view(complex).reshape(rows), axis=1)
-
-
-def _inverse(chol):
-    """A^-1's lower triangle, in place over A's lower Cholesky factor (Fortran order).
-
-    LAPACK potri, with the triangular inverse L^-1 taken by halves:
-    [[X11, 0], [-X22 L21 X11, X22]] for X = inverse of each diagonal block.
-    The two triangular products make it about 40% faster than potri at
-    R = 200.
-    """
-    h = chol.shape[0] // 2
-    x11, x22, l21 = chol[:h, :h], chol[h:, h:], chol[h:, :h]
-    x11[...] = dtrtri(x11, lower=1)[0]
-    x22[...] = dtrtri(x22, lower=1)[0]
-    l21[...] = dtrmm(1.0, x11, dtrmm(-1.0, x22, l21, lower=1), lower=1, side=1)
-    return dlauum(chol, lower=1, overwrite_c=1)[0]
+    r2 = mat.shape[0]
+    diagonals = grams.reshape(r2 * r2, -1, order="F")[:: r2 + 1]
+    np.multiply(diagonals, 0.5, out=diagonals)
+    tri = grams.T  # the triangles, C-ordered
+    forces = (c.size, r2 // c.size, r2 // 2)
+    cols = c @ np.vecdot(mat.reshape(forces), tri.view(complex).reshape(-1, *forces), axis=-2)
+    # rows 2k, 2k+1 of M against the same rows of T over force q's
+    # columns, times c_q: the 2 x 2 diagonal blocks of M C T^T
+    m_rows = mat.view(float).reshape(r2 // 2, 2, *forces[:2])
+    t_rows = tri.reshape(-1, r2 // 2, 2, *forces[:2])
+    rows = sum(cq * np.matmul(m_rows[:, :, q], t_rows[..., q, :].transpose(0, 1, 3, 2))
+               for q, cq in enumerate(c))
+    return cols + (rows[..., 0, 0] + rows[..., 1, 1]) + 1j * (rows[..., 0, 1] - rows[..., 1, 0])
 
 
 class LmlObjective:
@@ -405,7 +420,7 @@ class LmlObjective:
         self._rows_buf = np.empty((self._step, r2))
         self._a = np.empty((r2, r2), order="F")  # A, its factor, then M's lower triangle
         self._mat = np.empty((r2, r2), order="F")  # M = m m^T + A^-1
-        self._sym = np.empty((r2, r2), order="F")
+        self._sym = np.empty((r2, r2), order="F")  # a term of A
 
     # -- evaluations ----------------------------------------------------------
 
@@ -417,7 +432,7 @@ class LmlObjective:
 
     def _evaluate(self, theta, gradient):
         spec = unpack(theta, self.template)
-        blocks = output_blocks(self._rows, spec, self.draws)
+        blocks = _output_blocks(self._rows, spec, self.draws)
         if self._sums is None:
             self._allocate()
         s_count, n_q = self.draws.num_samples, spec.num_forces
@@ -430,15 +445,16 @@ class LmlObjective:
         # force, so A's blocks are the Grams' blocks times a Q x Q array:
         # with Fortran order, axes (column within force, force) twice.
         blocks4 = (2 * s_count, n_q) * 2
-        a_mat, sym = self._a, self._sym
-        a_mat.fill(0.0)
+        a_mat = self._a
         alpha = np.zeros(r2)
-        for d, sums in self._sums.items():
+        for i, (d, sums) in enumerate(self._sums.items()):
             sums.add(blocks[d], gradient, self._step, self._rows_buf)
-            np.multiply(sums.gram.reshape(blocks4, order="F"),
+            term = self._sym if i else a_mat  # the first output's term starts A
+            np.multiply(sums.grams[:, :, 0].reshape(blocks4, order="F"),
                         np.multiply.outer(scales[d - 1], scales[d - 1] / sig2[d])[None, :, None, :],
-                        out=sym.reshape(blocks4, order="F"))
-            a_mat += sym
+                        out=term.reshape(blocks4, order="F"))
+            if i:
+                a_mat += term
             alpha += cols[d] * sums.a / sig2[d]
         a_mat[np.diag_indices(r2)] += 1.0
         chol = _cholesky(a_mat)
@@ -453,7 +469,7 @@ class LmlObjective:
 
         # M = m m^T + A^-1: A^-1's lower triangle over the factor (whose
         # upper triangle is zero), then m m^T added
-        low = dsyr(1.0, m, lower=1, a=_inverse(chol), overwrite_a=1)
+        low = dsyr(1.0, m, lower=1, a=dpotri(chol, lower=1, overwrite_c=1)[0], overwrite_a=1)
         np.add(low, low.T, out=self._mat)
         np.fill_diagonal(self._mat, low.diagonal())
         mat = self._mat.T.view(complex)
@@ -463,7 +479,7 @@ class LmlObjective:
         noise_grad = np.zeros(spec.num_outputs)
         sens_grad = np.zeros((spec.num_outputs, n_q))
         for d, sums in self._sums.items():
-            hv, hvx, ht, z = sums.column_sums(m, mat, scales[d - 1], sig2[d], sym)
+            hv, hvx, ht, z = sums.column_sums(m, mat, scales[d - 1], sig2[d])
             c = cols[d][::2]  # per complex column
             # dL/dsigma^2 = (sum_i beta_i^2 - sum_i (K + Sigma)^-1_ii) / 2, then
             # the log chain; floored variances have zero derivative through max().
@@ -475,7 +491,7 @@ class LmlObjective:
                                            / sig2[d] - sums.n)
             sens_grad[d - 1] = hv.real.reshape(n_q, s_count).sum(axis=1) / math.sqrt(s_count)
             # h C_d = conj(dL/dv) for the unscaled block v
-            dheads, dlogell = blocks[d].grads(c * hv, c * hvx, c * ht)
+            dheads, dlogell = blocks[d].grads(c * hv, c * hvx, None if ht is None else c * ht)
             head_grad[d - 1] += dheads
             ell_grad += dlogell.reshape(n_q, s_count).sum(axis=1)
         grad = np.concatenate([*head_grad, ell_grad, noise_grad, sens_grad.ravel()])
