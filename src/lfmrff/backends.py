@@ -13,10 +13,11 @@ dL/dPhi to per-column sums without forming them.  It is two steps: the
 row sums of ``residue_sums`` and the O(P^2 S) ``residue_algebra`` on
 them.  The objective reads the same row sums off its Gram matrices
 instead of rows (see ``likelihood``) and calls ``residue_algebra``
-alone.  ``mogp_fill`` is the convolved MOGP's fill.  Nothing in the library calls ``ode1_fill``,
-``ode2_fill``, ``ode1_grads``, ``ode2_grads`` or ``backend_name``: they
-are kept for the benchmark, whose tracer wraps the first four and whose
-report names the backend, and go with ROADMAP item 1.
+alone.  ``mogp_fill`` is the convolved MOGP's fill.  Nothing in the
+library calls ``ode1_fill``, ``ode2_fill``, ``ode1_grads``,
+``ode2_grads`` or ``backend_name``: they are kept for the benchmark,
+whose tracer wraps the first four and whose report names the backend,
+and go with ROADMAP item 1.
 Everything is numpy: the work is exponentials and matrix products, with no
 elementwise loop for a compiler to speed up.
 
@@ -31,10 +32,11 @@ import numpy as np
 
 # Rows per chunk of every streamed pass: the fills here, the feature-matrix
 # assembly and prediction in ``features`` and ``predict``, and the
-# objective's one pass in ``likelihood``.  It bounds each pass's temporaries to a few CHUNK_ROWS x R
-# arrays, 1.6 MB each at R = 200, small enough to stay in cache (512 to 2048
-# rows ran equally fast, 4096 slower); being fixed, it also fixes the
-# summation order, so results repeat bit for bit.  A multiple of 4 keeps
+# objective's one pass in ``likelihood``.  It bounds each pass's
+# temporaries to a few CHUNK_ROWS x R arrays, 1.6 MB each at R = 200,
+# small enough to stay in cache (512 to 2048 rows ran equally fast, 4096
+# slower); being fixed, it also fixes the summation order, so results
+# repeat bit for bit.  A multiple of 4 keeps
 # chunked matrix-vector products equal to unchunked ones: OpenBLAS's GEMV
 # rounds rows in groups of 4 from the first row.
 CHUNK_ROWS = 1024
