@@ -304,24 +304,24 @@ class _OutputSums:
             y = self.y[sl]
             psi = block.fill(self.x[sl]).view(float)
             keep = float(lo > 0)  # dsyrk's beta: the first chunk overwrites the sums
+            if gradient:
+                x = self.x2[sl]
+                w = rows[: y.size]
+                for j in range(self.x0.size):
+                    np.multiply(psi, np.sqrt(x[:, j] - self.x0[j])[:, None], out=w)
+                    dsyrk(1.0, w.T, keep, self.grams[:, :, 1 + j], lower=1, overwrite_c=1)
+                sums = [(x * y[:, None]).T @ psi]
+                if weights is not None:
+                    # the real view of Omega keeps psi real: (Re, Im) row pairs of Omega^T psi
+                    omega = weights(self.x[sl]).view(float)
+                    sums += [omega.T @ psi, omega.T @ y]
+                if lo:
+                    sums = [old + new for old, new in zip(self._grad_sums, sums)]
+                self._grad_sums = sums
+            # G last, so that it is still in cache when A is built from it
             dsyrk(1.0, psi.T, keep, self.grams[:, :, 0], lower=1, overwrite_c=1)
             a = psi.T @ y
             self.a = self.a + a if lo else a
-            if not gradient:
-                continue
-            x = self.x2[sl]
-            w = rows[: y.size]
-            for j in range(self.x0.size):
-                np.multiply(psi, np.sqrt(x[:, j] - self.x0[j])[:, None], out=w)
-                dsyrk(1.0, w.T, keep, self.grams[:, :, 1 + j], lower=1, overwrite_c=1)
-            sums = [(x * y[:, None]).T @ psi]
-            if weights is not None:
-                # the real view of Omega keeps psi real: (Re, Im) row pairs of Omega^T psi
-                omega = weights(self.x[sl]).view(float)
-                sums += [omega.T @ psi, omega.T @ y]
-            if lo:
-                sums = [old + new for old, new in zip(self._grad_sums, sums)]
-            self._grad_sums = sums
 
     def column_sums(self, m, mat, c, sig2):
         """(hv, hvx, ht, z): column sums over these rows of h = conj(dL/dPhi).
@@ -478,7 +478,8 @@ class LmlObjective:
         ell_grad = np.zeros(n_q)
         noise_grad = np.zeros(spec.num_outputs)
         sens_grad = np.zeros((spec.num_outputs, n_q))
-        for d, sums in self._sums.items():
+        # the last output filled first: its Grams are likeliest still in cache
+        for d, sums in reversed(self._sums.items()):
             hv, hvx, ht, z = sums.column_sums(m, mat, scales[d - 1], sig2[d])
             c = cols[d][::2]  # per complex column
             # dL/dsigma^2 = (sum_i beta_i^2 - sum_i (K + Sigma)^-1_ii) / 2, then
