@@ -362,7 +362,7 @@ def _gram_dots(grams, mat, c):
     Gram.
 
     No Gram is made symmetric.  With its diagonal halved (done here, in
-    place), G = T + T^T for the triangle T = grams[:, :, k].T, so column
+    place), G = T + T^T for the triangle T = grams[:, :, i].T, so column
     pair (2k, 2k+1) of C M against G is a complex dot of T's columns with
     C M's, plus the 2 x 2 diagonal block of M C T^T, T's rows against M C's.
     """
