@@ -40,11 +40,13 @@ import numpy as np
 # chunked matrix-vector products equal to unchunked ones: OpenBLAS's GEMV
 # rounds rows in groups of 4 from the first row.
 CHUNK_ROWS = 1024
-# Rows of a chunk that one fill call or one prediction product takes at
-# once: half a chunk, so the two chunks in flight of a two-thread pass
-# hold no more temporaries than one whole chunk did.  Fills of half a
-# chunk also ran about 20% faster than whole-chunk ones, their arrays
-# fitting in cache; every row keeps its bits (see ``matmul_rows``).
+# Rows of a chunk that one prediction product takes at once, and that one
+# fill call takes per force (``features.phi_fill`` fills PIECE_ROWS // Q
+# rows of all Q forces): half a chunk, so the two chunks in flight of a
+# two-thread pass hold no more temporaries than one whole chunk did.
+# Fills of half a chunk also ran about 20% faster than whole-chunk ones,
+# their arrays fitting in cache; every row keeps its bits (see
+# ``matmul_rows``).
 PIECE_ROWS = CHUNK_ROWS // 2
 
 
@@ -78,6 +80,17 @@ def matmul_rows(a, b):
     return (np.repeat(a, 5, axis=0) @ b)[-1:]
 
 
+def cis_in_place(e):
+    """Overwrite ``e``, complex with x in its imaginary part, with e^{jx}.
+
+    It writes cos x + j sin x: the same bits as the complex exponential,
+    without its complex temporaries.  The fills here and
+    ``kernels.latent_block`` write every e^{jx} with it.
+    """
+    np.cos(e.imag, out=e.real)
+    np.sin(e.imag, out=e.imag)
+
+
 def residue_fill(t, lam, roots, leading):
     """Response to exp(j*lam*t) from rest, shape (len(t), len(lam)).
 
@@ -91,13 +104,12 @@ def residue_fill(t, lam, roots, leading):
     a_sys = _residues(s, x)[3]
     a_exc = 1.0 / np.prod(x[None, :] - s[:, None], axis=0) / leading
     v = matmul_rows(np.exp(np.outer(t, s)), a_sys / leading)
-    # add A_x e^{j lam t}, with e^{j lam t} = cos + j sin, a chunk at a time
+    # add A_x e^{j lam t}, a chunk at a time
     scratch = np.empty((min(t.size, CHUNK_ROWS), lam.size), dtype=complex)
     for lo in range(0, t.size, CHUNK_ROWS):
         e = scratch[: min(CHUNK_ROWS, t.size - lo)]
         np.multiply.outer(t[lo : lo + CHUNK_ROWS], lam, out=e.imag)
-        np.cos(e.imag, out=e.real)
-        np.sin(e.imag, out=e.imag)
+        cis_in_place(e)
         e *= a_exc
         v[lo : lo + CHUNK_ROWS] += e
     return v
@@ -111,9 +123,8 @@ def mogp_fill(x, lam, amp):
     """
     v = np.empty((x.shape[0], lam.shape[0]), dtype=complex)
     for lo in range(0, x.shape[0], CHUNK_ROWS):
-        arg = matmul_rows(x[lo : lo + CHUNK_ROWS], lam.T)
-        np.cos(arg, out=v.real[lo : lo + CHUNK_ROWS])
-        np.sin(arg, out=v.imag[lo : lo + CHUNK_ROWS])
+        v.imag[lo : lo + CHUNK_ROWS] = matmul_rows(x[lo : lo + CHUNK_ROWS], lam.T)
+    cis_in_place(v)
     v *= amp
     return v
 

@@ -9,26 +9,28 @@ model covariance.  The convolved MOGP's feature is a Gaussian amplitude
 times exp(j*lam.x).
 
 ``sample_draws`` draws a spec's frequencies and ``check_draws`` is the one
-check that draws fit a spec.  Feature blocks, for every model type, come
-in two steps: ``block_params`` fixes the parameters of each (output,
-force) block once per call in a ``ResponseBlock`` (which moves its
-frequencies off the operator's roots) or ``MogpBlock``, whose ``fill``
-fills given rows and whose ``grads`` turns per-column sums of dL/dPhi
-over them into parameter slopes.  ``_output_blocks`` makes one block per
-output that spans all forces, for the likelihood objective.
-``write_phi_block`` places a block, or rows of it, into Phi_c, the real
-view of Phi, whose layout ``force_columns`` and ``phi_c_width`` state.
+check that draws fit a spec.  Feature blocks, for every model type and
+every pass, come from one constructor, ``output_blocks``: one block per
+output that spans all Q forces, a ``ResponseBlock`` (which moves its
+frequencies off the operator's roots) or a ``MogpBlock``, fixed once per
+call.  A block's ``fill`` fills given rows of the output's features,
+unscaled by the sensitivities, and its ``grads`` turns per-column sums of
+dL/dPhi over them into parameter slopes.  ``write_phi_block`` scales an
+output's fill by C_d, which holds S_{d,q}/sqrt(S) over force q's
+columns, and places it into Phi_c, the real view of Phi, whose layout
+``force_columns`` and ``phi_c_width`` state.
 
+The likelihood objective fills the blocks itself (see ``likelihood``).
 Every other pass over rows of Phi_c goes through one function,
 ``run_chunks``: ``feature_matrix`` and ``mogp_feature_matrix`` (through
 ``assemble_phi_c``), ``likelihood.weight_posterior`` and the two
 predictions.  It splits the rows into chunks of ``backends.CHUNK_ROWS``,
-fills each chunk's rows (``phi_fill`` writes them from ``block_params``'
+fills each chunk's rows (``phi_fill`` writes them from the output
 blocks) and hands them to a per-chunk ``work`` function, so no fill
 temporary is larger than a chunk.  The calling thread and, when the
 process may run on two CPUs, one helper thread take chunks in turn; the
 fills and products that dominate a chunk release the interpreter lock,
-so the two overlap.  A row has the same bits whichever chunk, block or
+so the two overlap.  A row has the same bits whichever chunk, piece or
 thread it is filled in, results reach the caller in chunk order, and so
 every result is the same whatever the thread count.
 """
@@ -67,7 +69,7 @@ __all__ = [
     "output_rows",
     "ResponseBlock",
     "MogpBlock",
-    "block_params",
+    "output_blocks",
     "force_columns",
     "phi_c_width",
     "write_phi_block",
@@ -434,36 +436,16 @@ class MogpBlock:
         return np.array([d_width]), dlogell
 
 
-def block_params(outputs, spec, draws):
-    """The feature block (d, q) of every output d in ``outputs``.
+def output_blocks(outputs, spec, draws):
+    """The feature block of every output d in ``outputs``: {d: block}.
 
-    Returns {(d, q): block}: a ``ResponseBlock`` for an LFM, from the
-    operator's roots found once per output; a ``MogpBlock`` for a MOGP.
-    Raises like ``check_draws`` for draws that do not fit ``spec``, and
-    DataError for an output id outside 1..D.
-    """
-    _check_outputs(outputs, spec, draws)
-    params = {}
-    if isinstance(spec, LfmSpec):
-        for d in outputs:
-            rs = operator_roots(spec.outputs[d - 1])
-            for q in range(1, spec.num_forces + 1):
-                lam = force_frequencies(draws, q, spec.lengthscales[q - 1])
-                params[(d, q)] = ResponseBlock(spec.outputs[d - 1], rs, lam)
-        return params
-    for q in range(1, spec.num_forces + 1):
-        lam = mogp_frequencies(draws, q, spec.lengthscales[q - 1])
-        for d in outputs:
-            params[(d, q)] = MogpBlock.at(lam, spec.inv_widths[d - 1])
-    return params
-
-
-def _output_blocks(outputs, spec, draws):
-    """One block per output d in ``outputs`` that spans all Q forces.
-
-    Block d's columns are the frequencies of forces 1..Q in turn, so its
-    fill is output d's rows of Phi in ``force_columns`` order, each force's
-    columns unscaled by S_{d,q}/sqrt(S).  Raises like ``block_params``.
+    Block d spans all Q forces: its columns are the frequencies of forces
+    1..Q in turn, so its fill is output d's rows of Phi in
+    ``force_columns`` order, unscaled by the sensitivities (see
+    ``write_phi_block``).  It is a ``ResponseBlock`` for an LFM, from the
+    operator's roots, and a ``MogpBlock`` for a MOGP.  Raises like
+    ``check_draws`` for draws that do not fit ``spec``, and DataError for
+    an output id outside 1..D.
     """
     _check_outputs(outputs, spec, draws)
     if isinstance(spec, LfmSpec):
@@ -497,17 +479,17 @@ def phi_c_width(num_forces, num_samples):
     return 2 * num_forces * num_samples
 
 
-def write_phi_block(out, rows, spec, num_samples, d, q, v):
-    """Write block (d, q) of Phi into ``out[rows]``, rows of Phi_c.
+def write_phi_block(out, rows, spec, num_samples, d, v):
+    """Write output d's block of Phi into ``out[rows]``, rows of Phi_c.
 
-    ``out.view(complex)`` is Phi, whose ``force_columns(q, S)`` the block
-    fills, scaled by S_{d,q}/sqrt(S).  ``v`` is the unscaled block (a
-    block's ``fill``, or a row slice of it) and ``rows`` indexes the rows
-    of ``out`` it fills.
+    ``v`` is the unscaled fill of d's ``output_blocks`` block, or a row
+    slice of it; ``rows`` indexes the rows of ``out`` it fills.  It is
+    scaled in place by C_d, which holds S_{d,q}/sqrt(S) over force q's
+    columns ``force_columns(q, S)``, and written to ``out.view(complex)``,
+    which is Phi.
     """
-    root_s = 1.0 / math.sqrt(num_samples)
-    out.view(complex)[rows, force_columns(q, num_samples)] = (
-        spec.sensitivities[d - 1, q - 1] * root_s * v)
+    v *= np.repeat(spec.sensitivities[d - 1] * (1.0 / math.sqrt(num_samples)), num_samples)
+    out.view(complex)[rows] = v
 
 
 def _helper_count():
@@ -585,26 +567,27 @@ def run_chunks(n, width, fill, work=None, combine=None):
 def phi_fill(inputs, output_ids, spec, draws):
     """A ``run_chunks`` fill that writes the chunk's rows of Phi_c.
 
-    ``block_params`` runs here, in the calling thread, so the collision
+    ``output_blocks`` runs here, in the calling thread, so the collision
     perturbation and its one warning happen once, before any chunk is
     filled.  The returned ``fill(sl, rows)`` writes rows ``sl`` of Phi_c
-    for ``inputs`` and ``output_ids`` into ``rows``, output by output and
-    ``backends.PIECE_ROWS`` rows at a time with ``write_phi_block``, and
-    returns ``rows``; they equal the rows of each block filled over all
-    its rows at once, bit for bit.
+    for ``inputs`` and ``output_ids`` into ``rows`` and returns ``rows``:
+    output by output, one ``fill`` of the output's block per piece of
+    ``backends.PIECE_ROWS // Q`` rows (so a piece holds as many values as
+    half a chunk of one force), written with ``write_phi_block``.  The
+    rows equal those of each block filled over all its rows at once, bit
+    for bit.
     """
     output_ids = np.asarray(output_ids, dtype=int)
-    params = block_params(np.unique(output_ids).tolist(), spec, draws)
+    blocks = output_blocks(np.unique(output_ids).tolist(), spec, draws)
     s_count = draws.num_samples
+    step = max(1, backends.PIECE_ROWS // spec.num_forces)
 
     def fill(sl, rows):
         x = inputs[sl]
         for d, r in output_rows(output_ids[sl]).items():
-            for lo in range(0, r.size, backends.PIECE_ROWS):
-                part = r[lo : lo + backends.PIECE_ROWS]
-                for q in range(1, spec.num_forces + 1):
-                    write_phi_block(rows, part, spec, s_count, d, q,
-                                    params[(d, q)].fill(x[part]))
+            for lo in range(0, r.size, step):
+                part = r[lo : lo + step]
+                write_phi_block(rows, part, spec, s_count, d, blocks[d].fill(x[part]))
         return rows
 
     return fill

@@ -18,6 +18,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.integrate import quad
 
+from . import backends
 from .features import (
     NumericsWarning,
     FrequencyDraws,
@@ -88,15 +89,12 @@ def feature_matrix(times, output_ids, spec: LfmSpec, draws: FrequencyDraws) -> F
 def latent_block(times, lam):
     """Latent-force features exp(j*lam*t)/sqrt(S), (len(times), S) complex.
 
-    exp(j x) is written as cos x + j sin x in place, as in
-    ``backends.residue_fill``: the same bits as the complex exponential,
-    without its complex temporaries.
+    exp(j x) is written in place by ``backends.cis_in_place``.
     """
     t = np.ravel(times)
     v = np.empty((t.size, lam.size), dtype=complex)
     np.multiply.outer(t, lam, out=v.imag)
-    np.cos(v.imag, out=v.real)
-    np.sin(v.imag, out=v.imag)
+    backends.cis_in_place(v)
     v /= math.sqrt(lam.size)
     return v
 

@@ -14,11 +14,13 @@ drawn from the features (200 rows, R=40, data seeds 0-7), against a
 and 1.9e-11; the two-pass objective of version 0.5.0, which read the
 residuals, within 5.4e-10 and 9.0e-12.
 
-``low_rank_log_marginal`` accumulates A over chunks of
-``backends.CHUNK_ROWS`` rows of the Phi_c it is given, and
-``weight_posterior`` over row chunks of Phi_c that are never held
-together (the weight posterior that prediction reads), filled and
-multiplied on two threads by ``features.run_chunks``.
+Every pass here fills the same blocks, one per output spanning all Q
+forces, from ``features.output_blocks``.  ``low_rank_log_marginal``
+accumulates A over chunks of ``backends.CHUNK_ROWS`` rows of the Phi_c
+it is given, and ``weight_posterior`` over row chunks of Phi_c that are
+never held together (the weight posterior that prediction reads),
+filled by ``features.phi_fill`` and multiplied on two threads by
+``features.run_chunks``.
 
 The objective runs on the calling thread in one pass over each output's
 rows, ``CHUNK_ROWS`` at a time.  It holds 1 + p Grams of R x R per output
@@ -26,8 +28,7 @@ rows, ``CHUNK_ROWS`` at a time.  It holds 1 + p Grams of R x R per output
 so its memory is flat in N at a fixed number of outputs D but grows with
 D; the Grams save work and memory only where an output has many more
 rows than R (see README, Numerical notes).  It fills each chunk once, as
-the output's one block of ``features._output_blocks`` (all Q forces,
-unscaled by the sensitivities), and adds the chunk into that output's
+the output's block, unscaled by the sensitivities, and adds the chunk into that output's
 Gram matrices (``_OutputSums``): G = psi^T psi and a = psi^T y for the
 value, and for the gradient the same sums weighted by each input
 coordinate and the rows' e^{s_p t} terms.  A, alpha and the data-fit
@@ -71,7 +72,7 @@ from . import backends
 from .features import (
     NumericsWarning,
     check_draws,
-    _output_blocks,
+    output_blocks,
     output_rows,
     phi_c_width,
     phi_fill,
@@ -270,7 +271,7 @@ def full_log_marginal(cov, noise, y):
 class _OutputSums:
     """Sums over one output's rows of psi, the output's unscaled features.
 
-    psi is the fill of the output's ``features._output_blocks`` block in
+    psi is the fill of the output's ``features.output_blocks`` block in
     Phi_c's real column layout, without the factors S_dq/sqrt(S): Phi_c's
     rows of output d are psi C_d.  The value reads the Gram G = psi^T psi,
     a = psi^T y, yy = y^T y and the row count n.  The gradient also reads,
@@ -432,7 +433,7 @@ class LmlObjective:
 
     def _evaluate(self, theta, gradient):
         spec = unpack(theta, self.template)
-        blocks = _output_blocks(self._rows, spec, self.draws)
+        blocks = output_blocks(self._rows, spec, self.draws)
         if self._sums is None:
             self._allocate()
         s_count, n_q = self.draws.num_samples, spec.num_forces

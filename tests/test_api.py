@@ -1,6 +1,9 @@
 """The public names of the lfmrff package, pinned so a re-export is deliberate."""
 
 import inspect
+from pathlib import Path
+
+import pytest
 
 import lfmrff
 
@@ -43,4 +46,10 @@ def test_removed_names_are_not_exported():
 
 
 def test_version():
-    assert lfmrff.__version__ == "0.6.0"
+    assert lfmrff.__version__ == "0.7.0"
+
+
+def test_version_matches_pyproject():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    with (Path(__file__).resolve().parents[1] / "pyproject.toml").open("rb") as f:
+        assert tomllib.load(f)["project"]["version"] == lfmrff.__version__

@@ -7,10 +7,10 @@ from numpy.testing import assert_allclose
 from lfmrff.features import (
     FrequencyDraws,
     NumericsWarning,
-    block_params,
     force_columns,
     force_frequencies,
     operator_roots,
+    output_blocks,
     phi_c_width,
     residue_coeffs,
     rfrf_general,
@@ -199,7 +199,8 @@ def test_frequency_draws_rejects_bad_base():
 @pytest.mark.parametrize("q_count", [1, 3])
 def test_phi_c_layout_helpers_match_writer_and_view(q_count):
     # Force-major complex columns, Re/Im interleaved in Phi_c: force q's
-    # block lands in Phi_c columns 2(q-1)S .. 2qS, and phi views phi_c.
+    # columns of the output's block, scaled by S_{1,q}/sqrt(S), land in
+    # Phi_c columns 2(q-1)S .. 2qS, and phi views phi_c.
     s_count, t = 4, np.linspace(0.1, 2.0, 5)
     spec = LfmSpec((Ode2Params(1.0, 2.0, 5.0),), q_count, np.linspace(0.8, 1.4, q_count),
                    [np.linspace(0.5, 1.5, q_count)], [0.1])
@@ -210,12 +211,18 @@ def test_phi_c_layout_helpers_match_writer_and_view(q_count):
     assert fm.phi_c.shape == (5, width)
     assert fm.phi.shape == (5, q_count * s_count)
     assert np.shares_memory(fm.phi, fm.phi_c)
-    for (_, q), block in block_params([1], spec, draws).items():
+    block = output_blocks([1], spec, draws)[1]
+    out = np.zeros((5, width))
+    write_phi_block(out, slice(None), spec, s_count, 1, block.fill(t))
+    assert np.all(np.any(out != 0.0, axis=0))
+    unscaled = block.fill(t)
+    for q in range(1, q_count + 1):
         cols = force_columns(q, s_count)
         assert cols == slice((q - 1) * s_count, q * s_count)
-        out = np.zeros((5, width))
-        write_phi_block(out, slice(None), spec, s_count, 1, q, block.fill(t))
-        assert np.flatnonzero(np.any(out != 0.0, axis=0)).tolist() == list(
-            range(2 * cols.start, 2 * cols.stop))
+        assert np.array_equal(block.lam[cols],
+                              force_frequencies(draws, q, spec.lengthscales[q - 1]))
+        assert_allclose(out.view(complex)[:, cols],
+                        spec.sensitivities[0, q - 1] / np.sqrt(s_count) * unscaled[:, cols],
+                        rtol=1e-15)
         assert np.array_equal(out[:, 2 * cols.start : 2 * cols.stop : 2], fm.phi[:, cols].real)
         assert np.array_equal(out[:, 2 * cols.start + 1 : 2 * cols.stop : 2], fm.phi[:, cols].imag)

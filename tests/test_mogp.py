@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from lfmrff.features import block_params, output_rows
+from lfmrff.features import output_blocks, output_rows
 from lfmrff.kernels import approx_cov
 from lfmrff.model import DataError, MogpSpec
 from lfmrff.mogp import (
@@ -63,9 +63,9 @@ class TestFeatures:
         fm = mogp_feature_matrix(x, ids, SPEC_2D, draws)
         rows = output_rows(ids)
         expected = np.empty((7, 32), dtype=complex)
-        for (d, q), block in block_params(rows, SPEC_2D, draws).items():
-            scale = SPEC_2D.sensitivities[d - 1, q - 1] / 4.0
-            expected[rows[d], (q - 1) * 16 : q * 16] = scale * block.fill(x[rows[d]])
+        for d, block in output_blocks(rows, SPEC_2D, draws).items():
+            scale = np.repeat(SPEC_2D.sensitivities[d - 1] / 4.0, 16)
+            expected[rows[d]] = scale * block.fill(x[rows[d]])
         assert fm.phi_c.shape == (7, 64)
         assert_allclose(fm.phi_c[:, 0::2], expected.real, rtol=1e-14, atol=1e-16)
         assert_allclose(fm.phi_c[:, 1::2], expected.imag, rtol=1e-14, atol=1e-16)

@@ -22,7 +22,7 @@ from scipy.linalg import cho_solve
 from lfmrff import backends, cli, features
 from lfmrff.features import (
     NumericsWarning,
-    block_params,
+    output_blocks,
     output_rows,
     run_chunks,
     sample_frequencies,
@@ -92,12 +92,12 @@ def interleaved(n, mogp, seed=0):
 
 
 def whole_block_phi_c(data, spec, draws):
-    """Phi_c written block by block from blocks filled over all their rows."""
+    """Phi_c written output by output from blocks filled over all their rows."""
     s_count = draws.num_samples
     phi_c = np.zeros((len(data), 2 * spec.num_forces * s_count))
     rows = output_rows(data.output_ids)
-    for (d, q), block in block_params(rows, spec, draws).items():
-        write_phi_block(phi_c, rows[d], spec, s_count, d, q, block.fill(data.inputs[rows[d]]))
+    for d, block in output_blocks(rows, spec, draws).items():
+        write_phi_block(phi_c, rows[d], spec, s_count, d, block.fill(data.inputs[rows[d]]))
     return phi_c
 
 
@@ -276,6 +276,7 @@ def test_pole_on_a_frequency_warns_once_per_call():
     calls = [
         lambda: feature_matrix(data.inputs, data.output_ids, spec, draws),
         lambda: predict_outputs(make_fit(spec, draws), state, data),
+        lambda: weight_posterior(data, spec, draws),
         lambda: LmlObjective(data, spec, draws).value(pack(spec).values),
     ]
     for call in calls:
