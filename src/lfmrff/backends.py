@@ -80,15 +80,15 @@ def matmul_rows(a, b):
     return (np.repeat(a, 5, axis=0) @ b)[-1:]
 
 
-def cis_in_place(e):
-    """Overwrite ``e``, complex with x in its imaginary part, with e^{jx}.
+def cis(x, out):
+    """Write e^{jx} into the complex ``out`` as cos x + j sin x; ``x`` may be ``out.imag``.
 
-    It writes cos x + j sin x: the same bits as the complex exponential,
-    without its complex temporaries.  The fills here and
-    ``kernels.latent_block`` write every e^{jx} with it.
+    The same bits as the complex exponential, without its complex
+    temporaries.  The fills here and ``kernels.latent_block`` write every
+    e^{jx} with it.
     """
-    np.cos(e.imag, out=e.real)
-    np.sin(e.imag, out=e.imag)
+    np.cos(x, out=out.real)
+    np.sin(x, out=out.imag)
 
 
 def residue_fill(t, lam, roots, leading):
@@ -109,7 +109,7 @@ def residue_fill(t, lam, roots, leading):
     for lo in range(0, t.size, CHUNK_ROWS):
         e = scratch[: min(CHUNK_ROWS, t.size - lo)]
         np.multiply.outer(t[lo : lo + CHUNK_ROWS], lam, out=e.imag)
-        cis_in_place(e)
+        cis(e.imag, e)
         e *= a_exc
         v[lo : lo + CHUNK_ROWS] += e
     return v
@@ -123,8 +123,7 @@ def mogp_fill(x, lam, amp):
     """
     v = np.empty((x.shape[0], lam.shape[0]), dtype=complex)
     for lo in range(0, x.shape[0], CHUNK_ROWS):
-        v.imag[lo : lo + CHUNK_ROWS] = matmul_rows(x[lo : lo + CHUNK_ROWS], lam.T)
-    cis_in_place(v)
+        cis(matmul_rows(x[lo : lo + CHUNK_ROWS], lam.T), v[lo : lo + CHUNK_ROWS])
     v *= amp
     return v
 

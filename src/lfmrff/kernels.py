@@ -89,12 +89,12 @@ def feature_matrix(times, output_ids, spec: LfmSpec, draws: FrequencyDraws) -> F
 def latent_block(times, lam):
     """Latent-force features exp(j*lam*t)/sqrt(S), (len(times), S) complex.
 
-    exp(j x) is written in place by ``backends.cis_in_place``.
+    exp(j x) is written in place by ``backends.cis``.
     """
     t = np.ravel(times)
     v = np.empty((t.size, lam.size), dtype=complex)
     np.multiply.outer(t, lam, out=v.imag)
-    backends.cis_in_place(v)
+    backends.cis(v.imag, v)
     v /= math.sqrt(lam.size)
     return v
 
