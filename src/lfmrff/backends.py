@@ -81,11 +81,11 @@ def matmul_rows(a, b):
 
 
 def cis(x, out):
-    """Write e^{jx} into the complex ``out`` as cos x + j sin x; ``x`` may be ``out.imag``.
+    """Write e^{jx} as cos x + j sin x into the complex ``out``.
 
-    The same bits as the complex exponential, without its complex
-    temporaries.  The fills here and ``kernels.latent_block`` write every
-    e^{jx} with it.
+    ``x`` may be ``out.imag``.  The same bits as the complex exponential,
+    without its complex temporaries; the fills here and
+    ``kernels.latent_block`` write every e^{jx} with it.
     """
     np.cos(x, out=out.real)
     np.sin(x, out=out.imag)

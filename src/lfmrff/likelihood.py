@@ -14,12 +14,13 @@ drawn from the features (200 rows, R=40, data seeds 0-7), against a
 and 1.9e-11; the two-pass objective of version 0.5.0, which read the
 residuals, within 5.4e-10 and 9.0e-12.
 
-Every pass here fills the same blocks, one per output spanning all Q
-forces, from ``features.output_blocks``.  ``low_rank_log_marginal``
-accumulates A over chunks of ``backends.CHUNK_ROWS`` rows of the Phi_c
-it is given, and ``weight_posterior`` over row chunks of Phi_c that are
-never held together (the weight posterior that prediction reads),
-filled by ``features.phi_fill`` and multiplied on two threads by
+The objective and ``weight_posterior`` fill the same blocks, one per
+output spanning all Q forces, from ``features.output_blocks``.
+``low_rank_log_marginal`` accumulates A over chunks of
+``backends.CHUNK_ROWS`` rows of the Phi_c it is given, and
+``weight_posterior`` over row chunks of Phi_c that are never held
+together (the weight posterior that prediction reads), filled by
+``features.phi_fill`` and multiplied on two threads by
 ``features.run_chunks``.
 
 The objective runs on the calling thread in one pass over each output's
@@ -28,10 +29,10 @@ rows, ``CHUNK_ROWS`` at a time.  It holds 1 + p Grams of R x R per output
 so its memory is flat in N at a fixed number of outputs D but grows with
 D; the Grams save work and memory only where an output has many more
 rows than R (see README, Numerical notes).  It fills each chunk once, as
-the output's block, unscaled by the sensitivities, and adds the chunk into that output's
-Gram matrices (``_OutputSums``): G = psi^T psi and a = psi^T y for the
-value, and for the gradient the same sums weighted by each input
-coordinate and the rows' e^{s_p t} terms.  A, alpha and the data-fit
+the output's block, unscaled by the sensitivities, and adds the chunk
+into that output's Gram matrices (``_OutputSums``): G = psi^T psi and
+a = psi^T y for the value, and for the gradient the same sums weighted
+by each input coordinate and the rows' e^{s_p t} terms.  A, alpha and the data-fit
 term follow from G and a; A is factored with LAPACK potrf, m = A^-1
 alpha solved with potrs, and the gradient takes A^-1 from potri.  It uses
 dL/dPhi_c = beta m^T - Sigma^-1 Phi_c A^-1, whose complex view is dL/dPhi
