@@ -52,7 +52,7 @@ from .model import (
     validate_dataset,
     write_csv_columns,
 )
-from .mogp import mogp_cov_exact, mogp_feature_matrix
+from .mogp import mogp_cov_exact
 from .predict import draws_for, predict_latent_forces, predict_outputs
 
 FIT_SCHEMA_VERSION = 1
@@ -329,12 +329,6 @@ def _grid_and_spec(path, cfg):
     return ids, grid, spec
 
 
-def _features_for(spec, draws, inputs, ids):
-    if isinstance(spec, LfmSpec):
-        return feature_matrix(inputs, ids, spec, draws)
-    return mogp_feature_matrix(inputs, ids, spec, draws)
-
-
 def _input_header(data_inputs):
     if data_inputs.ndim == 1:
         return ["t"]
@@ -439,7 +433,7 @@ def cmd_kernel_eval(args) -> int:
     k_rff = k_oracle = None
     if cfg.mode in ("rff", "both"):
         draws = sample_draws(spec, cfg.samples, cfg.seed)
-        k_rff = approx_cov(_features_for(spec, draws, grid, ids))
+        k_rff = approx_cov(feature_matrix(grid, ids, spec, draws))
         path = _out_path(cfg, "kernel_rff.csv")
         _kernel_csv(path, k_rff)
         wrote.append(path)
@@ -469,7 +463,7 @@ def cmd_sample_features(args) -> int:
         header += [f"feat{k}_re", f"feat{k}_im"]
     columns = []
     if ids.size:
-        phi_c = _features_for(spec, draws, grid, ids).phi_c
+        phi_c = feature_matrix(grid, ids, spec, draws).phi_c
         columns = [ids, *_input_columns(grid), *phi_c.T]
     path = _out_path(cfg, "features.csv")
     write_csv_columns(path, header, columns)

@@ -22,8 +22,8 @@ columns, and places it into Phi_c, the real view of Phi, whose layout
 
 The likelihood objective fills the blocks itself (see ``likelihood``).
 Every other pass over rows of Phi_c goes through one function,
-``run_chunks``: ``feature_matrix`` and ``mogp_feature_matrix`` (through
-``assemble_phi_c``), ``likelihood.weight_posterior`` and the two
+``run_chunks``: ``kernels.feature_matrix`` (the one assembler of Phi_c,
+for either model kind), ``likelihood.weight_posterior`` and the two
 predictions.  It splits the rows into chunks of ``backends.CHUNK_ROWS``,
 fills each chunk's rows (``phi_fill`` writes them from the output
 blocks) and hands them to a per-chunk ``work`` function, so no fill
@@ -75,7 +75,6 @@ __all__ = [
     "write_phi_block",
     "run_chunks",
     "phi_fill",
-    "assemble_phi_c",
 ]
 
 # Roots closer than SEPARATION_RTOL * (1 + max |root|) count as repeated.
@@ -509,11 +508,11 @@ def run_chunks(n, width, fill, work=None, combine=None):
 
     For the chunk of rows ``sl`` the thread that takes it calls
     ``phi = fill(sl, buf)``, then ``work(sl, phi)``.  ``buf`` is that
-    chunk's rows of the thread's own work array, (min(n, CHUNK_ROWS),
-    width) and zeroed when the thread takes its first chunk, so ``fill``
-    may write the chunk's Phi_c rows into it and return it (``width`` is
-    0 when it writes them elsewhere); the rows are valid until that
-    thread's next chunk.  The caller passes every ``work`` result to
+    chunk's rows of the thread's own uninitialised work array,
+    (min(n, CHUNK_ROWS), width), so ``fill`` may write every column of
+    the chunk's rows into it and return it (``width`` is 0 when it makes
+    or writes them elsewhere); the rows are valid until that thread's
+    next chunk.  The caller passes every ``work`` result to
     ``combine`` in chunk order, so a sum over chunks has the same bits
     whichever thread computed which chunk.
 
@@ -542,7 +541,7 @@ def run_chunks(n, width, fill, work=None, combine=None):
         try:
             while not stop.is_set() and (i := next(claims)) < count:
                 if buf is None:
-                    buf = np.zeros((min(n, step), width))
+                    buf = np.empty((min(n, step), width))
                 sl = slice(i * step, min(n, i * step + step))
                 phi = fill(sl, buf[: sl.stop - sl.start])
                 done[i] = None if work is None else work(sl, phi)
@@ -592,18 +591,3 @@ def phi_fill(inputs, output_ids, spec, draws):
 
     return fill
 
-
-def assemble_phi_c(inputs, output_ids, spec, draws):
-    """Real feature matrix Phi_c, (N, 2QS), chunk by chunk; ``.view(complex)`` is Phi.
-
-    DataError unless ``inputs`` fit the spec as ``model.validate_dataset``
-    checks them: its ``check_inputs`` (times nonnegative scalars for an
-    LFM, the spec's input dimension for a MOGP), and finite.
-    """
-    spec.check_inputs(inputs)
-    if not np.all(np.isfinite(inputs)):
-        raise DataError("inputs must be finite")
-    phi_c = np.empty((len(output_ids), phi_c_width(spec.num_forces, draws.num_samples)))
-    fill = phi_fill(inputs, output_ids, spec, draws)
-    run_chunks(len(output_ids), 0, lambda sl, _: fill(sl, phi_c[sl]))
-    return phi_c

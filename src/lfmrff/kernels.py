@@ -1,7 +1,10 @@
 """Covariance construction: feature-product approximation and exact quadrature.
 
 The approximate multi-output covariance is K = Re(Phi Phi^H) where Phi
-stacks weighted response features; the exact covariance convolves Green's
+stacks weighted response features.  ``feature_matrix`` assembles Phi for
+an LFM and a MOGP spec alike (``mogp.mogp_feature_matrix`` is the same
+function); ``latent_feature_matrix`` gives a latent force's own rows in
+the same weight space.  The exact LFM covariance convolves Green's
 functions against the force kernel exp(-(tau-tau')^2/ell^2) from both
 sides.  Two independent exact evaluators are provided: nested adaptive
 quadrature for single entries, and a vectorized Gauss-Legendre product
@@ -22,17 +25,18 @@ from . import backends
 from .features import (
     NumericsWarning,
     FrequencyDraws,
-    assemble_phi_c,
     force_columns,
     force_frequencies,
     operator_roots,
     phi_c_width,
+    phi_fill,
     residue_coeffs,
+    run_chunks,
     # not used here: kept for the benchmark's tracer, which wraps this name;
     # delete with ROADMAP item 1
     rfrf_general,
 )
-from .model import LfmSpec, Ode1Params
+from .model import DataError, LfmSpec, Ode1Params
 
 __all__ = [
     "FeatureMatrix",
@@ -63,27 +67,33 @@ class FeatureMatrix:
     """
 
     phi_c: np.ndarray
-    output_ids: np.ndarray | None
-    num_forces: int
-    num_samples: int
 
     @property
     def phi(self) -> np.ndarray:
         return self.phi_c.view(complex)
 
 
-def feature_matrix(times, output_ids, spec: LfmSpec, draws: FrequencyDraws) -> FeatureMatrix:
-    """Assemble Phi with entries S_{d,q}/sqrt(S) * v_d(t_n, lam_{s,q}).
+def feature_matrix(inputs, output_ids, spec, draws) -> FeatureMatrix:
+    """Assemble Phi of an LFM or MOGP spec: S_{d,q}/sqrt(S) * v_d(x_n, lam_{s,q}).
 
-    Rows follow the order of ``times``/``output_ids``; no sorting by output
-    is performed.
+    ``inputs`` are times for an LFM and (N, p), or (N,) for p = 1,
+    locations for a MOGP; rows follow their order.  ValueError unless
+    ``output_ids`` is 1-D with one id per input row; DataError unless the
+    inputs pass the spec's ``check_inputs`` and are finite, and each id
+    lies in 1..D.
     """
-    times = np.asarray(times, dtype=float)
+    inputs = np.asarray(inputs, dtype=float)
     output_ids = np.asarray(output_ids, dtype=int)
-    if times.shape != output_ids.shape:
-        raise ValueError("times and output_ids must have matching shapes")
-    phi_c = assemble_phi_c(times, output_ids, spec, draws)
-    return FeatureMatrix(phi_c, output_ids, spec.num_forces, draws.num_samples)
+    if output_ids.ndim != 1 or inputs.shape[:1] != output_ids.shape:
+        raise ValueError(f"need one output id per input row: inputs {inputs.shape}, "
+                         f"output_ids {output_ids.shape}")
+    spec.check_inputs(inputs)
+    if not np.all(np.isfinite(inputs)):
+        raise DataError("inputs must be finite")
+    phi_c = np.empty((output_ids.size, phi_c_width(spec.num_forces, draws.num_samples)))
+    fill = phi_fill(inputs, output_ids, spec, draws)
+    run_chunks(output_ids.size, 0, lambda sl, _: fill(sl, phi_c[sl]))
+    return FeatureMatrix(phi_c)
 
 
 def latent_block(times, lam):
@@ -114,7 +124,7 @@ def latent_feature_matrix(times, q, spec: LfmSpec, draws: FrequencyDraws) -> Fea
     phi_c.view(complex)[:, force_columns(q, s_count)] = latent_block(
         times, force_frequencies(draws, q, spec.lengthscales[q - 1])
     )
-    return FeatureMatrix(phi_c, None, spec.num_forces, s_count)
+    return FeatureMatrix(phi_c)
 
 
 def approx_cov(fm: FeatureMatrix, fm2: FeatureMatrix | None = None) -> np.ndarray:

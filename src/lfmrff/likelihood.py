@@ -448,6 +448,8 @@ class LmlObjective:
         # with Fortran order, axes (column within force, force) twice.
         blocks4 = (2 * s_count, n_q) * 2
         a_mat = self._a
+        if not self._sums:  # no output's term starts A
+            a_mat.fill(0.0)
         alpha = np.zeros(r2)
         for i, (d, sums) in enumerate(self._sums.items()):
             sums.add(blocks[d], gradient, self._step, self._rows_buf)

@@ -20,9 +20,10 @@ import numpy as np
 from scipy.integrate import dblquad
 
 # SpectralDraws, sample_spectral and mogp_frequencies live in features, next
-# to the LFM's draws and the block provider; this module re-exports them.
-from .features import SpectralDraws, assemble_phi_c, mogp_frequencies, sample_spectral
-from .kernels import FeatureMatrix
+# to the LFM's draws and the block provider, and kernels.feature_matrix
+# assembles Phi for both model kinds; this module re-exports them.
+from .features import SpectralDraws, mogp_frequencies, sample_spectral
+from .kernels import feature_matrix as mogp_feature_matrix
 from .model import MogpSpec
 
 __all__ = [
@@ -33,14 +34,6 @@ __all__ = [
     "mogp_cov_exact",
     "mogp_cov_quadrature",
 ]
-
-
-def mogp_feature_matrix(x, output_ids, spec: MogpSpec, draws: SpectralDraws) -> FeatureMatrix:
-    """Assemble Phi with entries S_{d,q}/sqrt(S) * phi_d(x_n, lam_{s,q})."""
-    x = np.asarray(x, dtype=float)
-    output_ids = np.asarray(output_ids, dtype=int)
-    phi_c = assemble_phi_c(x, output_ids, spec, draws)
-    return FeatureMatrix(phi_c, output_ids, spec.num_forces, draws.num_samples)
 
 
 def mogp_cov_exact(xr, dr, xc=None, dc=None, spec: MogpSpec | None = None) -> np.ndarray:

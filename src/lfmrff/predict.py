@@ -10,11 +10,13 @@ norm of phi* L^-T, which is nonnegative by construction.
 Prediction streams over chunks of ``backends.CHUNK_ROWS`` test rows with
 ``features.run_chunks``: each chunk's feature rows are filled, used for
 its means and variances and dropped, so no test N x R matrix is formed
-and memory is flat in the number of test rows.  The calling thread and
-one helper thread take chunks in turn and write disjoint slices of the
-means and variances, which are the same whatever the thread count.  The
-posterior is a ``likelihood.WeightPosterior``: ``weight_posterior``
-builds it without a training Phi_c.
+and memory is flat in the number of test rows.  A latent force's rows
+are zero outside force q's 2S columns, so its pass fills and multiplies
+only those, against the matching rows of the weights.  The calling
+thread and one helper thread take chunks in turn and write disjoint
+slices of the means and variances, which are the same whatever the
+thread count.  The posterior is a ``likelihood.WeightPosterior``:
+``weight_posterior`` builds it without a training Phi_c.
 """
 
 from __future__ import annotations
@@ -136,25 +138,21 @@ def predict_latent_forces(fit: FitResult, state: WeightPosterior, times, q) -> P
     times = np.asarray(times, dtype=float)
     lam = force_frequencies(draws_for(fit), q, spec.lengthscales[q - 1])
     m, l_inv_t = _weights(state)
-    s_count, n = fit.num_samples, times.size
-    block = force_columns(q, s_count)  # force q's columns of Phi
+    n = times.size
+    block = force_columns(q, fit.num_samples)  # force q's columns of Phi
     cols = slice(2 * block.start, 2 * block.stop)  # and of Phi_c
-    l_inv_t_q = l_inv_t[cols]  # the rows of L^-T that force q's columns meet
+    m_q, l_inv_t_q = m[cols], l_inv_t[cols]  # the weights those columns meet
     mean = np.empty(n)
     var = np.empty(n)
 
-    # Rows as in latent_feature_matrix, zero outside force q's columns (each
-    # thread's work array starts zeroed and only block q is rewritten): the
-    # mean takes them whole, so it has the bits of that matrix's product.
-    def fill(sl, rows):
-        rows.view(complex)[:, block] = latent_block(times[sl], lam)
-        return rows
+    # A row of latent_feature_matrix is zero outside force q's columns, so
+    # only those 2S columns are filled and multiplied.
+    def work(sl, v):
+        rows = v.view(float)
+        mean[sl] = backends.matmul_rows(rows, m_q)
+        var[sl] = _sq_row_norms(rows, l_inv_t_q)
 
-    def work(sl, rows):
-        mean[sl] = backends.matmul_rows(rows, m)
-        var[sl] = _sq_row_norms(rows[:, cols], l_inv_t_q)
-
-    run_chunks(n, phi_c_width(spec.num_forces, s_count), fill, work)
+    run_chunks(n, 0, lambda sl, _: latent_block(times[sl], lam), work)
     return Posterior(mean, var, False)
 
 

@@ -1,6 +1,8 @@
 """The public names of the lfmrff package, pinned so a re-export is deliberate."""
 
+import importlib
 import inspect
+import pkgutil
 from pathlib import Path
 
 import pytest
@@ -45,8 +47,19 @@ def test_removed_names_are_not_exported():
         assert not hasattr(lfmrff, name), name
 
 
+# every module but __main__, which runs the CLI when imported
+MODULES = sorted(m.name for m in pkgutil.iter_modules(lfmrff.__path__) if m.name != "__main__")
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_all_entry_exists(module):
+    mod = importlib.import_module(f"lfmrff.{module}")
+    missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
+    assert missing == []
+
+
 def test_version():
-    assert lfmrff.__version__ == "0.7.0"
+    assert lfmrff.__version__ == "0.8.0"
 
 
 def test_version_matches_pyproject():

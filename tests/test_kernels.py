@@ -1,10 +1,12 @@
 """Feature-matrix assembly and the quadrature reference covariances."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from lfmrff.features import force_frequencies, rfrf_general, sample_frequencies
+from lfmrff.features import force_frequencies, rfrf_general, sample_frequencies, sample_spectral
 from lfmrff.kernels import (
     approx_cov,
     cross_cov_entry,
@@ -16,7 +18,8 @@ from lfmrff.kernels import (
     latent_feature_matrix,
     response_quadrature,
 )
-from lfmrff.model import DataError, LfmSpec, Ode1Params, Ode2Params, OdeOperator
+from lfmrff.model import DataError, LfmSpec, MogpSpec, Ode1Params, Ode2Params, OdeOperator
+from lfmrff.mogp import mogp_feature_matrix
 
 TWO_OUTPUT_SPEC = LfmSpec(
     (Ode1Params(1.0), Ode2Params(1.0, 3.0, 2.0)),
@@ -52,11 +55,28 @@ class TestFeatureMatrix:
         )
 
     def test_shapes_and_metadata(self):
+        # A FeatureMatrix holds Phi_c and nothing else; phi is its view.
         t, ids, draws = small_problem()
         fm = feature_matrix(t, ids, TWO_OUTPUT_SPEC, draws)
         assert fm.phi.shape == (t.size, 2 * 12)
-        assert fm.num_forces == 2 and fm.num_samples == 12
-        assert np.array_equal(fm.output_ids, ids)
+        assert [f.name for f in dataclasses.fields(fm)] == ["phi_c"]
+        assert np.shares_memory(fm.phi, fm.phi_c)
+
+    @pytest.mark.parametrize("ids", [[1, 2, 1, 2, 1, 2], [1, 2, 1, 2], [[1, 2, 1, 2, 1]]],
+                             ids=["more-ids", "fewer-ids", "2-D-ids"])
+    @pytest.mark.parametrize("kind", ["lfm", "mogp"])
+    def test_one_output_id_per_input_row(self, kind, ids):
+        # Both model kinds take one id per input row of 5, or raise
+        # ValueError: not a silently shorter Phi_c, nor an IndexError.
+        if kind == "lfm":
+            assemble, spec = feature_matrix, TWO_OUTPUT_SPEC
+            draws, inputs = sample_frequencies(4, 2, seed=0), np.linspace(0.0, 2.0, 5)
+        else:
+            assemble = mogp_feature_matrix
+            spec = MogpSpec(2, [1.5, 0.9], 2, [1.0, 0.6], [[1.0, 0.3], [0.5, 1.0]], [0.1, 0.1])
+            draws, inputs = sample_spectral(4, 2, 2, seed=0), np.zeros((5, 2))
+        with pytest.raises(ValueError):
+            assemble(inputs, ids, spec, draws)
 
     def test_phi_c_interleaves_real_and_imag(self):
         # Complex column (q-1)*S + s holds sample s of force q, scaled by

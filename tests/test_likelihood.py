@@ -458,6 +458,24 @@ class TestGradient:
             with pytest.raises(NumericalError, match="log_gamma"):
                 obj.value_and_gradient(pack(spec).values)
 
+    def test_no_rows_give_zero_value_and_gradient(self):
+        # With no data A = I, so the lml is 0 and every slope is 0.  The
+        # work array A is uninitialised; freeing a 10 x 10 array of 7.0
+        # just before makes it likely to hold those values, which no
+        # output's term overwrites.
+        spec = LfmSpec((Ode1Params(1.0),), 1, [1.0], [[1.0]], [0.1])
+        draws = sample_frequencies(5, 1, seed=0)  # R = 10
+        data = Dataset(np.zeros(0, int), np.zeros(0), np.zeros(0))
+        theta = pack(spec).values
+        for _ in range(3):
+            junk = np.full((10, 10), 7.0)
+            del junk
+            obj = LmlObjective(data, spec, draws)
+            assert obj.value(theta) == 0.0
+            value, grad = obj.value_and_gradient(theta)
+            assert value == 0.0
+            assert np.array_equal(grad, np.zeros_like(theta))
+
     def test_objective_validates_draws(self):
         spec = LfmSpec((Ode1Params(1.0),), 2, [1.0, 1.0], [[1.0, 1.0]], [0.1])
         data = Dataset(np.array([1]), np.array([0.5]), np.array([0.0]))

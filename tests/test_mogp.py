@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from lfmrff.features import output_blocks, output_rows
-from lfmrff.kernels import approx_cov
+from lfmrff.kernels import approx_cov, feature_matrix
 from lfmrff.model import DataError, MogpSpec
 from lfmrff.mogp import (
     mogp_cov_exact,
@@ -44,6 +44,9 @@ class TestDraws:
 
 
 class TestFeatures:
+    def test_one_assembler_for_both_model_kinds(self):
+        assert mogp_feature_matrix is feature_matrix
+
     def test_shape_and_determinism(self):
         x = np.linspace(-1.0, 1.0, 10).reshape(5, 2)
         ids = np.array([1, 2, 1, 2, 1])

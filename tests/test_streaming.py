@@ -294,6 +294,10 @@ def test_pole_on_a_frequency_warns_once_per_call():
 MEM_SPEC = LfmSpec((Ode1Params(1.0), Ode2Params(1.0, 3.0, 2.0)), 2, [1.0, 0.7],
                    [[1.0, 0.5], [0.6, 1.0]], [0.1, 0.1])
 MEM_DRAWS = sample_frequencies(50, 2, 0)
+# Q=4 (R=400) for the latent pass, which fills only force q's 2S columns
+MEM_SPEC_Q4 = LfmSpec((Ode1Params(1.0), Ode2Params(1.0, 3.0, 2.0)), 4, [1.0, 0.7, 1.3, 0.5],
+                      [[1.0, 0.5, 0.3, 0.2], [0.6, 1.0, 0.4, 0.8]], [0.1, 0.1])
+MEM_DRAWS_Q4 = sample_frequencies(50, 4, 0)
 
 
 def grid_data(n):
@@ -327,7 +331,11 @@ def test_prediction_memory_is_flat_in_test_rows():
     fm = feature_matrix(train.inputs, train.output_ids, MEM_SPEC, MEM_DRAWS)
     _, state = low_rank_log_marginal(fm, noise_vector(MEM_SPEC, train.output_ids), train.y)
     fit = make_fit(MEM_SPEC, MEM_DRAWS)
+    fit_q4 = make_fit(MEM_SPEC_Q4, MEM_DRAWS_Q4)
+    state_q4 = weight_posterior(train, MEM_SPEC_Q4, MEM_DRAWS_Q4)
     for n in (8000, 32000):
         test = grid_data(n)
+        times = np.linspace(0.0, 3.0, n)
         assert peak(predict_outputs, fit, state, test) <= 8e6
-        assert peak(predict_latent_forces, fit, state, np.linspace(0.0, 3.0, n), 1) <= 8e6
+        assert peak(predict_latent_forces, fit, state, times, 1) <= 8e6
+        assert peak(predict_latent_forces, fit_q4, state_q4, times, 1) <= 8e6
