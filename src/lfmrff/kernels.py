@@ -99,13 +99,11 @@ def feature_matrix(inputs, output_ids, spec, draws) -> FeatureMatrix:
 def latent_block(times, lam):
     """Latent-force features exp(j*lam*t)/sqrt(S), (len(times), S) complex.
 
-    exp(j x) is written in place by ``backends.cis``.
+    ``backends.cis`` writes them, with 1/sqrt(S) folded into its scale.
     """
-    t = np.ravel(times)
-    v = np.empty((t.size, lam.size), dtype=complex)
-    np.multiply.outer(t, lam, out=v.imag)
-    backends.cis(v.imag, v)
-    v /= math.sqrt(lam.size)
+    x = np.multiply.outer(np.ravel(times), lam)
+    v = np.empty(x.shape, dtype=complex)
+    backends.cis(x, v, 1.0 / math.sqrt(lam.size))
     return v
 
 

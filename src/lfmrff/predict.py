@@ -45,7 +45,7 @@ from .kernels import (
     latent_feature_matrix,
 )
 from .likelihood import FitResult, WeightPosterior, noise_vector
-from .model import Dataset, LfmSpec, validate_dataset
+from .model import DataError, Dataset, LfmSpec, validate_dataset
 
 __all__ = [
     "Posterior",
@@ -128,7 +128,8 @@ def predict_latent_forces(fit: FitResult, state: WeightPosterior, times, q) -> P
     Latent features share the fitted weight space, so with no data the
     mean is 0 and the variance is exactly 1 at every time (the force
     kernel's unit diagonal); conditioning only shrinks it.  Raises
-    ValueError for q outside 1..Q.
+    ValueError for q outside 1..Q and DataError unless the times are
+    finite; negative times are allowed, as the force is defined there.
     """
     spec = fit.spec
     if not isinstance(spec, LfmSpec):
@@ -136,6 +137,8 @@ def predict_latent_forces(fit: FitResult, state: WeightPosterior, times, q) -> P
     if not 1 <= q <= spec.num_forces:
         raise ValueError(f"force index {q} outside 1..{spec.num_forces}")
     times = np.asarray(times, dtype=float)
+    if not np.all(np.isfinite(times)):
+        raise DataError("inputs must be finite")
     lam = force_frequencies(draws_for(fit), q, spec.lengthscales[q - 1])
     m, l_inv_t = _weights(state)
     n = times.size

@@ -241,11 +241,11 @@ def fd_gradient(obj, theta, h=1e-6):
     return g
 
 
-def check_gradient(spec, data, draws):
+def check_gradient(spec, data, draws, h=1e-6):
     obj = LmlObjective(data, spec, draws)
     theta = pack(spec).values
     _, analytic = obj.value_and_gradient(theta)
-    numeric = fd_gradient(obj, theta)
+    numeric = fd_gradient(obj, theta, h)
     assert_allclose(analytic, numeric, rtol=1e-5, atol=1e-7)
 
 
@@ -420,6 +420,25 @@ class TestGradient:
         assert len(collide) == 1
         with pytest.warns(NumericsWarning, match="collide"):
             check_gradient(spec, data, draws)
+
+    def test_long_times(self):
+        # times up to 1e3 put |lam t| near 1e4, where e^{j lam t} is taken
+        # from tan(lam t / 2).  The value's third derivative in log ell
+        # grows like (lam t)^3, so the default step's differences miss the
+        # log ell slope by 2.4e-5; at h = 1e-7 they converge on it (2.4e-7).
+        spec = LfmSpec((Ode1Params(0.8), Ode2Params(1.0, 0.6, 4.0)), 1, [0.4],
+                       [[1.0], [0.7]], [0.2, 0.3])
+        rng = np.random.default_rng(12)
+        t = np.sort(rng.uniform(0.0, 1e3, 24))
+        data = Dataset(rng.integers(1, 3, size=24), t, rng.normal(size=24))
+        draws = sample_frequencies(6, 1, seed=2)
+        lam = math.sqrt(2.0) * draws.base[:, 0] / spec.lengthscales[0]
+        assert np.max(np.abs(lam)) * t.max() > 5e3
+        fm = feature_matrix(data.inputs, data.output_ids, spec, draws)
+        ref, _ = low_rank_log_marginal(fm, noise_vector(spec, data.output_ids), data.y)
+        got = LmlObjective(data, spec, draws).value(pack(spec).values)
+        assert_allclose(got, ref, rtol=1e-12)
+        check_gradient(spec, data, draws, h=1e-7)
 
     def test_mogp_two_dim(self):
         spec = MogpSpec(2, [1.4, 0.8], 2, [1.0, 0.7],

@@ -11,7 +11,7 @@ from scipy.linalg import cho_solve
 from lfmrff.features import NumericsWarning, sample_frequencies
 from lfmrff.kernels import approx_cov, feature_matrix, latent_feature_matrix
 from lfmrff.likelihood import FitResult, low_rank_log_marginal, noise_vector
-from lfmrff.model import Dataset, LfmSpec, MogpSpec, Ode1Params, pack
+from lfmrff.model import DataError, Dataset, LfmSpec, MogpSpec, Ode1Params, pack
 from lfmrff.mogp import mogp_feature_matrix, sample_spectral
 from lfmrff.predict import nlpd, nmse, predict_latent_forces, predict_outputs
 
@@ -212,6 +212,23 @@ class TestPosteriorProperties:
         _, _, state = trained_state(spec=spec)
         with pytest.raises(ValueError, match="outside 1..2"):
             predict_latent_forces(make_fit(spec=spec), state, np.array([0.5]), q)
+
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_latent_rejects_non_finite_times(self, bad):
+        _, _, state = trained_state()
+        with pytest.raises(DataError, match="finite"):
+            predict_latent_forces(make_fit(), state, np.array([0.5, bad]), 1)
+
+    def test_latent_allows_negative_times(self):
+        # the force is defined before t = 0 too: its mean there is the
+        # latent feature row times the posterior mean weights
+        _, draws, state = trained_state()
+        post = predict_latent_forces(make_fit(), state, np.array([-2.0, -0.5, 0.5]), 1)
+        assert np.all(np.isfinite(post.mean)) and np.all(post.variance > 0.0)
+        fm = latent_feature_matrix(np.array([-2.0]), 1, SPEC, draws)
+        m = cho_solve((state.chol_a, True), state.alpha)
+        assert_allclose(post.mean[0], fm.phi_c[0] @ m, rtol=1e-12)
 
 
 class TestMetrics:
