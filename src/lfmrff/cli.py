@@ -95,10 +95,17 @@ class RunConfig:
     def validate(self):
         if self.model not in _MODEL_KINDS:
             raise UsageError(f"unknown model kind: {self.model}")
-        if self.samples < 1:
-            raise UsageError("samples must be >= 1")
-        if self.forces < 1:
-            raise UsageError("forces must be >= 1")
+        for key, ok, bound in (
+            ("samples", self.samples >= 1, ">= 1"),
+            ("forces", self.forces >= 1, ">= 1"),
+            ("seed", self.seed >= 0, ">= 0"),
+            ("outputs", self.outputs is None or self.outputs >= 1, ">= 1"),
+            ("max_iters", self.max_iters >= 0, ">= 0"),
+            ("grad_tol", self.grad_tol >= 0, ">= 0"),  # NaN fails this and the next
+            ("oracle_tol", self.oracle_tol > 0, "> 0"),
+        ):
+            if not ok:
+                raise UsageError(f"{key} must be {bound}")
         if self.mode not in ("rff", "oracle", "both"):
             raise UsageError(f"unknown mode: {self.mode}")
 
@@ -122,8 +129,8 @@ _SCALAR_KEYS = {
 # default is a tuple takes a comma list
 _OPERATOR_KEYS = {k: v for kind in OPERATOR_KINDS.values() for k, v in kind.config_keys().items()}
 _HYPER_PATTERN = re.compile(
-    rf"^({'|'.join([*_OPERATOR_KEYS, 'inv_width', 'noise', 'lengthscale'])})(\d+)$"
-    r"|^sens(\d+)_(\d+)$"
+    rf"^({'|'.join([*_OPERATOR_KEYS, 'inv_width', 'noise', 'lengthscale'])})([1-9]\d*)$"
+    r"|^sens([1-9]\d*)_([1-9]\d*)$"
 )
 
 

@@ -8,7 +8,8 @@ the same weight space.  The exact LFM covariance convolves Green's
 functions against the force kernel exp(-(tau-tau')^2/ell^2) from both
 sides.  Two independent exact evaluators are provided: nested adaptive
 quadrature for single entries, and a vectorized Gauss-Legendre product
-rule with order doubling for whole grids.
+rule with order doubling for whole grids.  Their tolerances and orders
+are fixed; each oracle's docstring states them.
 """
 
 from __future__ import annotations
@@ -159,18 +160,19 @@ def greens_function(params):
     return g
 
 
-def response_quadrature(t, params, lam, epsabs=1e-12):
+def response_quadrature(t, params, lam):
     """Oracle for a single response feature: int_0^t G(t-u) exp(j lam u) du.
 
-    Adaptive quadrature on real and imaginary parts separately; independent
-    of the closed-form residue expansion used by the feature code.
+    Adaptive quadrature (absolute tolerance 1e-12) on real and imaginary
+    parts separately; independent of the closed-form residue expansion
+    used by the feature code.
     """
     t = float(t)
     if t == 0.0:
         return 0.0 + 0.0j
     g = greens_function(params)
-    re = quad(lambda u: g(t - u) * math.cos(lam * u), 0.0, t, epsabs=epsabs, limit=400)[0]
-    im = quad(lambda u: g(t - u) * math.sin(lam * u), 0.0, t, epsabs=epsabs, limit=400)[0]
+    re = quad(lambda u: g(t - u) * math.cos(lam * u), 0.0, t, epsabs=1e-12, limit=400)[0]
+    im = quad(lambda u: g(t - u) * math.sin(lam * u), 0.0, t, epsabs=1e-12, limit=400)[0]
     return re + 1j * im
 
 
@@ -178,16 +180,18 @@ def response_quadrature(t, params, lam, epsabs=1e-12):
 # exact side: covariances by quadrature
 
 
-def exact_cov_entry(t1, d1, t2, d2, spec: LfmSpec, epsabs=1e-10):
+def exact_cov_entry(t1, d1, t2, d2, spec: LfmSpec):
     """One exact covariance entry by nested adaptive quadrature.
 
     Sums over forces q the double convolution of both Green's functions
     against exp(-(tau-sig)^2/ell_q^2), weighted by the two sensitivities.
-    Accurate but slow; intended for spot checks of the grid evaluator.
+    Absolute tolerance 1e-10, inner integral a tenth of it.  Accurate but
+    slow; intended for spot checks of the grid evaluator.
     """
     t1, t2 = float(t1), float(t2)
     if t1 == 0.0 or t2 == 0.0:
         return 0.0
+    epsabs = 1e-10
     g1 = greens_function(spec.outputs[d1 - 1])
     g2 = greens_function(spec.outputs[d2 - 1])
     total = 0.0
@@ -210,10 +214,7 @@ def exact_cov_entry(t1, d1, t2, d2, spec: LfmSpec, epsabs=1e-10):
     return total
 
 
-@lru_cache(maxsize=32)
-def _leggauss(n):
-    x, w = np.polynomial.legendre.leggauss(n)
-    return x, w
+_leggauss = lru_cache(maxsize=32)(np.polynomial.legendre.leggauss)
 
 
 def _weighted_green_nodes(times, output_ids, spec, order):
@@ -251,44 +252,45 @@ def _cov_grid_fixed(tr, dr, tc, dc, spec, order):
     return total
 
 
-def exact_cov_grid(
-    tr, dr, tc=None, dc=None, spec=None, *, rtol=1e-8, start_order=24, max_order=192
-):
-    """Exact covariance over a grid via Gauss-Legendre product quadrature.
+def _doubled_until_converged(fixed, order, rtol, name):
+    """``fixed(order)``, doubling the order at most three times.
 
-    The order doubles until the Frobenius change falls below ``rtol``
-    relative to the current norm.  The integrands are entire in both
-    variables, so convergence is geometric; a warning is raised if the
-    budget runs out first.
+    Stops once the Frobenius change is within ``rtol`` of the norm; else
+    warns, naming the ``name`` oracle, and returns the last grid.
     """
-    if spec is None:
-        raise TypeError("spec is required")
-    symmetric = tc is None
-    if symmetric:
-        tc, dc = tr, dr
-    order = start_order
-    prev = _cov_grid_fixed(tr, dr, tc, dc, spec, order)
-    while order < max_order:
+    prev = fixed(order)
+    for _ in range(3):
         order *= 2
-        cur = _cov_grid_fixed(tr, dr, tc, dc, spec, order)
-        scale = max(np.linalg.norm(cur), 1e-300)
-        if np.linalg.norm(cur - prev) <= rtol * scale:
-            prev = cur
-            break
+        cur = fixed(order)
+        if np.linalg.norm(cur - prev) <= rtol * max(np.linalg.norm(cur), 1e-300):
+            return cur
         prev = cur
-    else:
-        warnings.warn(
-            f"covariance quadrature did not reach rtol={rtol} by order {max_order}",
-            NumericsWarning,
-            stacklevel=2,
-        )
-    if symmetric:
-        prev = 0.5 * (prev + prev.T)
+    warnings.warn(f"{name} quadrature did not reach rtol={rtol} by order {order}",
+                  NumericsWarning, stacklevel=3)
     return prev
 
 
-def cross_cov_entry(t, d, t_force, q, spec: LfmSpec, epsabs=1e-11):
-    """Exact covariance between output d at t and force q at t_force."""
+def exact_cov_grid(tr, dr, tc=None, dc=None, *, spec, rtol=1e-8):
+    """Exact covariance over a grid via Gauss-Legendre product quadrature.
+
+    The order doubles from 24 up to 192 until the Frobenius change falls
+    below ``rtol`` relative to the current norm.  The integrands are
+    entire in both variables, so convergence is geometric; a warning is
+    raised if the budget runs out first.
+    """
+    symmetric = tc is None
+    if symmetric:
+        tc, dc = tr, dr
+    k = _doubled_until_converged(
+        lambda order: _cov_grid_fixed(tr, dr, tc, dc, spec, order), 24, rtol, "covariance"
+    )
+    if symmetric:
+        k = 0.5 * (k + k.T)
+    return k
+
+
+def cross_cov_entry(t, d, t_force, q, spec: LfmSpec):
+    """Exact covariance of output d at t and force q at t_force (quad to 1e-11 absolute)."""
     t = float(t)
     if t == 0.0:
         return 0.0
@@ -298,14 +300,18 @@ def cross_cov_entry(t, d, t_force, q, spec: LfmSpec, epsabs=1e-11):
         lambda tau: g(t - tau) * math.exp(-((tau - t_force) ** 2) * inv_ell2),
         0.0,
         t,
-        epsabs=epsabs,
+        epsabs=1e-11,
         limit=200,
     )[0]
     return spec.sensitivities[d - 1, q - 1] * val
 
 
-def cross_cov_grid(tr, dr, t_force, q, spec: LfmSpec, *, rtol=1e-9, start_order=32, max_order=256):
-    """Exact output-to-force covariance over grids, single-integral version."""
+def cross_cov_grid(tr, dr, t_force, q, spec: LfmSpec):
+    """Exact output-to-force covariance over grids, single-integral version.
+
+    The Gauss-Legendre order doubles from 32 up to 256 until the Frobenius
+    change falls below 1e-9 relative to the current norm.
+    """
     t_force = np.asarray(t_force, dtype=float)
     inv_ell2 = 1.0 / spec.lengthscales[q - 1] ** 2
     s_r = spec.sensitivities[np.asarray(dr) - 1, q - 1]
@@ -315,17 +321,4 @@ def cross_cov_grid(tr, dr, t_force, q, spec: LfmSpec, *, rtol=1e-9, start_order=
         kmat = np.exp(-((tau[:, :, None] - t_force[None, None, :]) ** 2) * inv_ell2)
         return s_r[:, None] * np.einsum("ia,iaj->ij", a, kmat)
 
-    order = start_order
-    prev = fixed(order)
-    while order < max_order:
-        order *= 2
-        cur = fixed(order)
-        if np.linalg.norm(cur - prev) <= rtol * max(np.linalg.norm(cur), 1e-300):
-            return cur
-        prev = cur
-    warnings.warn(
-        f"cross-covariance quadrature did not reach rtol={rtol} by order {max_order}",
-        NumericsWarning,
-        stacklevel=2,
-    )
-    return prev
+    return _doubled_until_converged(fixed, 32, 1e-9, "cross-covariance")

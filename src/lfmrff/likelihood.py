@@ -405,9 +405,6 @@ class LmlObjective:
         self.labels = pack(template).labels
         self._head_sizes = template.head_sizes()
         self._rows = output_rows(data.output_ids)
-        # each output's inputs and targets, in its blocks' row order
-        self._x = {d: data.inputs[r] for d, r in self._rows.items()}
-        self._y = {d: data.y[r] for d, r in self._rows.items()}
         self._sums = None  # {d: _OutputSums}, made at the first evaluation
 
     def _allocate(self):
@@ -417,7 +414,9 @@ class LmlObjective:
         evaluation, a large share of one at a thousand rows.
         """
         r2 = phi_c_width(self.template.num_forces, self.draws.num_samples)
-        self._sums = {d: _OutputSums(self._x[d], self._y[d], r2) for d in self._rows}
+        # each output's inputs and targets, in its blocks' row order
+        self._sums = {d: _OutputSums(self.data.inputs[r], self.data.y[r], r2)
+                      for d, r in self._rows.items()}
         self._step = min(backends.CHUNK_ROWS, max((s.n for s in self._sums.values()), default=0))
         self._rows_buf = np.empty((self._step, r2))
         self._a = np.empty((r2, r2), order="F")  # A, its factor, then M's lower triangle

@@ -36,7 +36,7 @@ __all__ = [
 ]
 
 
-def mogp_cov_exact(xr, dr, xc=None, dc=None, spec: MogpSpec | None = None) -> np.ndarray:
+def mogp_cov_exact(xr, dr, xc=None, dc=None, *, spec: MogpSpec) -> np.ndarray:
     """Closed-form covariance of the convolved model.
 
     Integrating the Gaussian spectral density against both smoothing
@@ -45,8 +45,6 @@ def mogp_cov_exact(xr, dr, xc=None, dc=None, spec: MogpSpec | None = None) -> np
 
         C_d C_d' (1 + 2 a sig2)^(-p/2) exp(-sig2 |x - x'|^2 / (2 (1 + 2 a sig2)))
     """
-    if spec is None:
-        raise TypeError("spec is required")
     symmetric = xc is None
     xr = np.asarray(xr, dtype=float)
     if xr.ndim == 1:
@@ -83,22 +81,21 @@ def mogp_cov_exact(xr, dr, xc=None, dc=None, spec: MogpSpec | None = None) -> np
     return total
 
 
-def mogp_cov_quadrature(x1, d1, x2, d2, spec: MogpSpec, *, half_width=None, epsabs=1e-10):
+def mogp_cov_quadrature(x1, d1, x2, d2, spec: MogpSpec):
     """One covariance entry for p = 1 by double quadrature.
 
     Integrates G_d(x1 - z) G_d'(x2 - z') exp(-(z - z')^2 / ell^2) over a
-    box wide enough for the Gaussian tails to be negligible.  Independent
-    of the spectral closed form; used to validate it and the features.
+    box wide enough for the Gaussian tails to be negligible: half width
+    9 (1/sqrt(min(P_d, P_d')) + max_q ell_q), absolute tolerance 1e-10.
+    Independent of the spectral closed form; used to validate it and the
+    features.
     """
     if spec.input_dim != 1:
         raise ValueError("quadrature oracle only supports input_dim == 1")
     x1, x2 = float(np.squeeze(x1)), float(np.squeeze(x2))
     p1 = spec.inv_widths[d1 - 1]
     p2 = spec.inv_widths[d2 - 1]
-    if half_width is None:
-        half_width = 9.0 * (
-            1.0 / math.sqrt(min(p1, p2)) + float(np.max(spec.lengthscales))
-        )
+    half_width = 9.0 * (1.0 / math.sqrt(min(p1, p2)) + float(np.max(spec.lengthscales)))
     total = 0.0
     for q in range(spec.num_forces):
         inv_ell2 = 1.0 / spec.lengthscales[q] ** 2
@@ -116,7 +113,7 @@ def mogp_cov_quadrature(x1, d1, x2, d2, spec: MogpSpec, *, half_width=None, epsa
             x1 + half_width,
             lambda z: x2 - half_width,
             lambda z: x2 + half_width,
-            epsabs=epsabs,
+            epsabs=1e-10,
         )
         total += spec.sensitivities[d1 - 1, q] * spec.sensitivities[d2 - 1, q] * val
     return total

@@ -346,6 +346,39 @@ class TestExitCodes:
         assert run([*predict, "--config", cfg]) == 0
         assert (out / "predictions.csv").exists()
 
+    @pytest.mark.parametrize("command,setting", [
+        ("train", "--seed -1"),
+        ("train", "seed=-1"),
+        ("kernel-eval", "outputs=-2"),
+        ("kernel-eval", "outputs=0"),
+        ("train", "max_iters=-1"),
+        ("train", "grad_tol=-1e-5"),
+        ("train", "grad_tol=nan"),
+        ("kernel-eval", "oracle_tol=-1"),
+        ("kernel-eval", "--oracle-tol 0"),
+        ("kernel-eval", "oracle_tol=nan"),
+        ("train", "noise0=0.01"),
+        ("train", "lengthscale0=2.0"),
+        ("train", "sens1_0=0.5"),
+        ("train", "gamma01=2.0"),
+    ])
+    def test_out_of_range_setting_is_usage_error(self, tmp_path, train_csv, capsys,
+                                                command, setting):
+        # a setting is a flag and its value, or one config file line
+        flags = (setting.split() if setting.startswith("--")
+                 else ["--config", _cfg(tmp_path, setting)])
+        grid = tmp_path / "grid.csv"
+        write_csv(grid, ["t"], [[0.5], [1.5]])
+        out = tmp_path / "o"
+        if command == "train":
+            argv = ["train", train_csv, *flags]
+        else:
+            argv = ["kernel-eval", str(grid), "--mode", "oracle", *flags]
+        assert run([*argv, "--out-dir", str(out), "--samples", "4"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_removed_benchmark_command_is_usage_error(self, capsys):
         assert run(["benchmark"]) == 1
 

@@ -1,13 +1,21 @@
 """Feature-matrix assembly and the quadrature reference covariances."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from lfmrff.features import force_frequencies, rfrf_general, sample_frequencies, sample_spectral
+from lfmrff.features import (
+    NumericsWarning,
+    force_frequencies,
+    rfrf_general,
+    sample_frequencies,
+    sample_spectral,
+)
 from lfmrff.kernels import (
+    _cov_grid_fixed,
     approx_cov,
     cross_cov_entry,
     cross_cov_grid,
@@ -241,6 +249,19 @@ class TestQuadratureOracles:
             for j in range(3):
                 want = exact_cov_entry(t[i], ids[i], t[j], ids[j], TWO_OUTPUT_SPEC)
                 assert_allclose(K[i, j], want, rtol=1e-7, atol=1e-12)
+
+    def test_grid_warns_once_and_keeps_the_last_order_when_rtol_is_out_of_reach(self):
+        t = np.array([0.3, 1.1, 2.6])
+        ids = np.array([1, 2, 2])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            K = exact_cov_grid(t, ids, spec=TWO_OUTPUT_SPEC, rtol=0.0)
+        assert [(w.category, str(w.message)) for w in caught] == [
+            (NumericsWarning, "covariance quadrature did not reach rtol=0.0 by order 192")]
+        assert caught[0].filename == __file__  # attributed to the oracle's caller
+        last = _cov_grid_fixed(t, ids, t, ids, TWO_OUTPUT_SPEC, 192)
+        assert np.array_equal(K, 0.5 * (last + last.T))
+        assert np.all(np.isfinite(K)) and np.array_equal(K, K.T)
 
     def test_grid_rectangular(self):
         tr = np.array([0.4, 1.9])
