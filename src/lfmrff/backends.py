@@ -22,9 +22,12 @@ Everything is numpy: the work is exponentials, matrix products and the
 e^{jx} of ``cis``, which takes numpy's vectorised tan in place of its
 scalar cos and sin loops.
 
-Both fills keep their temporaries to ``CHUNK_ROWS`` rows, and every row of
-a fill has the same bits whatever other rows it is filled with, so a block
-filled in row chunks equals the block filled at once.
+Both fills write into a given ``out`` array or a new one, and allocate
+one work array besides, held for the whole call: ``residue_fill``'s has
+the result's shape (its root terms' product needs it), ``mogp_fill``'s
+at most ``CHUNK_ROWS`` rows.  Every row of a fill has the same bits
+whatever other rows it is filled with and whether ``out`` is given, so a
+block filled in row chunks equals the block filled at once.
 """
 
 from __future__ import annotations
@@ -68,25 +71,31 @@ def _residues(s, x):
     return res, inv_diff, inv_sx, res[:, None] * inv_sx
 
 
-def matmul_rows(a, b):
+def matmul_rows(a, b, out=None):
     """a @ b for a 2-D ``a``, each row with the bits it has in a taller ``a``.
 
     numpy sends a one-row product to a dot or GEMV call, which rounds
     differently from GEMM, and OpenBLAS's GEMV rounds the last n mod 4
     rows apart from the rest; so a single row is multiplied as the last of
     five, where GEMM and GEMV give it the bits of a last row left over.
+    Written into ``out`` when it is given.
     """
     if a.shape[0] != 1:
-        return a @ b
-    return (np.repeat(a, 5, axis=0) @ b)[-1:]
+        return np.matmul(a, b, out=out)
+    row = (np.repeat(a, 5, axis=0) @ b)[-1:]
+    if out is None:
+        return row
+    out[...] = row
+    return out
 
 
-def cis(x, out, scale=1.0):
+def cis(x, out, scale=1.0, w=None):
     """Write ``scale`` * e^{jx} into the complex ``out``; ``x`` is overwritten.
 
-    ``x`` is a contiguous float work array and ``scale`` a number or one
-    per column.  numpy's float64 cos and sin run a scalar loop where its
-    tan is vectorised (README, Numerical notes), so e^{jx} comes from the
+    ``x`` is a contiguous float work array, ``w`` an optional one of its
+    shape for the weights below, and ``scale`` a number or one per column.
+    numpy's float64 cos and sin run a scalar loop where its tan is
+    vectorised (README, Numerical notes), so e^{jx} comes from the
     half-angle tangent u = tan(x/2): cos x = w - 1 and sin x = u w for
     w = 2/(1 + u^2), with ``scale`` folded into w.  Every step runs on
     contiguous arrays and only the last two write ``out``'s interleaved
@@ -96,18 +105,24 @@ def cis(x, out, scale=1.0):
     """
     u = np.multiply(x, 0.5, out=x)
     np.tan(u, out=u)
-    w = u * u
+    w = np.multiply(u, u, out=w)
     w += 1.0
     np.divide(2.0 * scale, w, out=w)
     np.multiply(u, w, out=out.imag)
     np.subtract(w, scale, out=out.real)
 
 
-def residue_fill(t, lam, roots, leading):
+def residue_fill(t, lam, roots, leading, out=None):
     """Response to exp(j*lam*t) from rest, shape (len(t), len(lam)).
 
     ``roots`` are the operator's distinct characteristic roots and
-    ``leading`` its leading coefficient a_0.
+    ``leading`` its leading coefficient a_0.  The response is written into
+    ``out``, a C-contiguous complex array of that shape, when it is given,
+    and into a new array otherwise.  A_x e^{j lam t} is written first, a
+    chunk at a time, and the root terms' product is added after it; the
+    sum is the same either way round, so every caller keeps its bits.  One
+    work array of the result's shape holds each chunk's phases and the
+    weights of ``cis``, then the product.
     """
     t = np.ascontiguousarray(t, dtype=float)
     s = np.asarray(roots, dtype=complex)
@@ -115,31 +130,31 @@ def residue_fill(t, lam, roots, leading):
     x = 1j * lam
     a_sys = _residues(s, x)[3]
     a_exc = 1.0 / np.prod(x[None, :] - s[:, None], axis=0) / leading
-    v = matmul_rows(np.exp(np.outer(t, s)), a_sys / leading)
-    # add A_x e^{j lam t}, a chunk at a time
-    scratch = np.empty((min(t.size, CHUNK_ROWS), lam.size), dtype=complex)
-    phase = np.empty(scratch.shape)
+    v = np.empty((t.size, lam.size), dtype=complex) if out is None else out
+    # the one work array: a chunk's phases and cis's weights, then the root terms
+    work = np.empty((t.size, lam.size), dtype=complex)
     for lo in range(0, t.size, CHUNK_ROWS):
-        rows = slice(lo, lo + CHUNK_ROWS)
-        e = scratch[: min(CHUNK_ROWS, t.size - lo)]
-        ph = phase[: e.shape[0]]
-        np.multiply.outer(t[rows], lam, out=ph)
-        cis(ph, e)
+        e = v[lo : lo + CHUNK_ROWS]
+        phase, w = work[lo : lo + CHUNK_ROWS].view(float).reshape(2, *e.shape)
+        cis(np.multiply.outer(t[lo : lo + CHUNK_ROWS], lam, out=phase), e, w=w)
         e *= a_exc
-        v[rows] += e
+    v += matmul_rows(np.exp(np.outer(t, s)), a_sys / leading, work)
     return v
 
 
-def mogp_fill(x, lam, amp):
+def mogp_fill(x, lam, amp, out=None):
     """Convolved-MOGP feature amp * exp(j lam.x), shape (len(x), len(lam)).
 
     ``x`` is (n, p), ``lam`` the (S, p) frequencies and ``amp`` the (S,)
-    Gaussian amplitudes.
+    Gaussian amplitudes.  Written into ``out`` as ``residue_fill`` does.
     """
-    v = np.empty((x.shape[0], lam.shape[0]), dtype=complex)
+    v = np.empty((x.shape[0], lam.shape[0]), dtype=complex) if out is None else out
+    # the one work array: a chunk's phases and cis's weights
+    work = np.empty((min(x.shape[0], CHUNK_ROWS), lam.shape[0]), dtype=complex)
     for lo in range(0, x.shape[0], CHUNK_ROWS):
-        rows = slice(lo, lo + CHUNK_ROWS)
-        cis(matmul_rows(x[rows], lam.T), v[rows], amp)
+        e = v[lo : lo + CHUNK_ROWS]
+        phase, w = work[: e.shape[0]].view(float).reshape(2, *e.shape)
+        cis(matmul_rows(x[lo : lo + CHUNK_ROWS], lam.T, phase), e, amp, w)
     return v
 
 

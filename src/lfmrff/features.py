@@ -20,8 +20,10 @@ output's fill by C_d, which holds S_{d,q}/sqrt(S) over force q's
 columns, and places it into Phi_c, the real view of Phi, whose layout
 ``force_columns`` and ``phi_c_width`` state.
 
-The likelihood objective fills the blocks itself (see ``likelihood``).
-Every other pass over rows of Phi_c goes through one function,
+The likelihood objective fills the blocks itself (see ``likelihood``), on
+the calling thread and a helper by ``run_split``, a fixed split of its
+chunks by parity, so that sums kept per side repeat bit for bit.  Every
+other pass over rows of Phi_c goes through one function,
 ``run_chunks``: ``kernels.feature_matrix`` (the one assembler of Phi_c,
 for either model kind), ``likelihood.weight_posterior`` and the two
 predictions.  It splits the rows into chunks of ``backends.CHUNK_ROWS``,
@@ -74,6 +76,7 @@ __all__ = [
     "phi_c_width",
     "write_phi_block",
     "run_chunks",
+    "run_split",
     "phi_fill",
 ]
 
@@ -381,8 +384,8 @@ class ResponseBlock:
     def __post_init__(self):
         object.__setattr__(self, "lam", _perturb_collisions(self.lam, self.rs.roots))
 
-    def fill(self, x):
-        return backends.residue_fill(x, self.lam, self.rs.roots, self.rs.leading)
+    def fill(self, x, out=None):
+        return backends.residue_fill(x, self.lam, self.rs.roots, self.rs.leading, out)
 
     def row_weights(self, x):
         """[E | tE] for E = e^{s_p t}: the rows ``grads`` needs ``ht`` against."""
@@ -420,8 +423,8 @@ class MogpBlock:
         amp = (2.0 * math.pi / prec) ** (lam.shape[1] / 2.0) * np.exp(-b / (2.0 * prec))
         return cls(lam, b, amp, prec)
 
-    def fill(self, x):
-        return backends.mogp_fill(x.reshape(x.shape[0], -1), self.lam, self.amp)
+    def fill(self, x, out=None):
+        return backends.mogp_fill(x.reshape(x.shape[0], -1), self.lam, self.amp, out)
 
     def grads(self, hv, hvx, ht):
         """As ``ResponseBlock.grads``, with hvx[j] = colsum(h v x_j); ``ht`` is
@@ -554,13 +557,52 @@ def run_chunks(n, width, fill, work=None, combine=None):
     if helpers < 1:
         take(drain)
         return
+    _with_helpers(helpers, lambda: take(lambda: None), lambda: take(drain))
+    drain()
+
+
+def run_split(count, work):
+    """Call ``work(side, i)`` for the items i < ``count``, split by parity: side = i % 2.
+
+    The caller takes the even items in order and, when ``_helper_count()``
+    allows, one helper thread takes the odd items; otherwise the caller
+    takes the odd items after the even ones.  Each side runs its items in
+    the same order either way, so sums kept per side have the same bits
+    whatever the thread count.  Thread rules as in ``run_chunks``: an
+    exception stops both sides and is raised here, and no thread outlives
+    the call.
+    """
+    stop = threading.Event()
+
+    def side(k):
+        try:
+            for i in range(k, count, 2):
+                if stop.is_set():
+                    return
+                work(k, i)
+        except BaseException:
+            stop.set()
+            raise
+
+    if count < 2 or _helper_count() < 1:
+        side(0)
+        side(1)
+    else:
+        _with_helpers(1, lambda: side(1), lambda: side(0))
+
+
+def _with_helpers(helpers, task, own):
+    """Run ``task`` on ``helpers`` threads while the caller runs ``own``.
+
+    Each helper runs under a copy of the caller's ``contextvars`` context,
+    so numpy's error state carries over.  Returns once every helper has
+    finished, raising the caller's exception or else a helper's.
+    """
     with ThreadPoolExecutor(helpers) as pool:
-        futures = [pool.submit(contextvars.copy_context().run, take, lambda: None)
-                   for _ in range(helpers)]
-        take(drain)
+        futures = [pool.submit(contextvars.copy_context().run, task) for _ in range(helpers)]
+        own()
     for future in futures:
         future.result()
-    drain()
 
 
 def phi_fill(inputs, output_ids, spec, draws):

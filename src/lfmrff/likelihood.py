@@ -23,17 +23,26 @@ together (the weight posterior that prediction reads), filled by
 ``features.phi_fill`` and multiplied on two threads by
 ``features.run_chunks``.
 
-The objective runs on the calling thread in one pass over each output's
-rows, ``CHUNK_ROWS`` at a time.  It holds 1 + p Grams of R x R per output
-(p the input dimension) and no array that grows with an output's rows,
-so its memory is flat in N at a fixed number of outputs D but grows with
-D; the Grams save work and memory only where an output has many more
-rows than R (see README, Numerical notes).  It fills each chunk once, as
-the output's block, unscaled by the sensitivities, and adds the chunk
-into that output's Gram matrices (``_OutputSums``): G = psi^T psi and
-a = psi^T y for the value, and for the gradient the same sums weighted
-by each input coordinate and the rows' e^{s_p t} terms.  A, alpha and the data-fit
-term follow from G and a; A is factored with LAPACK potrf, m = A^-1
+The objective makes one pass over each output's rows, ``CHUNK_ROWS`` at
+a time.  It fills each chunk once, as the output's block, unscaled by
+the sensitivities, and adds the chunk into that output's Gram matrices
+(``_OutputSums``): G = psi^T psi and a = psi^T y for the value, and for
+the gradient the same sums weighted by each input coordinate and the
+rows' e^{s_p t} terms.  The pass's items, each output's chunks in turn,
+are split by index parity (``features.run_split``): the calling thread
+adds the even items into one set of sums and, when the process may run
+on two CPUs, a helper thread adds the odd items into another, each with
+its own chunk work arrays; on one CPU the caller adds both halves in the
+same order.  An output's two partial sums are then added in that fixed
+order, so every result has the same bits on one CPU and on two.  The
+Grams are numpy products psi^T psi, which run as a SYRK without the
+interpreter lock, so the two threads overlap.  An output holds 1 + p
+Grams of R x R (p the input dimension), twice if its chunks fall on both
+sides, and no array that grows with its rows, so the objective's memory
+is flat in N at a fixed number of outputs D but grows with D; the Grams
+save work and memory only where an output has many more rows than R (see
+README, Numerical notes).  A, alpha and the data-fit term follow from G
+and a; A is factored with LAPACK potrf, m = A^-1
 alpha solved with potrs, and the gradient takes A^-1 from potri.  It uses
 dL/dPhi_c = beta m^T - Sigma^-1 Phi_c A^-1, whose complex view is dL/dPhi
 as Phi_c is the real view of Phi.  With beta = Sigma^-1 (y - Phi_c m) it
@@ -65,7 +74,7 @@ from time import perf_counter
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
-from scipy.linalg.blas import dsyr, dsyrk
+from scipy.linalg.blas import dsyr
 from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
 from scipy.optimize import minimize
 
@@ -81,6 +90,7 @@ from .features import (
     # delete with ROADMAP item 1
     rfrf_general,
     run_chunks,
+    run_split,
 )
 from .kernels import FeatureMatrix
 from .model import (
@@ -269,6 +279,36 @@ def full_log_marginal(cov, noise, y):
 # packed-space objective with analytic gradient
 
 
+class _Work:
+    """One side's chunk work arrays: the fill, its weighted rows and, for a
+    side that adds chunks to sums already started, one Gram product."""
+
+    def __init__(self, step, r2, adds):
+        self.fill = np.empty((step, r2 // 2), dtype=complex)
+        self.rows = np.empty((step, r2))
+        self.gram = np.empty((r2, r2)) if adds else None
+
+
+class _Part:
+    """The sums over one side's chunks of an output's rows (see ``_OutputSums``)."""
+
+    def __init__(self, r2, count):
+        self.grams = np.empty((count, r2, r2))
+        self.a = self.grad_sums = None  # set by the side's first chunk
+
+
+def _add_gram(gram, w, first, tmp):
+    """``gram`` = w^T w for the side's first chunk, else ``gram`` += w^T w.
+
+    numpy runs w^T w as a SYRK, fills both triangles and releases the
+    interpreter lock; ``tmp`` is an R x R work array.
+    """
+    if first:
+        np.matmul(w.T, w, out=gram)
+    else:
+        np.add(gram, np.matmul(w.T, w, out=tmp), out=gram)
+
+
 class _OutputSums:
     """Sums over one output's rows of psi, the output's unscaled features.
 
@@ -279,51 +319,62 @@ class _OutputSums:
     for each input dimension j, Gx_j = sum_i (x_ij - x0_j) psi_i^T psi_i
     (x0_j the output's least x_j, so each row's weight has a real square
     root) and ax_j = sum_i x_ij y_i psi_i, and, for a block with
-    ``row_weights`` Omega, Omega^T psi and Omega^T y.  ``grams`` holds G
-    and the Gx_j as its slices [:, :, 0], [:, :, 1], ...; dsyrk adds each
-    chunk into a slice's lower triangle in place, and the upper triangle
-    stays zero.
+    ``row_weights`` Omega, Omega^T psi and Omega^T y.
+
+    The rows are added a chunk at a time (``add``), each chunk into the
+    ``_Part`` of its side, one of ``sides``; a part's ``grams`` holds G and
+    the Gx_j in turn, each full and symmetric.  ``merge`` then adds the
+    parts in side order.
     """
 
-    def __init__(self, x, y, r2):
+    def __init__(self, x, y, r2, sides):
         self.x = x  # as the block's fill takes it
         self.y = y
         self.x2 = x.reshape(y.size, -1)
         self.x0 = self.x2.min(axis=0)
         self.n = y.size
         self.yy = float(y @ y)
-        self.a = self._grad_sums = None  # set by add
-        self.grams = np.zeros((r2, r2, 1 + self.x0.size), order="F")
+        self.parts = {side: _Part(r2, 1 + self.x0.size) for side in sorted(sides)}
+        self.total = None  # set by merge
 
-    def add(self, block, gradient, step, rows):
-        """Sum over the rows for ``block``, ``step`` rows at a time.
+    def add(self, side, sl, first, block, gradient, work):
+        """Add rows ``sl`` of ``block`` into part ``side``, which they start if ``first``.
 
-        ``rows`` is a (step, R) work array for the rows of sqrt(x_j - x0_j) psi.
+        ``work`` is the side's ``_Work``, with at least as many rows as ``sl``.
         """
-        weights = getattr(block, "row_weights", None) if gradient else None
-        for lo in range(0, self.n, step):
-            sl = slice(lo, lo + step)
-            y = self.y[sl]
-            psi = block.fill(self.x[sl]).view(float)
-            keep = float(lo > 0)  # dsyrk's beta: the first chunk overwrites the sums
+        part = self.parts[side]
+        y = self.y[sl]
+        psi = block.fill(self.x[sl], work.fill[: y.size]).view(float)
+        if gradient:
+            x = self.x2[sl]
+            w = work.rows[: y.size]
+            for j in range(self.x0.size):
+                np.multiply(psi, np.sqrt(x[:, j] - self.x0[j])[:, None], out=w)
+                _add_gram(part.grams[1 + j], w, first, work.gram)
+            sums = [(x * y[:, None]).T @ psi]
+            weights = getattr(block, "row_weights", None)
+            if weights is not None:
+                # the real view of Omega keeps psi real: (Re, Im) row pairs of Omega^T psi
+                omega = weights(self.x[sl]).view(float)
+                sums += [omega.T @ psi, omega.T @ y]
+            if not first:
+                sums = [old + new for old, new in zip(part.grad_sums, sums)]
+            part.grad_sums = sums
+        _add_gram(part.grams[0], psi, first, work.gram)
+        a = psi.T @ y
+        part.a = a if first else part.a + a
+
+    def merge(self, gradient):
+        """Add the later parts into the first, in side order; it becomes ``total``."""
+        total, *rest = self.parts.values()
+        count = None if gradient else 1  # the value reads only G
+        for part in rest:
+            np.add(total.grams[:count], part.grams[:count], out=total.grams[:count])
+            total.a = total.a + part.a
             if gradient:
-                x = self.x2[sl]
-                w = rows[: y.size]
-                for j in range(self.x0.size):
-                    np.multiply(psi, np.sqrt(x[:, j] - self.x0[j])[:, None], out=w)
-                    dsyrk(1.0, w.T, keep, self.grams[:, :, 1 + j], lower=1, overwrite_c=1)
-                sums = [(x * y[:, None]).T @ psi]
-                if weights is not None:
-                    # the real view of Omega keeps psi real: (Re, Im) row pairs of Omega^T psi
-                    omega = weights(self.x[sl]).view(float)
-                    sums += [omega.T @ psi, omega.T @ y]
-                if lo:
-                    sums = [old + new for old, new in zip(self._grad_sums, sums)]
-                self._grad_sums = sums
-            # G last, so that it is still in cache when A is built from it
-            dsyrk(1.0, psi.T, keep, self.grams[:, :, 0], lower=1, overwrite_c=1)
-            a = psi.T @ y
-            self.a = self.a + a if lo else a
+                total.grad_sums = [t + p for t, p in zip(total.grad_sums, part.grad_sums)]
+        self.total = total
+        return total
 
     def column_sums(self, m, mat, c, sig2):
         """(hv, hvx, ht, z): column sums over these rows of h = conj(dL/dPhi).
@@ -335,14 +386,15 @@ class _OutputSums:
         ht = Omega^T h (None for a block without row weights); each is
         linear in y and psi, so it is a column-wise dot of a Gram with C_d M
         and no row is read again.  z is the term of hv in G, times
-        -sigma^2.  ``c`` holds S_dq/sqrt(S) per force.  Halves the Grams'
-        diagonals (see ``_gram_dots``), so it runs once per ``add``.
+        -sigma^2.  ``c`` holds S_dq/sqrt(S) per force.  Reads the ``total``
+        of ``merge``.
         """
+        total = self.total
         m_conj = m.view(complex).conj()
-        a_x, *omega_sums = self._grad_sums
-        dots = _gram_dots(self.grams, mat, c)
+        a_x, *omega_sums = total.grad_sums
+        dots = _gram_dots(total.grams, mat, c)
         z = dots[0]
-        hv = (m_conj * self.a.view(complex) - z) / sig2
+        hv = (m_conj * total.a.view(complex) - z) / sig2
         hvx = (m_conj * a_x.view(complex) - dots[1:] - np.multiply.outer(self.x0, z)) / sig2
         if not omega_sums:
             return hv, hvx, None, z
@@ -358,29 +410,13 @@ class _OutputSums:
 def _gram_dots(grams, mat, c):
     """colsum(conj(C M) * G) in complex column view, for each Gram G of ``grams``.
 
-    ``grams`` holds each Gram's lower triangle as in ``_OutputSums``; ``mat``
-    is the complex column view of the symmetric M and ``c`` holds C's
-    factor per force, so force q's rows take c[q-1].  Returns one row per
-    Gram.
-
-    No Gram is made symmetric.  With its diagonal halved (done here, in
-    place), G = T + T^T for the triangle T = grams[:, :, i].T, so column
-    pair (2k, 2k+1) of C M against G is a complex dot of T's columns with
-    C M's, plus the 2 x 2 diagonal block of M C T^T, T's rows against M C's.
+    ``grams`` is (k, R, R), full symmetric Grams as in ``_OutputSums``;
+    ``mat`` is the complex column view of the symmetric M and ``c`` holds
+    C's factor per force, so force q's rows take c[q-1].  Returns one row
+    per Gram.
     """
-    r2 = mat.shape[0]
-    diagonals = grams.reshape(r2 * r2, -1, order="F")[:: r2 + 1]
-    np.multiply(diagonals, 0.5, out=diagonals)
-    tri = grams.T  # the triangles, C-ordered
-    forces = (c.size, r2 // c.size, r2 // 2)
-    cols = c @ np.vecdot(mat.reshape(forces), tri.view(complex).reshape(-1, *forces), axis=-2)
-    # rows 2k, 2k+1 of M against the same rows of T over force q's
-    # columns, times c_q: the 2 x 2 diagonal blocks of M C T^T
-    m_rows = mat.view(float).reshape(r2 // 2, 2, *forces[:2])
-    t_rows = tri.reshape(-1, r2 // 2, 2, *forces[:2])
-    rows = sum(cq * np.matmul(m_rows[:, :, q], t_rows[..., q, :].transpose(0, 1, 3, 2))
-               for q, cq in enumerate(c))
-    return cols + (rows[..., 0, 0] + rows[..., 1, 1]) + 1j * (rows[..., 0, 1] - rows[..., 1, 0])
+    forces = (c.size, mat.shape[0] // c.size, mat.shape[1])
+    return c @ np.vecdot(mat.reshape(forces), grams.view(complex).reshape(-1, *forces), axis=-2)
 
 
 class LmlObjective:
@@ -390,10 +426,12 @@ class LmlObjective:
     so the objective is smooth in the lengthscales through the
     reparameterization of the draws rather than stochastic.  Each
     evaluation is one pass over each output's rows, which adds the rows'
-    features into that output's Gram matrices; value and gradient follow
-    from those in O(D R^2) work (see the module docstring).  The sums and
-    the work arrays are allocated at the first evaluation and reused, so
-    one objective must not be evaluated from two threads at once.
+    features into that output's Gram matrices, the pass's chunks split
+    between the caller and a helper thread; value and gradient follow from
+    the Grams in O(D R^2) work (see the module docstring).  The results do
+    not depend on the CPU count.  The sums and the work arrays are
+    allocated at the first evaluation and reused, so one objective must
+    not be evaluated from two threads at once.
     """
 
     def __init__(self, data: Dataset, template, draws):
@@ -408,17 +446,28 @@ class LmlObjective:
         self._sums = None  # {d: _OutputSums}, made at the first evaluation
 
     def _allocate(self):
-        """The per-output sums and the R x R and chunk-sized work arrays.
+        """The pass's items, the per-output sums and the R x R and chunk-sized work arrays.
 
         Fresh arrays of these sizes would page-fault again on every
         evaluation, a large share of one at a thousand rows.
         """
         r2 = phi_c_width(self.template.num_forces, self.draws.num_samples)
+        step = min(backends.CHUNK_ROWS, max((r.size for r in self._rows.values()), default=0))
+        # (output, its rows, first on its side): each output's chunks in
+        # turn, item i on side i % 2, so an output's first two chunks start
+        # its two sides
+        self._items = [(d, slice(lo, lo + step), lo < 2 * step)
+                       for d, r in self._rows.items() for lo in range(0, r.size, step)]
+        sides = {d: set() for d in self._rows}
+        adds = set()  # the sides with an item that is not first
+        for i, (d, _, first) in enumerate(self._items):
+            sides[d].add(i % 2)
+            if not first:
+                adds.add(i % 2)
         # each output's inputs and targets, in its blocks' row order
-        self._sums = {d: _OutputSums(self.data.inputs[r], self.data.y[r], r2)
+        self._sums = {d: _OutputSums(self.data.inputs[r], self.data.y[r], r2, sides[d])
                       for d, r in self._rows.items()}
-        self._step = min(backends.CHUNK_ROWS, max((s.n for s in self._sums.values()), default=0))
-        self._rows_buf = np.empty((self._step, r2))
+        self._work = [_Work(step, r2, k in adds) for k in range(min(2, len(self._items)))]
         self._a = np.empty((r2, r2), order="F")  # A, its factor, then M's lower triangle
         self._mat = np.empty((r2, r2), order="F")  # M = m m^T + A^-1
         self._sym = np.empty((r2, r2), order="F")  # a term of A
@@ -436,6 +485,12 @@ class LmlObjective:
         blocks = output_blocks(self._rows, spec, self.draws)
         if self._sums is None:
             self._allocate()
+
+        def add(side, i):
+            d, sl, first = self._items[i]
+            self._sums[d].add(side, sl, first, blocks[d], gradient, self._work[side])
+
+        run_split(len(self._items), add)
         s_count, n_q = self.draws.num_samples, spec.num_forces
         r2 = self._a.shape[0]
         sig2 = {d: spec.noise_vars[d - 1] for d in self._sums}
@@ -451,19 +506,20 @@ class LmlObjective:
             a_mat.fill(0.0)
         alpha = np.zeros(r2)
         for i, (d, sums) in enumerate(self._sums.items()):
-            sums.add(blocks[d], gradient, self._step, self._rows_buf)
+            total = sums.merge(gradient)
             term = self._sym if i else a_mat  # the first output's term starts A
-            np.multiply(sums.grams[:, :, 0].reshape(blocks4, order="F"),
+            # G is symmetric, so its transpose is G in Fortran order
+            np.multiply(total.grams[0].T.reshape(blocks4, order="F"),
                         np.multiply.outer(scales[d - 1], scales[d - 1] / sig2[d])[None, :, None, :],
                         out=term.reshape(blocks4, order="F"))
             if i:
                 a_mat += term
-            alpha += cols[d] * sums.a / sig2[d]
+            alpha += cols[d] * total.a / sig2[d]
         a_mat[np.diag_indices(r2)] += 1.0
         chol = _cholesky(a_mat)
         m = dpotrs(chol, alpha, lower=1)[0]
         # yy - a^T C_d m = y^T (y - Phi_c m) on output d's rows
-        fits = {d: sums.yy - float((cols[d] * sums.a) @ m) for d, sums in self._sums.items()}
+        fits = {d: sums.yy - float((cols[d] * sums.total.a) @ m) for d, sums in self._sums.items()}
         value = _lml(sum(fits[d] / sig2[d] for d in fits), chol,
                      sum(sums.n * math.log(sig2[d]) for d, sums in self._sums.items()),
                      len(self.data))

@@ -237,7 +237,12 @@ def test_criterion_5_assembled_kernels_are_psd():
 # one thread, set before numpy is imported: BLAS threads competing with the
 # rest of a busy machine made the measured slope swing between 0.5 and 1.2.
 # The sizes are timed in turn, not one after another, so that a slowdown of
-# the machine lasting a few seconds cannot land on one size alone.
+# the machine lasting a few seconds cannot land on one size alone.  The
+# slope is taken of the cost per row, T(N) - T(20): an evaluation also has
+# a fixed cost (the R x R factorization and inverse, Python-bound work per
+# output) that does not grow with N, and a raw log-log slope falls below 1
+# whenever rows get cheaper and the fixed cost does not, though the cost
+# stays linear in N.  A step quadratic in N still raises this slope.
 CRITERION_6_TIMING = """
 import json
 from time import perf_counter
@@ -259,7 +264,7 @@ draws = sample_frequencies(50, 2, 0)
 rng = np.random.default_rng(0)
 theta = pack(spec).values
 objectives = []
-for n in (1000, 2000, 4000, 8000):
+for n in (20, 1000, 2000, 4000, 8000):
     t = np.tile(np.linspace(0.0, 3.0, n // 2), 2)
     ids = np.repeat([1, 2], n // 2)
     objectives.append(LmlObjective(Dataset(ids, t, rng.normal(size=n)), spec, draws))
@@ -284,15 +289,17 @@ def test_criterion_6_objective_scales_linearly():
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     child = subprocess.run([sys.executable, "-c", CRITERION_6_TIMING], env=env,
                            capture_output=True, text=True, timeout=300, check=True)
-    sizes = [1000, 2000, 4000, 8000]
+    sizes = [20, 1000, 2000, 4000, 8000]
     medians = json.loads(child.stdout.splitlines()[-1])
-    slope = float(np.polyfit(np.log(sizes), np.log(medians), 1)[0])
-    elapsed = perf_counter() - started
+    per_row = np.array(medians[1:]) - medians[0]
     timings = ", ".join(f"N={n}: {1e3 * t:.2f} ms" for n, t in zip(sizes, medians))
+    assert np.all(per_row > 0), f"no cost per row beyond N=20: {timings}"
+    slope = float(np.polyfit(np.log(sizes[1:]), np.log(per_row), 1)[0])
+    elapsed = perf_counter() - started
     assert 0.8 <= slope <= 1.3, f"slope {slope:.3f} from medians {timings}"
     assert elapsed < 300.0
-    print(f"PASS criterion 6: log-log wall-time slope {slope:.2f} over "
-          f"N=1k..8k, inside [0.8, 1.3] ({elapsed:.1f} s)")
+    print(f"PASS criterion 6: log-log slope of the wall time beyond N=20, "
+          f"{slope:.2f} over N=1k..8k, inside [0.8, 1.3] ({elapsed:.1f} s)")
 
 
 MOGP_SPEC = MogpSpec(1, [2.0, 0.7], 1, [1.0], [[1.0], [0.8]], [0.1, 0.1])

@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from lfmrff import backends
 from lfmrff.features import MogpBlock, ResponseBlock, operator_roots, sample_draws
 from lfmrff.kernels import feature_matrix, latent_block
-from lfmrff.likelihood import FitResult, LmlObjective, _OutputSums, weight_posterior
+from lfmrff.likelihood import FitResult, LmlObjective, _OutputSums, _Work, weight_posterior
 from lfmrff.model import Dataset, LfmSpec, MogpSpec, Ode1Params, Ode2Params, OdeOperator, pack
 from lfmrff.predict import predict_latent_forces, predict_outputs
 
@@ -285,9 +285,12 @@ def gram_path_case(block, x, seed):
     mat = root @ root.T / r2 + np.outer(m, m)
     c = rng.uniform(0.2, 1.5, GRAM_Q)
     sig2 = 0.3
-    # three chunks, the last one short
-    sums = _OutputSums(x, y, r2)
-    sums.add(block, True, 15, np.empty((15, r2)))
+    # three chunks, the last one short, split by parity between two sides
+    sums = _OutputSums(x, y, r2, {0, 1})
+    work = [_Work(15, r2, True), _Work(15, r2, False)]
+    for i, lo in enumerate(range(0, n, 15)):
+        sums.add(i % 2, slice(lo, lo + 15), i < 2, block, True, work[i % 2])
+    sums.merge(True)
     got = sums.column_sums(m, mat.view(complex), c, sig2)[:3]
 
     v = block.fill(x)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from lfmrff import backends
+from lfmrff import backends, features
 from lfmrff.features import FrequencyDraws, NumericsWarning, sample_frequencies
 from lfmrff.kernels import feature_matrix
 from lfmrff.likelihood import (
@@ -256,14 +256,28 @@ CHUNK = 7
 
 
 def two_output_data(rows, mogp, seed=11):
-    """``rows`` rows per output, output ids alternating 1, 2, 1, 2, ..."""
+    """``rows`` rows per output, or (rows of output 1, rows of output 2).
+
+    Output ids alternate 1, 2, 1, 2, ... until the smaller output runs out.
+    """
+    rows1, rows2 = (rows, rows) if np.isscalar(rows) else rows
     rng = np.random.default_rng(seed)
-    n = 2 * rows
+    n = rows1 + rows2
+    both = min(rows1, rows2)
+    ids = np.concatenate([np.tile([1, 2], both), np.full(n - 2 * both, 1 if rows1 > both else 2)])
     x = rng.uniform(-1.0, 1.0, size=(n, 2)) if mogp else rng.uniform(0.05, 3.0, n)
-    return Dataset(np.tile([1, 2], rows), x, rng.normal(size=n))
+    return Dataset(ids, x, rng.normal(size=n))
 
 
-@pytest.mark.parametrize("rows", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3])
+# The pass splits its (output, chunk) items by index parity between the
+# caller and a helper thread.  With chunks of 7 rows, 6 and 7 rows per
+# output put each output on one side; 8 and 17 put both outputs on both
+# sides, output 2's first chunk on side 0 (8) or side 1 (17, three chunks
+# each); 7+21 gives output 2 three chunks starting on side 1, and 17+6
+# leaves output 2 a single chunk on side 1.
+@pytest.mark.parametrize("rows", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3,
+                                  pytest.param((CHUNK, 3 * CHUNK), id="7+21"),
+                                  pytest.param((2 * CHUNK + 3, CHUNK - 1), id="17+6")])
 @pytest.mark.parametrize("case", list(OBJECTIVE_CASES))
 def test_chunked_objective_matches_dense(monkeypatch, case, rows):
     spec, draws, assemble = OBJECTIVE_CASES[case]
@@ -271,6 +285,12 @@ def test_chunked_objective_matches_dense(monkeypatch, case, rows):
     theta = pack(spec).values
     _, one_chunk = LmlObjective(data, spec, draws).value_and_gradient(theta)
     monkeypatch.setattr(backends, "CHUNK_ROWS", CHUNK)
+    # the same bits whether the caller takes both sides or a helper one
+    alone, helped = [], []
+    for helpers, got in ((0, alone), (1, helped)):
+        monkeypatch.setattr(features, "_helper_count", lambda h=helpers: h)
+        got += LmlObjective(data, spec, draws).value_and_gradient(theta)
+    assert alone[0] == helped[0] and np.array_equal(alone[1], helped[1])
     obj = LmlObjective(data, spec, draws)
     value, grad = obj.value_and_gradient(theta)
     fm = assemble(data.inputs, data.output_ids, spec, draws)
@@ -328,6 +348,30 @@ def test_evaluation_memory_is_flat_in_n():
         peaks.append(peak(obj.value_and_gradient, theta))
     assert peaks[1] <= 8e6
     assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0]
+
+
+def test_retained_state_of_many_small_outputs_is_their_grams():
+    # 40 outputs of 50 rows (R = 200): each output has one chunk, on one
+    # side of the pass, so it keeps one set of Grams, G and one Gx, 640 KB.
+    # Besides those the objective keeps only R x R and chunk-sized arrays.
+    outputs, rows = 40, 50
+    spec = LfmSpec(tuple(Ode1Params(0.5 + 0.05 * d) for d in range(outputs)), 2, [1.0, 0.7],
+                   np.full((outputs, 2), 0.8), np.full(outputs, 0.1))
+    draws = sample_frequencies(50, 2, 0)
+    data = Dataset(np.repeat(np.arange(1, outputs + 1), rows),
+                   np.tile(np.linspace(0.0, 3.0, rows), outputs),
+                   np.random.default_rng(0).normal(size=outputs * rows))
+    theta = pack(spec).values
+    tracemalloc.start()
+    try:
+        LmlObjective(data, spec, draws).value_and_gradient(theta)  # warm-up
+        obj = LmlObjective(data, spec, draws)
+        before = tracemalloc.get_traced_memory()[0]
+        obj.value_and_gradient(theta)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept <= 1.1 * outputs * 2 * 200 * 200 * 8
 
 
 class TestGradient:

@@ -8,6 +8,9 @@ References assemble or solve the whole matrix at once.  The passes run on
 same bits both ways.
 """
 
+import json
+import os
+import subprocess
 import sys
 import threading
 import time
@@ -40,6 +43,7 @@ from lfmrff.model import (
     Dataset,
     LfmSpec,
     MogpSpec,
+    NumericalError,
     Ode1Params,
     Ode2Params,
     OdeOperator,
@@ -230,6 +234,70 @@ def test_a_helper_runs_under_the_callers_error_state(monkeypatch):
     assert seen and set(seen) == {"raise"}
 
 
+def test_the_objectives_helper_honours_the_callers_error_state(monkeypatch):
+    # (s - 1)(s + 2): the root 1 makes e^{t} overflow at t = 800.  With
+    # chunks of 7 rows the overflowing rows are the second chunk, item 1,
+    # which the helper takes.
+    monkeypatch.setattr(backends, "CHUNK_ROWS", 7)
+    monkeypatch.setattr(features, "_helper_count", lambda: 1)
+    spec = LfmSpec((OdeOperator((1.0, 1.0, -2.0)),), 1, [1.0], [[1.0]], [0.1])
+    draws = sample_frequencies(5, 1, seed=0)
+    t = np.concatenate([np.linspace(0.0, 1.0, 7), np.full(7, 800.0)])
+    obj = LmlObjective(Dataset(np.ones(14, int), t, np.ones(14)), spec, draws)
+    theta = pack(spec).values
+    filled_by = []  # (overflowing rows, on the helper) per fill
+    fill = features.ResponseBlock.fill
+
+    def traced_fill(self, x, out=None):
+        filled_by.append((x.max() > 1.0, threading.current_thread() is not threading.main_thread()))
+        return fill(self, x, out)
+
+    monkeypatch.setattr(features.ResponseBlock, "fill", traced_fill)
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        obj.value_and_gradient(theta)
+    assert (True, True) in filled_by  # the overflowing rows, filled on the helper
+    # as in optimize, which counts a trial point like this as infinitely bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            with pytest.raises(NumericalError, match="not finite"):
+                obj.value_and_gradient(theta)
+
+
+@pytest.mark.parametrize("fail_at", [None, 0, 501], ids=["all", "caller-fails", "helper-fails"])
+def test_split_takes_each_item_once_on_its_side(fail_at, helpers):
+    # switching as often as the interpreter can; each side appends only to
+    # its own list, as the objective adds only into its own side's sums
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    before = threading.active_count()
+    seen = ([], [])
+
+    def work(side, i):
+        if i == fail_at:
+            raise ChunkFailure(i)
+        seen[side].append(i)
+
+    try:
+        if fail_at is None:
+            features.run_split(1001, work)
+        else:
+            with pytest.raises(ChunkFailure):
+                features.run_split(1001, work)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == before
+    if fail_at is None:
+        assert seen == (list(range(0, 1001, 2)), list(range(1, 1001, 2)))
+    else:
+        # the failing side stops at its item and the other side, which
+        # may have finished first, took a prefix of its own items
+        side = fail_at % 2
+        assert seen[side] == list(range(side, fail_at, 2))
+        other = list(range(1 - side, 1001, 2))
+        assert seen[1 - side] == other[: len(seen[1 - side])]
+
+
 def test_every_chunk_reaches_combine_once_in_chunk_order(monkeypatch):
     # more threads than cores, switching as often as the interpreter can
     monkeypatch.setattr(features, "_helper_count", lambda: 4)
@@ -260,6 +328,69 @@ def test_cli_predict_writes_the_same_bytes_with_and_without_the_helper(tmp_path,
         written.append([(out / name).read_bytes()
                         for name in ("predictions.csv", "latent_forces.csv")])
     assert written[0] == written[1]
+
+
+# A child pinned to the CPUs given as argv[1] (BLAS on one thread, set by
+# the parent): a SHA-256 over value_and_gradient of LFM and 2-D MOGP specs
+# with 1, 2 and 3 outputs of 500, 1025 and 3073 rows each, and one over the
+# fit.json that `lfmrff train` writes from argv[2] into argv[3].
+CPU_COUNT_CHILD = """
+import hashlib, json, os, sys
+
+os.sched_setaffinity(0, json.loads(sys.argv[1]))
+
+import numpy as np
+
+from lfmrff import cli
+from lfmrff.features import sample_draws
+from lfmrff.likelihood import LmlObjective
+from lfmrff.model import Dataset, LfmSpec, MogpSpec, Ode1Params, Ode2Params, OdeOperator, pack
+
+operators = (Ode1Params(1.2), Ode2Params(1.0, 1.5, 3.0), OdeOperator((1.0, 2.0, 5.0, 4.0)))
+digest = hashlib.sha256()
+rng = np.random.default_rng(0)
+for outputs in (1, 2, 3):
+    sens, noise = rng.uniform(0.5, 1.2, (outputs, 2)), np.full(outputs, 0.05)
+    for spec in (LfmSpec(operators[:outputs], 2, [1.0, 2.0], sens, noise),
+                 MogpSpec(2, [2.0, 4.0, 3.0][:outputs], 2, [1.0, 1.5], sens, noise)):
+        for rows in (500, 1025, 3073):
+            ids = rng.permutation(np.repeat(np.arange(1, outputs + 1), rows))
+            mogp = isinstance(spec, MogpSpec)
+            x = rng.uniform(-1.0, 1.0, (ids.size, 2)) if mogp else rng.uniform(0.0, 5.0, ids.size)
+            obj = LmlObjective(Dataset(ids, x, rng.normal(size=ids.size)), spec,
+                               sample_draws(spec, 20, 1))
+            value, grad = obj.value_and_gradient(pack(spec).values)
+            digest.update(np.float64(value).tobytes())
+            digest.update(grad.tobytes())
+assert cli.main(["train", sys.argv[2], "--out-dir", sys.argv[3], "--samples", "10",
+                 "--seed", "0", "--config", sys.argv[4]]) == 0
+with open(os.path.join(sys.argv[3], "fit.json"), "rb") as fh:
+    fit = hashlib.sha256(fh.read()).hexdigest()
+print(json.dumps([len(os.sched_getaffinity(0)), digest.hexdigest(), fit]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs two CPUs and CPU affinity")
+def test_objective_and_fit_have_the_same_bits_on_one_cpu_and_on_two(tmp_path):
+    train_csv, cfg = tmp_path / "train.csv", tmp_path / "run.cfg"
+    # about 3500 rows an output: four chunks each, whose sums a split that
+    # followed the CPU count would add in another order
+    write_dataset_csv(train_csv, interleaved(7000, mogp=False, seed=5))
+    cfg.write_text("max_iters=3\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(features.__file__)))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    cpus = sorted(os.sched_getaffinity(0))[:2]
+    runs = []
+    for pinned in (cpus[:1], cpus):
+        child = subprocess.run(
+            [sys.executable, "-c", CPU_COUNT_CHILD, json.dumps(pinned), str(train_csv),
+             str(tmp_path / f"out{len(pinned)}"), str(cfg)],
+            env=env, capture_output=True, text=True, timeout=300, check=True)
+        runs.append(json.loads(child.stdout.splitlines()[-1]))
+    assert [run[0] for run in runs] == [1, 2]
+    assert runs[0][1:] == runs[1][1:]
 
 
 def test_pole_on_a_frequency_warns_once_per_call():
