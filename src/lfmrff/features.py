@@ -20,27 +20,28 @@ output's fill by C_d, which holds S_{d,q}/sqrt(S) over force q's
 columns, and places it into Phi_c, the real view of Phi, whose layout
 ``force_columns`` and ``phi_c_width`` state.
 
-The likelihood objective fills the blocks itself (see ``likelihood``), on
-the calling thread and a helper by ``run_split``, a fixed split of its
-chunks by parity, so that sums kept per side repeat bit for bit.  Every
-other pass over rows of Phi_c goes through one function,
-``run_chunks``: ``kernels.feature_matrix`` (the one assembler of Phi_c,
-for either model kind), ``likelihood.weight_posterior`` and the two
-predictions.  It splits the rows into chunks of ``backends.CHUNK_ROWS``,
-fills each chunk's rows (``phi_fill`` writes them from the output
-blocks) and hands them to a per-chunk ``work`` function, so no fill
-temporary is larger than a chunk.  The calling thread and, when the
-process may run on two CPUs, one helper thread take chunks in turn; the
-fills and products that dominate a chunk release the interpreter lock,
-so the two overlap.  A row has the same bits whichever chunk, piece or
-thread it is filled in, results reach the caller in chunk order, and so
-every result is the same whatever the thread count.
+Every pass over rows runs on ``run_split``, which splits the pass's
+items by index parity between the calling thread and, when the process
+may run on two CPUs, one helper thread; on one CPU the caller takes both
+halves, each in the same order.  The likelihood objective and
+``likelihood.weight_posterior`` fill the blocks themselves (see
+``likelihood``) into sums kept per side, so those sums repeat bit for
+bit.  The other passes over rows of Phi_c, ``kernels.feature_matrix``
+(the one assembler of Phi_c, for either model kind) and the two
+predictions, go through ``run_chunks``.  It splits the rows into chunks of
+``backends.CHUNK_ROWS``, chunk i on side i % 2, fills each chunk's rows
+into its side's work array (``phi_fill`` writes them from the output
+blocks) and hands them to a per-chunk ``work`` function, which writes
+only the chunk's slice of its result; so no fill temporary is larger
+than a chunk.  The fills and products that dominate a chunk release the
+interpreter lock, so the two sides overlap.  A row has the same bits
+whichever chunk, piece or thread it is filled in, so every result is the
+same whatever the thread count.
 """
 
 from __future__ import annotations
 
 import contextvars
-import itertools
 import math
 import os
 import threading
@@ -495,9 +496,9 @@ def write_phi_block(out, rows, spec, num_samples, d, v):
 
 
 def _helper_count():
-    """Helper threads of ``run_chunks``: one when this process may run on two CPUs.
+    """Helper threads of ``run_split``: one when this process may run on two CPUs.
 
-    One, not more: each chunk in flight holds a work array of its own.
+    One, not more: each side of the split holds work arrays of its own.
     """
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
@@ -506,59 +507,30 @@ def _helper_count():
     return 1 if cpus >= 2 else 0
 
 
-def run_chunks(n, width, fill, work=None, combine=None):
-    """Fill and process an n-row pass in chunks of ``CHUNK_ROWS`` rows.
+def run_chunks(n, width, fill, work=None):
+    """Fill and process an n-row pass in chunks of ``CHUNK_ROWS`` rows, on ``run_split``.
 
-    For the chunk of rows ``sl`` the thread that takes it calls
-    ``phi = fill(sl, buf)``, then ``work(sl, phi)``.  ``buf`` is that
-    chunk's rows of the thread's own uninitialised work array,
-    (min(n, CHUNK_ROWS), width), so ``fill`` may write every column of
-    the chunk's rows into it and return it (``width`` is 0 when it makes
-    or writes them elsewhere); the rows are valid until that thread's
-    next chunk.  The caller passes every ``work`` result to
-    ``combine`` in chunk order, so a sum over chunks has the same bits
-    whichever thread computed which chunk.
-
-    The caller and ``_helper_count()`` helper threads take chunks in turn;
-    a helper runs under a copy of the caller's ``contextvars`` context,
-    so numpy's error state carries over.  An exception in any chunk stops
-    the pass and is raised here, and no thread outlives the call.
+    Chunk i goes to side i % 2.  For the chunk of rows ``sl`` its side
+    calls ``phi = fill(sl, buf)``, then ``work(sl, phi)``.  ``buf`` is that
+    chunk's rows of the side's own uninitialised work array,
+    (min(n, CHUNK_ROWS), width), so ``fill`` may write every column of the
+    chunk's rows into it and return it (``width`` is 0 when it makes or
+    writes them elsewhere); the rows are valid until that side's next
+    chunk.  The two sides may run at once, so ``work`` writes only what
+    belongs to its chunk, such as the chunk's slice of an output.
     """
     step = backends.CHUNK_ROWS
-    count = -(-n // step)
-    claims = itertools.count()
-    stop = threading.Event()
-    done = {}
-    combined = 0
+    bufs = [None, None]
 
-    def drain():
-        nonlocal combined
-        while combined in done:
-            result = done.pop(combined)
-            combined += 1
-            if combine is not None:
-                combine(result)
+    def chunk(side, i):
+        if bufs[side] is None:
+            bufs[side] = np.empty((min(n, step), width))
+        sl = slice(i * step, min(n, i * step + step))
+        phi = fill(sl, bufs[side][: sl.stop - sl.start])
+        if work is not None:
+            work(sl, phi)
 
-    def take(after_chunk):
-        buf = None
-        try:
-            while not stop.is_set() and (i := next(claims)) < count:
-                if buf is None:
-                    buf = np.empty((min(n, step), width))
-                sl = slice(i * step, min(n, i * step + step))
-                phi = fill(sl, buf[: sl.stop - sl.start])
-                done[i] = None if work is None else work(sl, phi)
-                after_chunk()
-        except BaseException:
-            stop.set()
-            raise
-
-    helpers = min(_helper_count(), count - 1)
-    if helpers < 1:
-        take(drain)
-        return
-    _with_helpers(helpers, lambda: take(lambda: None), lambda: take(drain))
-    drain()
+    run_split(-(-n // step), chunk)
 
 
 def run_split(count, work):
@@ -568,9 +540,10 @@ def run_split(count, work):
     allows, one helper thread takes the odd items; otherwise the caller
     takes the odd items after the even ones.  Each side runs its items in
     the same order either way, so sums kept per side have the same bits
-    whatever the thread count.  Thread rules as in ``run_chunks``: an
-    exception stops both sides and is raised here, and no thread outlives
-    the call.
+    whatever the thread count.  The helper runs under a copy of the
+    caller's ``contextvars`` context, so numpy's error state carries over.
+    An exception on either side stops both and is raised here, the
+    caller's first, and no thread outlives the call.
     """
     stop = threading.Event()
 
@@ -587,22 +560,11 @@ def run_split(count, work):
     if count < 2 or _helper_count() < 1:
         side(0)
         side(1)
-    else:
-        _with_helpers(1, lambda: side(1), lambda: side(0))
-
-
-def _with_helpers(helpers, task, own):
-    """Run ``task`` on ``helpers`` threads while the caller runs ``own``.
-
-    Each helper runs under a copy of the caller's ``contextvars`` context,
-    so numpy's error state carries over.  Returns once every helper has
-    finished, raising the caller's exception or else a helper's.
-    """
-    with ThreadPoolExecutor(helpers) as pool:
-        futures = [pool.submit(contextvars.copy_context().run, task) for _ in range(helpers)]
-        own()
-    for future in futures:
-        future.result()
+        return
+    with ThreadPoolExecutor(1) as pool:
+        helper = pool.submit(contextvars.copy_context().run, side, 1)
+        side(0)
+    helper.result()
 
 
 def phi_fill(inputs, output_ids, spec, draws):

@@ -15,13 +15,11 @@ and 1.9e-11; the two-pass objective of version 0.5.0, which read the
 residuals, within 5.4e-10 and 9.0e-12.
 
 The objective and ``weight_posterior`` fill the same blocks, one per
-output spanning all Q forces, from ``features.output_blocks``.
-``low_rank_log_marginal`` accumulates A over chunks of
-``backends.CHUNK_ROWS`` rows of the Phi_c it is given, and
-``weight_posterior`` over row chunks of Phi_c that are never held
-together (the weight posterior that prediction reads), filled by
-``features.phi_fill`` and multiplied on two threads by
-``features.run_chunks``.
+output spanning all Q forces, from ``features.output_blocks``, in one
+pass (``LmlObjective._factor``): the weight posterior that prediction
+reads is the objective's value sums, A and alpha, plus A's Cholesky
+factor, so it forms no Phi_c.  ``low_rank_log_marginal`` accumulates A
+over chunks of ``backends.CHUNK_ROWS`` rows of the Phi_c it is given.
 
 The objective makes one pass over each output's rows, ``CHUNK_ROWS`` at
 a time.  It fills each chunk once, as the output's block, unscaled by
@@ -85,11 +83,9 @@ from .features import (
     output_blocks,
     output_rows,
     phi_c_width,
-    phi_fill,
     # not used here: kept for the benchmark's tracer, which wraps this name;
     # delete with ROADMAP item 1
     rfrf_general,
-    run_chunks,
     run_split,
 )
 from .kernels import FeatureMatrix
@@ -150,32 +146,6 @@ class WeightPosterior:
 LowRankState = WeightPosterior
 
 
-def _factor(chunks, r2):
-    """Pass 1: A = I + Phi_c^T Sigma^-1 Phi_c, alpha = Phi_c^T Sigma^-1 y.
-
-    ``chunks`` yields (w, z) per row chunk: its rows of Sigma^-1/2 Phi_c
-    and of Sigma^-1/2 y.  Returns (alpha, lower Cholesky factor of A).
-    Raises NumericalError when Phi is not finite or A is not positive
-    definite.
-    """
-    a = np.zeros((r2, r2))
-    alpha = np.zeros(r2)
-    for w, z in chunks:
-        a += w.T @ w  # numpy runs W^T W as a SYRK
-        alpha += w.T @ z
-    return alpha, _finish(a)
-
-
-def _finish(a):
-    """Lower Cholesky factor of A, upper triangle zero, from the chunks' sum of W^T W.
-
-    See ``_factor``.  The factor has the bits of ``cho_factor``'s (the same
-    LAPACK potrf on the same matrix).
-    """
-    a[np.diag_indices(a.shape[0])] += 1.0
-    return _cholesky(0.5 * (a + a.T))
-
-
 def _cholesky(a):
     """potrf's lower factor of A, upper triangle zero; in place when ``a`` is Fortran-ordered.
 
@@ -219,13 +189,16 @@ def low_rank_log_marginal(phi, noise, y):
         raise ValueError("noise variances must be positive")
     sinv = 1.0 / noise
     root = np.sqrt(sinv)
-    step = backends.CHUNK_ROWS
-    chunks = (
-        (phi_c[lo : lo + step] * root[lo : lo + step, None],
-         root[lo : lo + step] * y[lo : lo + step])
-        for lo in range(0, n, step)
-    )
-    alpha, chol = _factor(chunks, phi_c.shape[1])
+    r2 = phi_c.shape[1]
+    a = np.zeros((r2, r2))
+    alpha = np.zeros(r2)
+    for lo in range(0, n, backends.CHUNK_ROWS):
+        sl = slice(lo, lo + backends.CHUNK_ROWS)
+        w = phi_c[sl] * root[sl, None]  # rows of Sigma^-1/2 Phi_c
+        a += w.T @ w  # numpy runs W^T W as a SYRK
+        alpha += w.T @ (root[sl] * y[sl])
+    a[np.diag_indices(r2)] += 1.0
+    chol = _cholesky(0.5 * (a + a.T))
     beta = sinv * (y - phi_c @ cho_solve((chol, True), alpha))
     value = _lml(float(y @ beta), chol, float(np.sum(np.log(noise))), n)
     return value, WeightPosterior(alpha, np.tril(chol))
@@ -234,31 +207,16 @@ def low_rank_log_marginal(phi, noise, y):
 def weight_posterior(data: Dataset, spec, draws) -> WeightPosterior:
     """Posterior of the feature weights of ``spec`` given ``data``, without Phi_c.
 
-    One pass over row chunks of Phi_c (``features.run_chunks``, caller and
-    helper thread): each chunk's rows are filled, whitened in place and
-    reduced to W^T W and W^T z, which the caller adds in chunk order.  So
-    alpha and chol_a equal those of ``low_rank_log_marginal`` over the
-    whole Phi_c bit for bit, but neither Phi_c nor beta is formed.
-    Raises DataError for data that do not fit ``spec`` and NumericalError
-    like ``low_rank_log_marginal``.
+    A and alpha come from the objective's pass (``LmlObjective``, value
+    sums only): each output's rows reduced to its Grams, on the caller and
+    a helper thread, then scaled and summed.  So neither Phi_c nor beta is
+    formed, and the result has the same bits on one CPU and on two; it
+    differs from ``low_rank_log_marginal``'s over the whole Phi_c only in
+    rounding.  Raises DataError for data that do not fit ``spec`` and
+    NumericalError like ``low_rank_log_marginal``.
     """
-    validate_dataset(data, spec)
-    fill = phi_fill(data.inputs, data.output_ids, spec, draws)
-    root = np.sqrt(1.0 / noise_vector(spec, data.output_ids))
-    r2 = phi_c_width(spec.num_forces, draws.num_samples)
-    a = np.zeros((r2, r2))
-    alpha = np.zeros(r2)
-
-    def work(sl, phi):
-        w = np.multiply(phi, root[sl, None], out=phi)
-        return w.T @ w, w.T @ (root[sl] * data.y[sl])
-
-    def add(sums):
-        np.add(a, sums[0], out=a)
-        np.add(alpha, sums[1], out=alpha)
-
-    run_chunks(len(data), r2, fill, work, add)
-    return WeightPosterior(alpha, np.tril(_finish(a)))
+    _, chol, alpha = LmlObjective(data, spec, draws)._factor(spec, gradient=False)
+    return WeightPosterior(alpha, chol)
 
 
 def full_log_marginal(cov, noise, y):
@@ -480,8 +438,24 @@ class LmlObjective:
     def value_and_gradient(self, theta):
         return self._evaluate(theta, gradient=True)
 
-    def _evaluate(self, theta, gradient):
-        spec = unpack(theta, self.template)
+    def _scaling(self, spec):
+        """(sigma_d^2, C_d's factor S_dq/sqrt(S) per force, and per column of Phi_c) by output."""
+        s_count = self.draws.num_samples
+        sig2 = {d: spec.noise_vars[d - 1] for d in self._rows}
+        scales = spec.sensitivities / math.sqrt(s_count)
+        cols = {d: np.repeat(scales[d - 1], 2 * s_count) for d in self._rows}
+        return sig2, scales, cols
+
+    def _factor(self, spec, gradient):
+        """One pass over the rows of ``spec``'s features: (blocks, chol, alpha).
+
+        Adds every output's rows into its Grams, the gradient's too if
+        ``gradient``, and sums their terms of A = I + Phi_c^T Sigma^-1 Phi_c
+        and alpha = Phi_c^T Sigma^-1 y.  ``blocks`` are the outputs'
+        ``output_blocks`` and ``chol`` is A's lower Cholesky factor, upper
+        triangle zero, held in this objective's work array until its next
+        pass.
+        """
         blocks = output_blocks(self._rows, spec, self.draws)
         if self._sums is None:
             self._allocate()
@@ -491,16 +465,12 @@ class LmlObjective:
             self._sums[d].add(side, sl, first, blocks[d], gradient, self._work[side])
 
         run_split(len(self._items), add)
-        s_count, n_q = self.draws.num_samples, spec.num_forces
+        sig2, scales, cols = self._scaling(spec)
         r2 = self._a.shape[0]
-        sig2 = {d: spec.noise_vars[d - 1] for d in self._sums}
-        # C_d's factor S_dq/sqrt(S) per force, and per column of Phi_c
-        scales = spec.sensitivities / math.sqrt(s_count)
-        cols = {d: np.repeat(scales[d - 1], 2 * s_count) for d in self._sums}
         # A = I + sum_d C_d G_d C_d / sigma_d^2.  C_d takes one factor per
         # force, so A's blocks are the Grams' blocks times a Q x Q array:
         # with Fortran order, axes (column within force, force) twice.
-        blocks4 = (2 * s_count, n_q) * 2
+        blocks4 = (2 * self.draws.num_samples, spec.num_forces) * 2
         a_mat = self._a
         if not self._sums:  # no output's term starts A
             a_mat.fill(0.0)
@@ -516,7 +486,13 @@ class LmlObjective:
                 a_mat += term
             alpha += cols[d] * total.a / sig2[d]
         a_mat[np.diag_indices(r2)] += 1.0
-        chol = _cholesky(a_mat)
+        return blocks, _cholesky(a_mat), alpha
+
+    def _evaluate(self, theta, gradient):
+        spec = unpack(theta, self.template)
+        blocks, chol, alpha = self._factor(spec, gradient)
+        sig2, scales, cols = self._scaling(spec)
+        s_count, n_q = self.draws.num_samples, spec.num_forces
         m = dpotrs(chol, alpha, lower=1)[0]
         # yy - a^T C_d m = y^T (y - Phi_c m) on output d's rows
         fits = {d: sums.yy - float((cols[d] * sums.total.a) @ m) for d, sums in self._sums.items()}

@@ -13,10 +13,11 @@ its means and variances and dropped, so no test N x R matrix is formed
 and memory is flat in the number of test rows.  A latent force's rows
 are zero outside force q's 2S columns, so its pass fills and multiplies
 only those, against the matching rows of the weights.  The calling
-thread and one helper thread take chunks in turn and write disjoint
+thread and one helper thread take alternate chunks and write disjoint
 slices of the means and variances, which are the same whatever the
 thread count.  The posterior is a ``likelihood.WeightPosterior``:
-``weight_posterior`` builds it without a training Phi_c.
+``weight_posterior`` builds it from the objective's per-output Grams,
+without a training Phi_c.
 """
 
 from __future__ import annotations

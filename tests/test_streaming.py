@@ -115,6 +115,17 @@ def n_rhs_variance(phi_c, chol_a):
     return np.einsum("ij,ji->i", phi_c, cho_solve((chol_a, True), phi_c.T))
 
 
+# weight_posterior sums per-output Grams, low_rank_log_marginal whitened
+# rows, so the two round apart: on these cases at most 1.8e-14 of chol's
+# largest entry and 2.2e-15 of alpha's.
+POSTERIOR_RTOL = 1e-13
+
+
+def assert_posterior_near(post, state):
+    for got, want in ((post.chol_a, state.chol_a), (post.alpha, state.alpha)):
+        assert np.max(np.abs(got - want)) <= POSTERIOR_RTOL * np.max(np.abs(want))
+
+
 def trained(spec, draws, assemble, n=300):
     data = interleaved(n, isinstance(spec, MogpSpec), seed=1)
     fm = assemble(data.inputs, data.output_ids, spec, draws)
@@ -164,9 +175,7 @@ def test_streamed_weight_posterior_equals_low_rank_state(case, rows):
     _, state = low_rank_log_marginal(
         assemble(data.inputs, data.output_ids, spec, draws), noise, data.y
     )
-    post = weight_posterior(data, spec, draws)
-    assert_array_equal(post.chol_a, state.chol_a)
-    assert_array_equal(post.alpha, state.alpha)
+    assert_posterior_near(weight_posterior(data, spec, draws), state)
 
 
 @pytest.mark.parametrize("rows", THREAD_ROWS)
@@ -184,15 +193,15 @@ def test_passes_have_the_same_bits_with_and_without_the_helper(case, rows, monke
         monkeypatch.setattr(features, "_helper_count", lambda h=h: h)
         fm = assemble(data.inputs, data.output_ids, spec, draws)
         assert_array_equal(fm.phi_c, whole)
-        reference = low_rank_log_marginal(whole, noise, data.y)[1]
         streamed = weight_posterior(data, spec, draws)
-        assert_array_equal(streamed.chol_a, reference.chol_a)
-        assert_array_equal(streamed.alpha, reference.alpha)
-        posts[h] = [predict_outputs(fit, state, data)]
+        assert_posterior_near(streamed, low_rank_log_marginal(whole, noise, data.y)[1])
+        posts[h] = [streamed, predict_outputs(fit, state, data)]
         if isinstance(spec, LfmSpec):
             posts[h] += [predict_latent_forces(fit, state, times, q)
                          for q in range(1, spec.num_forces + 1)]
-    for alone, helped in zip(posts[0], posts[1]):
+    assert_array_equal(posts[1][0].chol_a, posts[0][0].chol_a)
+    assert_array_equal(posts[1][0].alpha, posts[0][0].alpha)
+    for alone, helped in zip(posts[0][1:], posts[1][1:]):
         assert_array_equal(helped.mean, alone.mean)
         assert_array_equal(helped.variance, alone.variance)
 
@@ -201,20 +210,16 @@ class ChunkFailure(Exception):
     pass
 
 
-@pytest.mark.parametrize("where", ["fill", "combine"])
+@pytest.mark.parametrize("where", ["fill"])
 def test_a_failing_chunk_raises_in_the_caller_and_leaves_no_thread(where, helpers):
     def fill(sl, rows):
         if where == "fill" and sl.start == 2 * CHUNK:  # chunk 3 of 5
             raise ChunkFailure(sl.start)
         return rows
 
-    def combine(start):
-        if where == "combine" and start == 2 * CHUNK:
-            raise ChunkFailure(start)
-
     before = threading.active_count()
     with pytest.raises(ChunkFailure):
-        run_chunks(5 * CHUNK, 3, fill, lambda sl, rows: sl.start, combine)
+        run_chunks(5 * CHUNK, 3, fill, lambda sl, rows: sl.start)
     assert threading.active_count() == before
 
 
@@ -298,20 +303,6 @@ def test_split_takes_each_item_once_on_its_side(fail_at, helpers):
         assert seen[1 - side] == other[: len(seen[1 - side])]
 
 
-def test_every_chunk_reaches_combine_once_in_chunk_order(monkeypatch):
-    # more threads than cores, switching as often as the interpreter can
-    monkeypatch.setattr(features, "_helper_count", lambda: 4)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        seen = []
-        run_chunks(64 * CHUNK + 5, 0, lambda sl, rows: rows, lambda sl, rows: sl.start,
-                   seen.append)
-    finally:
-        sys.setswitchinterval(interval)
-    assert seen == list(range(0, 64 * CHUNK + 5, CHUNK))
-
-
 def test_cli_predict_writes_the_same_bytes_with_and_without_the_helper(tmp_path, monkeypatch):
     spec, draws, _ = CASES["ode1-ode2"]
     train_csv, test_csv = tmp_path / "train.csv", tmp_path / "test.csv"
@@ -332,8 +323,10 @@ def test_cli_predict_writes_the_same_bytes_with_and_without_the_helper(tmp_path,
 
 # A child pinned to the CPUs given as argv[1] (BLAS on one thread, set by
 # the parent): a SHA-256 over value_and_gradient of LFM and 2-D MOGP specs
-# with 1, 2 and 3 outputs of 500, 1025 and 3073 rows each, and one over the
-# fit.json that `lfmrff train` writes from argv[2] into argv[3].
+# with 1, 2 and 3 outputs of 500, 1025 and 3073 rows each, one over the
+# fit.json that `lfmrff train` writes from argv[2] into argv[3], and one each
+# over the predictions.csv and latent_forces.csv that `lfmrff predict`
+# writes there from that fit at argv[2]'s rows, with argv[5]'s config.
 CPU_COUNT_CHILD = """
 import hashlib, json, os, sys
 
@@ -364,20 +357,26 @@ for outputs in (1, 2, 3):
             digest.update(grad.tobytes())
 assert cli.main(["train", sys.argv[2], "--out-dir", sys.argv[3], "--samples", "10",
                  "--seed", "0", "--config", sys.argv[4]]) == 0
-with open(os.path.join(sys.argv[3], "fit.json"), "rb") as fh:
-    fit = hashlib.sha256(fh.read()).hexdigest()
-print(json.dumps([len(os.sched_getaffinity(0)), digest.hexdigest(), fit]))
+fit_json = os.path.join(sys.argv[3], "fit.json")
+assert cli.main(["predict", fit_json, sys.argv[2], "--out-dir", sys.argv[3],
+                 "--config", sys.argv[5]]) == 0
+files = []
+for name in ("fit.json", "predictions.csv", "latent_forces.csv"):
+    with open(os.path.join(sys.argv[3], name), "rb") as fh:
+        files.append(hashlib.sha256(fh.read()).hexdigest())
+print(json.dumps([len(os.sched_getaffinity(0)), digest.hexdigest(), *files]))
 """
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
                     reason="needs two CPUs and CPU affinity")
 def test_objective_and_fit_have_the_same_bits_on_one_cpu_and_on_two(tmp_path):
-    train_csv, cfg = tmp_path / "train.csv", tmp_path / "run.cfg"
+    train_csv, cfg, lf_cfg = tmp_path / "train.csv", tmp_path / "run.cfg", tmp_path / "lf.cfg"
     # about 3500 rows an output: four chunks each, whose sums a split that
     # followed the CPU count would add in another order
     write_dataset_csv(train_csv, interleaved(7000, mogp=False, seed=5))
     cfg.write_text("max_iters=3\n")
+    lf_cfg.write_text("latent_force=1\n")
     src = os.path.dirname(os.path.dirname(os.path.abspath(features.__file__)))
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -386,7 +385,7 @@ def test_objective_and_fit_have_the_same_bits_on_one_cpu_and_on_two(tmp_path):
     for pinned in (cpus[:1], cpus):
         child = subprocess.run(
             [sys.executable, "-c", CPU_COUNT_CHILD, json.dumps(pinned), str(train_csv),
-             str(tmp_path / f"out{len(pinned)}"), str(cfg)],
+             str(tmp_path / f"out{len(pinned)}"), str(cfg), str(lf_cfg)],
             env=env, capture_output=True, text=True, timeout=300, check=True)
         runs.append(json.loads(child.stdout.splitlines()[-1]))
     assert [run[0] for run in runs] == [1, 2]
