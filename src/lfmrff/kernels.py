@@ -97,13 +97,15 @@ def feature_matrix(inputs, output_ids, spec, draws) -> FeatureMatrix:
     return FeatureMatrix(phi_c)
 
 
-def latent_block(times, lam):
+def latent_block(times, lam, out=None):
     """Latent-force features exp(j*lam*t)/sqrt(S), (len(times), S) complex.
 
-    ``backends.cis`` writes them, with 1/sqrt(S) folded into its scale.
+    ``backends.cis`` writes them, with 1/sqrt(S) folded into its scale,
+    into ``out``, a C-contiguous complex array of that shape, when it is
+    given, and into a new array otherwise; the bits are the same.
     """
     x = np.multiply.outer(np.ravel(times), lam)
-    v = np.empty(x.shape, dtype=complex)
+    v = np.empty(x.shape, dtype=complex) if out is None else out
     backends.cis(x, v, 1.0 / math.sqrt(lam.size))
     return v
 

@@ -14,7 +14,7 @@ drawn from the features (200 rows, R=40, data seeds 0-7), against a
 and 1.9e-11; the two-pass objective of version 0.5.0, which read the
 residuals, within 5.4e-10 and 9.0e-12.
 
-The objective and ``weight_posterior`` fill the same blocks, one per
+The objective and ``weight_posterior`` read the same blocks, one per
 output spanning all Q forces, from ``features.output_blocks``, in one
 pass (``LmlObjective._factor``): the weight posterior that prediction
 reads is the objective's value sums, A and alpha, plus A's Cholesky
@@ -22,18 +22,29 @@ factor, so it forms no Phi_c.  ``low_rank_log_marginal`` accumulates A
 over chunks of ``backends.CHUNK_ROWS`` rows of the Phi_c it is given.
 
 The objective makes one pass over each output's rows, ``CHUNK_ROWS`` at
-a time.  It fills each chunk once, as the output's block, unscaled by
-the sensitivities, and adds the chunk into that output's Gram matrices
-(``_OutputSums``): G = psi^T psi and a = psi^T y for the value, and for
-the gradient the same sums weighted by each input coordinate and the
-rows' e^{s_p t} terms.  The pass's items, each output's chunks in turn,
-are split by index parity (``features.run_split``): the calling thread
-adds the even items into one set of sums and, when the process may run
-on two CPUs, a helper thread adds the odd items into another, each with
-its own chunk work arrays; on one CPU the caller adds both halves in the
-same order.  An output's two partial sums are then added in that fixed
-order, so every result has the same bits on one CPU and on two.  The
-Grams are numpy products psi^T psi, which run as a SYRK without the
+a time, and reduces them to the output's R x R sums (``_OutputSums``):
+the Gram G = psi^T psi and a = psi^T y for the value, and for the
+gradient the same sums weighted by each input coordinate and the rows'
+e^{s_p t} terms, psi being the output's block unscaled by the
+sensitivities.  An output with one input dimension (every LFM output, a
+MOGP's when p = 1) is reduced, in an evaluation where its block is
+resolved on its span, in a Chebyshev basis of that span: psi = B Z to
+rounding, with B's k columns T_0..T_{k-1} (k at most R/2) and Z from
+the block sampled at k Chebyshev nodes (``features.chebyshev_coefficients``).
+Its chunks then add only the Gram of T_0..T_k and its sum against y,
+k^2/2 products a row where the fill and its Grams take about 12 passes
+over R/2 complex columns and (1 + p) R^2/2 products, and every R x R sum
+follows from them and Z (``_OutputSums._map``).  Otherwise, and for a
+MOGP over two or more dimensions, each chunk is filled once and added
+itself.  Which outputs take the basis is decided on the calling thread
+before the pass, per evaluation.  The pass's items, each output's chunks
+in turn, are split by index parity (``features.run_split``): the calling
+thread adds the even items into one set of sums and, when the process
+may run on two CPUs, a helper thread adds the odd items into another,
+each with its own chunk work arrays; on one CPU the caller adds both
+halves in the same order.  An output's two partial sums are then added
+in that fixed order, so every result has the same bits on one CPU and on
+two.  The Grams are numpy products, which run as a SYRK without the
 interpreter lock, so the two threads overlap.  An output holds 1 + p
 Grams of R x R (p the input dimension), twice if its chunks fall on both
 sides, and no array that grows with its rows, so the objective's memory
@@ -78,7 +89,10 @@ from scipy.optimize import minimize
 
 from . import backends
 from .features import (
+    CHEBYSHEV_DEGREES,
     NumericsWarning,
+    chebyshev_coefficients,
+    chebyshev_rows,
     check_draws,
     output_blocks,
     output_rows,
@@ -113,6 +127,9 @@ __all__ = [
 ]
 
 LOG_2PI = math.log(2.0 * math.pi)
+# An output is reduced in a Chebyshev basis of n columns only if it has at
+# least this many times n rows (see ``_OutputSums``).
+BASIS_ROWS_PER_DEGREE = 6
 
 
 def noise_vector(spec, output_ids) -> np.ndarray:
@@ -239,7 +256,9 @@ def full_log_marginal(cov, noise, y):
 
 class _Work:
     """One side's chunk work arrays: the fill, its weighted rows and, for a
-    side that adds chunks to sums already started, one Gram product."""
+    side that adds chunks to sums already started, one Gram product.  A
+    chunk's Chebyshev rows and their Gram product take the leading parts
+    of the last two."""
 
     def __init__(self, step, r2, adds):
         self.fill = np.empty((step, r2 // 2), dtype=complex)
@@ -248,23 +267,47 @@ class _Work:
 
 
 class _Part:
-    """The sums over one side's chunks of an output's rows (see ``_OutputSums``)."""
+    """The sums over one side's chunks of an output's rows (see ``_OutputSums``).
 
-    def __init__(self, r2, count):
+    ``grams`` holds psi's R x R Grams, and ``basis`` the memory of the one
+    Gram of Chebyshev rows of an output whose basis may have up to
+    ``degree`` columns.
+    """
+
+    def __init__(self, r2, count, degree):
         self.grams = np.empty((count, r2, r2))
+        self.basis = np.empty((degree + 1) ** 2) if degree else None
         self.a = self.grad_sums = None  # set by the side's first chunk
+
+    def grams_of(self, z):
+        """The Grams of the rows that this evaluation adds: psi's if ``z`` is None,
+        else the one Gram of T_0..T_k, for ``z`` of k rows."""
+        if z is None:
+            return self.grams
+        return _leading(self.basis, 1, z.shape[0] + 1, z.shape[0] + 1)
+
+
+def _leading(array, *shape):
+    """The first prod(shape) elements of ``array``'s memory, as a C-contiguous array of ``shape``."""
+    return array.reshape(-1)[: math.prod(shape)].reshape(shape)
 
 
 def _add_gram(gram, w, first, tmp):
     """``gram`` = w^T w for the side's first chunk, else ``gram`` += w^T w.
 
     numpy runs w^T w as a SYRK, fills both triangles and releases the
-    interpreter lock; ``tmp`` is an R x R work array.
+    interpreter lock; ``tmp`` is a work array at least ``gram``'s size.
     """
     if first:
         np.matmul(w.T, w, out=gram)
     else:
-        np.add(gram, np.matmul(w.T, w, out=tmp), out=gram)
+        np.add(gram, np.matmul(w.T, w, out=_leading(tmp, *gram.shape)), out=gram)
+
+
+def _map_gram(out, mapped):
+    """``out`` = (``mapped`` + ``mapped``^T) / 2, symmetric to the bit."""
+    np.add(mapped, mapped.T, out=out)
+    out *= 0.5
 
 
 class _OutputSums:
@@ -283,6 +326,23 @@ class _OutputSums:
     ``_Part`` of its side, one of ``sides``; a part's ``grams`` holds G and
     the Gx_j in turn, each full and symmetric.  ``merge`` then adds the
     parts in side order.
+
+    An output with one input dimension, its rows spanning [x0, x1] with
+    x1 > x0, is reduced in a Chebyshev basis in an evaluation where
+    ``coefficients`` finds [Z | W] (``features.chebyshev_coefficients``):
+    psi = B Z to rounding, Z being k x R and B holding T_0..T_{k-1} of u =
+    2 (x - x0) / (x1 - x0) - 1, and Omega = B W for a block with row
+    weights.  Its
+    chunks then add, for the value and the gradient alike, only the Gram
+    of T_0..T_k and its sum against y, and ``merge`` maps these to psi's:
+    G = Z^T (B^T B) Z, a = Z^T (B^T y), Omega^T psi = W^T (B^T B) Z and
+    Omega^T y = W^T (B^T y), and, as x - x0 = (x1 - x0)(u + 1)/2 and u T_j
+    = (T_{j+1} + T_{|j-1|})/2, Gx and ax from the Gram's and the y sum's
+    shifted columns.  A row then costs T_0..T_k and one SYRK of k + 1
+    columns, where a filled row costs the fill, 1 + p SYRKs of R columns
+    and Omega's row weights.  ``degrees`` are the k it may take: at most R/2,
+    and only with ``BASIS_ROWS_PER_DEGREE`` k rows or more, so that the
+    basis costs less than the fill.
     """
 
     def __init__(self, x, y, r2, sides):
@@ -292,47 +352,103 @@ class _OutputSums:
         self.x0 = self.x2.min(axis=0)
         self.n = y.size
         self.yy = float(y @ y)
-        self.parts = {side: _Part(r2, 1 + self.x0.size) for side in sorted(sides)}
+        self.x1 = self.x2.max()  # read for one input dimension only
+        self.degrees = ()
+        if self.x0.size == 1 and self.x1 > self.x0[0]:
+            self.degrees = tuple(k for k in CHEBYSHEV_DEGREES
+                                 if k <= r2 // 2 and BASIS_ROWS_PER_DEGREE * k <= self.n)
+        degree = max(self.degrees, default=0)
+        self.parts = {side: _Part(r2, 1 + self.x0.size, degree) for side in sorted(sides)}
         self.total = None  # set by merge
 
-    def add(self, side, sl, first, block, gradient, work):
+    def coefficients(self, block):
+        """[Z | W] for this evaluation's ``block``, or None for its fill (see the class docstring)."""
+        if not self.degrees:
+            return None
+        weights = getattr(block, "row_weights", None)
+
+        def values(x):  # psi's columns, then Omega's
+            psi = block.fill(x).view(float)
+            return psi if weights is None else np.hstack([psi, weights(x).view(float)])
+
+        return chebyshev_coefficients(values, self.x0[0], self.x1, self.degrees)
+
+    def add(self, side, sl, first, block, z, gradient, work):
         """Add rows ``sl`` of ``block`` into part ``side``, which they start if ``first``.
 
-        ``work`` is the side's ``_Work``, with at least as many rows as ``sl``.
+        The rows are psi, or T_0..T_k if ``z``, the evaluation's
+        ``coefficients``, has k rows.  ``work`` is the side's ``_Work``,
+        with at least as many rows as ``sl``.
         """
         part = self.parts[side]
         y = self.y[sl]
-        psi = block.fill(self.x[sl], work.fill[: y.size]).view(float)
-        if gradient:
+        if z is None:
+            rows = block.fill(self.x[sl], work.fill[: y.size]).view(float)
+        else:  # the value and the gradient read the same sums of these
+            rows = chebyshev_rows(self.x2[sl, 0], self.x0[0], self.x1,
+                                  _leading(work.rows, z.shape[0] + 1, y.size)).T
+        grams = part.grams_of(z)
+        if gradient and z is None:
             x = self.x2[sl]
             w = work.rows[: y.size]
             for j in range(self.x0.size):
-                np.multiply(psi, np.sqrt(x[:, j] - self.x0[j])[:, None], out=w)
-                _add_gram(part.grams[1 + j], w, first, work.gram)
-            sums = [(x * y[:, None]).T @ psi]
+                np.multiply(rows, np.sqrt(x[:, j] - self.x0[j])[:, None], out=w)
+                _add_gram(grams[1 + j], w, first, work.gram)
+            sums = [(x * y[:, None]).T @ rows]
             weights = getattr(block, "row_weights", None)
             if weights is not None:
                 # the real view of Omega keeps psi real: (Re, Im) row pairs of Omega^T psi
                 omega = weights(self.x[sl]).view(float)
-                sums += [omega.T @ psi, omega.T @ y]
+                sums += [omega.T @ rows, omega.T @ y]
             if not first:
                 sums = [old + new for old, new in zip(part.grad_sums, sums)]
             part.grad_sums = sums
-        _add_gram(part.grams[0], psi, first, work.gram)
-        a = psi.T @ y
+        _add_gram(grams[0], rows, first, work.gram)
+        a = rows.T @ y
         part.a = a if first else part.a + a
 
-    def merge(self, gradient):
-        """Add the later parts into the first, in side order; it becomes ``total``."""
+    def merge(self, gradient, z):
+        """Add the later parts into the first, in side order; it becomes ``total``.
+
+        ``z`` is the evaluation's ``coefficients``; if it is not None, the
+        sums added are of Chebyshev rows and are then mapped to psi's.
+        """
         total, *rest = self.parts.values()
         count = None if gradient else 1  # the value reads only G
+        grams = total.grams_of(z)[:count]
         for part in rest:
-            np.add(total.grams[:count], part.grams[:count], out=total.grams[:count])
+            np.add(grams, part.grams_of(z)[:count], out=grams)
             total.a = total.a + part.a
-            if gradient:
+            if gradient and z is None:
                 total.grad_sums = [t + p for t, p in zip(total.grad_sums, part.grad_sums)]
+        if z is not None:
+            self._map(total, gradient, z)
         self.total = total
         return total
+
+    def _map(self, total, gradient, z):
+        """Turn ``total``'s sums of T_0..T_k into psi's (see the class docstring).
+
+        ``z`` holds Z, psi's coefficients, in its first R columns and W,
+        Omega's, in the rest.
+        """
+        r2 = total.grams.shape[1]
+        k = z.shape[0]
+        g, a = total.grams_of(z)[0], total.a
+        z_psi, w = z[:, :r2], z[:, r2:]
+        gz = g[:k, :k] @ z_psi  # B^T psi
+        _map_gram(total.grams[0], z_psi.T @ gz)
+        total.a = a[:k] @ z_psi
+        if not gradient:
+            return
+        half = 0.5 * (self.x1 - self.x0[0])
+        near = np.abs(np.arange(k) - 1)  # u T_j = (T_{j+1} + T_near[j]) / 2
+        gx = half * (0.5 * (g[:k, 1:] + g[:k, near]) + g[:k, :k])
+        _map_gram(total.grams[1], z_psi.T @ (gx @ z_psi))
+        ax = self.x0[0] * a[:k] + half * (0.5 * (a[1:] + a[near]) + a[:k])
+        total.grad_sums = [(ax @ z_psi)[None, :]]
+        if w.size:
+            total.grad_sums += [w.T @ gz, w.T @ a[:k]]
 
     def column_sums(self, m, mat, c, sig2):
         """(hv, hvx, ht, z): column sums over these rows of h = conj(dL/dPhi).
@@ -460,9 +576,12 @@ class LmlObjective:
         if self._sums is None:
             self._allocate()
 
+        # each output's basis, chosen here before the pass, so the same on one CPU and on two
+        coeffs = {d: sums.coefficients(blocks[d]) for d, sums in self._sums.items()}
+
         def add(side, i):
             d, sl, first = self._items[i]
-            self._sums[d].add(side, sl, first, blocks[d], gradient, self._work[side])
+            self._sums[d].add(side, sl, first, blocks[d], coeffs[d], gradient, self._work[side])
 
         run_split(len(self._items), add)
         sig2, scales, cols = self._scaling(spec)
@@ -476,7 +595,7 @@ class LmlObjective:
             a_mat.fill(0.0)
         alpha = np.zeros(r2)
         for i, (d, sums) in enumerate(self._sums.items()):
-            total = sums.merge(gradient)
+            total = sums.merge(gradient, coeffs[d])
             term = self._sym if i else a_mat  # the first output's term starts A
             # G is symmetric, so its transpose is G in Fortran order
             np.multiply(total.grams[0].T.reshape(blocks4, order="F"),

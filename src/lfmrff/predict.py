@@ -150,13 +150,14 @@ def predict_latent_forces(fit: FitResult, state: WeightPosterior, times, q) -> P
     var = np.empty(n)
 
     # A row of latent_feature_matrix is zero outside force q's columns, so
-    # only those 2S columns are filled and multiplied.
-    def work(sl, v):
-        rows = v.view(float)
+    # only those 2S columns are filled, into the side's work array, and
+    # multiplied.
+    def work(sl, rows):
         mean[sl] = backends.matmul_rows(rows, m_q)
         var[sl] = _sq_row_norms(rows, l_inv_t_q)
 
-    run_chunks(n, 0, lambda sl, _: latent_block(times[sl], lam), work)
+    run_chunks(n, cols.stop - cols.start,
+               lambda sl, rows: latent_block(times[sl], lam, rows.view(complex)).view(float), work)
     return Posterior(mean, var, False)
 
 

@@ -289,8 +289,8 @@ def gram_path_case(block, x, seed):
     sums = _OutputSums(x, y, r2, {0, 1})
     work = [_Work(15, r2, True), _Work(15, r2, False)]
     for i, lo in enumerate(range(0, n, 15)):
-        sums.add(i % 2, slice(lo, lo + 15), i < 2, block, True, work[i % 2])
-    sums.merge(True)
+        sums.add(i % 2, slice(lo, lo + 15), i < 2, block, None, True, work[i % 2])
+    sums.merge(True, None)
     got = sums.column_sums(m, mat.view(complex), c, sig2)[:3]
 
     v = block.fill(x)

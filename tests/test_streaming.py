@@ -22,16 +22,17 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.linalg import cho_solve
 
-from lfmrff import backends, cli, features
+from lfmrff import backends, cli, features, predict
 from lfmrff.features import (
     NumericsWarning,
+    force_frequencies,
     output_blocks,
     output_rows,
     run_chunks,
     sample_frequencies,
     write_phi_block,
 )
-from lfmrff.kernels import feature_matrix, latent_feature_matrix
+from lfmrff.kernels import feature_matrix, latent_block, latent_feature_matrix
 from lfmrff.likelihood import (
     FitResult,
     LmlObjective,
@@ -164,6 +165,38 @@ def test_predict_latent_forces_match_whole_matrix(case, rows):
         phi_c = latent_feature_matrix(times, q, spec, draws).phi_c
         assert_array_equal(post.mean, phi_c @ state.solve_a(state.alpha))
         assert_allclose(post.variance, n_rhs_variance(phi_c, state.chol_a), rtol=1e-12)
+
+
+@pytest.mark.parametrize("rows", THREAD_ROWS)
+@pytest.mark.parametrize("case", list(CASES))
+def test_predictions_have_the_bits_of_fills_into_new_arrays(case, rows, helpers):
+    # The passes fill into buffers that each side holds across its chunks;
+    # with a fixed posterior every chunk's means and variances have the
+    # bits of rows filled into new arrays (whole blocks, new latent rows).
+    spec, draws, assemble = CASES[case]
+    _, state = trained(spec, draws, assemble)
+    fit = make_fit(spec, draws)
+    m, l_inv_t = predict._weights(state)
+    test = interleaved(rows, isinstance(spec, MogpSpec), seed=3)
+    phi_c = whole_block_phi_c(test, spec, draws)
+    post = predict_outputs(fit, state, test, include_noise=False)
+    for lo in range(0, rows, CHUNK):
+        sl = slice(lo, lo + CHUNK)
+        assert_array_equal(post.mean[sl], backends.matmul_rows(phi_c[sl], m))
+        assert_array_equal(post.variance[sl], predict._sq_row_norms(phi_c[sl], l_inv_t))
+    if not isinstance(spec, LfmSpec):
+        return
+    times = np.random.default_rng(rows).uniform(-1.0, 5.0, rows)
+    s_count = draws.num_samples
+    for q in range(1, spec.num_forces + 1):
+        post = predict_latent_forces(fit, state, times, q)
+        cols = slice(2 * (q - 1) * s_count, 2 * q * s_count)
+        lam = force_frequencies(draws, q, spec.lengthscales[q - 1])
+        for lo in range(0, rows, CHUNK):
+            sl = slice(lo, lo + CHUNK)
+            fresh = latent_block(times[sl], lam).view(float)
+            assert_array_equal(post.mean[sl], backends.matmul_rows(fresh, m[cols]))
+            assert_array_equal(post.variance[sl], predict._sq_row_norms(fresh, l_inv_t[cols]))
 
 
 @pytest.mark.parametrize("rows", ROWS)
@@ -323,7 +356,8 @@ def test_cli_predict_writes_the_same_bytes_with_and_without_the_helper(tmp_path,
 
 # A child pinned to the CPUs given as argv[1] (BLAS on one thread, set by
 # the parent): a SHA-256 over value_and_gradient of LFM and 2-D MOGP specs
-# with 1, 2 and 3 outputs of 500, 1025 and 3073 rows each, one over the
+# with 1, 2 and 3 outputs of 500, 1025 and 3073 rows each (the LFM specs at
+# S = 20, filled, and S = 50, reduced in a Chebyshev basis), one over the
 # fit.json that `lfmrff train` writes from argv[2] into argv[3], and one each
 # over the predictions.csv and latent_forces.csv that `lfmrff predict`
 # writes there from that fit at argv[2]'s rows, with argv[5]'s config.
@@ -350,12 +384,14 @@ for outputs in (1, 2, 3):
             ids = rng.permutation(np.repeat(np.arange(1, outputs + 1), rows))
             mogp = isinstance(spec, MogpSpec)
             x = rng.uniform(-1.0, 1.0, (ids.size, 2)) if mogp else rng.uniform(0.0, 5.0, ids.size)
-            obj = LmlObjective(Dataset(ids, x, rng.normal(size=ids.size)), spec,
-                               sample_draws(spec, 20, 1))
-            value, grad = obj.value_and_gradient(pack(spec).values)
-            digest.update(np.float64(value).tobytes())
-            digest.update(grad.tobytes())
-assert cli.main(["train", sys.argv[2], "--out-dir", sys.argv[3], "--samples", "10",
+            # S = 50 puts the LFM outputs in a Chebyshev basis (R = 200)
+            for samples in (20,) if mogp else (20, 50):
+                obj = LmlObjective(Dataset(ids, x, rng.normal(size=ids.size)), spec,
+                                   sample_draws(spec, samples, 1))
+                value, grad = obj.value_and_gradient(pack(spec).values)
+                digest.update(np.float64(value).tobytes())
+                digest.update(grad.tobytes())
+assert cli.main(["train", sys.argv[2], "--out-dir", sys.argv[3], "--samples", "50",
                  "--seed", "0", "--config", sys.argv[4]]) == 0
 fit_json = os.path.join(sys.argv[3], "fit.json")
 assert cli.main(["predict", fit_json, sys.argv[2], "--out-dir", sys.argv[3],
