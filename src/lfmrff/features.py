@@ -25,26 +25,28 @@ so on a bounded span it equals its Chebyshev interpolant to rounding:
 ``chebyshev_coefficients`` samples it at Chebyshev nodes and says whether
 it is resolved, and ``chebyshev_rows`` writes the basis at given inputs.
 The likelihood objective reduces an output's rows in that basis, in place
-of the fill, wherever it is resolved (see ``likelihood``).
+of the fill, wherever it is resolved (see ``likelihood``), and prediction
+predicts test rows and latent-force times in it (see ``predict``).
 
-Every pass over rows runs on ``run_split``, which splits the pass's
-items by index parity between the calling thread and, when the process
-may run on two CPUs, one helper thread; on one CPU the caller takes both
-halves, each in the same order.  The likelihood objective and
+Every pass over rows, but prediction's rows in a Chebyshev basis, runs
+on ``run_split``, which splits the pass's items by index parity between
+the calling thread and, when the process may run on two CPUs and each
+side has two items or more, one helper thread; otherwise the caller
+takes both halves, each in the same order.  The likelihood objective and
 ``likelihood.weight_posterior`` reduce the blocks themselves (see
 ``likelihood``) into sums kept per side, so those sums repeat bit for
 bit.  The other passes over rows of Phi_c, ``kernels.feature_matrix``
-(the one assembler of Phi_c, for either model kind) and the two
-predictions, go through ``run_chunks``.  It splits the rows into chunks of
-``backends.CHUNK_ROWS``, chunk i on side i % 2, fills each chunk's rows
-into its side's work array (``phi_fill`` writes them from the output
-blocks, each piece filled into a buffer its thread holds) and hands them
-to a per-chunk ``work`` function, which writes only the chunk's slice of
-its result; so no fill temporary is larger than a chunk.  The fills and
-products that dominate a chunk release the interpreter lock, so the two
-sides overlap.  A row has the same bits whichever chunk, piece, buffer or
-thread it is filled in, so every result is the same whatever the thread
-count.
+(the one assembler of Phi_c, for either model kind) and the rows the two
+predictions fill, go through ``run_chunks``.  It splits the rows into
+chunks of ``backends.CHUNK_ROWS``, chunk i on side i % 2, fills each
+chunk's rows into its side's work array (``phi_fill`` writes them from
+the output blocks, each piece filled into a buffer its thread holds) and
+hands them to a per-chunk ``work`` function, which writes only the
+chunk's slice of its result; so no fill temporary is larger than a chunk.
+The fills and products that dominate a chunk release the interpreter
+lock, so the two sides overlap.  A row has the same bits whichever chunk,
+piece, buffer or thread it is filled in, so every result is the same
+whatever the thread count.
 """
 
 from __future__ import annotations
@@ -638,8 +640,10 @@ def run_split(count, work):
     """Call ``work(side, i)`` for the items i < ``count``, split by parity: side = i % 2.
 
     The caller takes the even items in order and, when ``_helper_count()``
-    allows, one helper thread takes the odd items; otherwise the caller
-    takes the odd items after the even ones.  Each side runs its items in
+    allows and each side has at least two items, one helper thread takes
+    the odd items; otherwise the caller takes the odd items after the even
+    ones (with one item a side the thread cost more than it saved: README,
+    Numerical notes).  Each side runs its items in
     the same order either way, so sums kept per side have the same bits
     whatever the thread count.  The helper runs under a copy of the
     caller's ``contextvars`` context, so numpy's error state carries over.
@@ -658,7 +662,7 @@ def run_split(count, work):
             stop.set()
             raise
 
-    if count < 2 or _helper_count() < 1:
+    if count < 4 or _helper_count() < 1:
         side(0)
         side(1)
         return
@@ -668,14 +672,16 @@ def run_split(count, work):
     helper.result()
 
 
-def phi_fill(inputs, output_ids, spec, draws):
+def phi_fill(inputs, output_ids, spec, num_samples, blocks):
     """A ``run_chunks`` fill that writes the chunk's rows of Phi_c.
 
-    ``output_blocks`` runs here, in the calling thread, so the collision
-    perturbation and its one warning happen once, before any chunk is
-    filled.  The returned ``fill(sl, rows)`` writes rows ``sl`` of Phi_c
-    for ``inputs`` and ``output_ids`` into ``rows`` and returns ``rows``:
-    output by output, one ``fill`` of the output's block per piece of
+    ``blocks`` are ``output_blocks`` at ``num_samples`` samples a force,
+    made by the caller in its own thread, so the collision perturbation and
+    its one warning happen once, before any chunk is filled.  The returned
+    ``fill(sl, rows)`` writes rows ``sl`` of Phi_c for ``inputs`` and
+    ``output_ids`` into ``rows`` and returns ``rows``, the rows of an output
+    without a block in ``blocks`` as zeros and the others output by
+    output: one ``fill`` of the output's block per piece of
     ``backends.PIECE_ROWS // Q`` rows (so a piece holds as many values as
     half a chunk of one force), into a piece buffer that each thread holds
     across its chunks, then scaled and written with ``write_phi_block``.
@@ -683,20 +689,21 @@ def phi_fill(inputs, output_ids, spec, draws):
     bit for bit.
     """
     output_ids = np.asarray(output_ids, dtype=int)
-    blocks = output_blocks(np.unique(output_ids).tolist(), spec, draws)
-    s_count = draws.num_samples
     step = max(1, backends.PIECE_ROWS // spec.num_forces)
     held = threading.local()  # each thread's piece buffer, made at its first chunk
 
     def fill(sl, rows):
         if not hasattr(held, "piece"):
-            held.piece = np.empty((step, spec.num_forces * s_count), dtype=complex)
+            held.piece = np.empty((step, spec.num_forces * num_samples), dtype=complex)
         x = inputs[sl]
         for d, r in output_rows(output_ids[sl]).items():
+            if d not in blocks:
+                rows[r] = 0.0
+                continue
             for lo in range(0, r.size, step):
                 part = r[lo : lo + step]
                 v = blocks[d].fill(x[part], held.piece[: part.size])
-                write_phi_block(rows, part, spec, s_count, d, v)
+                write_phi_block(rows, part, spec, num_samples, d, v)
         return rows
 
     return fill

@@ -29,6 +29,7 @@ from .features import (
     force_columns,
     force_frequencies,
     operator_roots,
+    output_blocks,
     phi_c_width,
     phi_fill,
     residue_coeffs,
@@ -92,7 +93,8 @@ def feature_matrix(inputs, output_ids, spec, draws) -> FeatureMatrix:
     if not np.all(np.isfinite(inputs)):
         raise DataError("inputs must be finite")
     phi_c = np.empty((output_ids.size, phi_c_width(spec.num_forces, draws.num_samples)))
-    fill = phi_fill(inputs, output_ids, spec, draws)
+    blocks = output_blocks(np.unique(output_ids).tolist(), spec, draws)
+    fill = phi_fill(inputs, output_ids, spec, draws.num_samples, blocks)
     run_chunks(output_ids.size, 0, lambda sl, _: fill(sl, phi_c[sl]))
     return FeatureMatrix(phi_c)
 

@@ -128,8 +128,23 @@ __all__ = [
 
 LOG_2PI = math.log(2.0 * math.pi)
 # An output is reduced in a Chebyshev basis of n columns only if it has at
-# least this many times n rows (see ``_OutputSums``).
+# least this many times n rows (see ``basis_degrees``).
 BASIS_ROWS_PER_DEGREE = 6
+
+
+def basis_degrees(x, width):
+    """The degrees k of a Chebyshev basis that rows at inputs ``x``, ``width`` columns wide, may take.
+
+    Only one-dimensional inputs with a span (largest above least) take a
+    basis, at degrees of ``features.CHEBYSHEV_DEGREES`` of at most
+    ``width``/2, and only with ``BASIS_ROWS_PER_DEGREE`` k rows or more,
+    so that the basis costs less than the fill.  The objective's sums
+    (``_OutputSums``) and prediction (``predict``) share this rule.
+    """
+    if x.size == 0 or (x.ndim > 1 and x.shape[1] != 1) or not x.max() > x.min():
+        return ()
+    return tuple(k for k in CHEBYSHEV_DEGREES
+                 if k <= width // 2 and BASIS_ROWS_PER_DEGREE * k <= x.size)
 
 
 def noise_vector(spec, output_ids) -> np.ndarray:
@@ -340,9 +355,8 @@ class _OutputSums:
     = (T_{j+1} + T_{|j-1|})/2, Gx and ax from the Gram's and the y sum's
     shifted columns.  A row then costs T_0..T_k and one SYRK of k + 1
     columns, where a filled row costs the fill, 1 + p SYRKs of R columns
-    and Omega's row weights.  ``degrees`` are the k it may take: at most R/2,
-    and only with ``BASIS_ROWS_PER_DEGREE`` k rows or more, so that the
-    basis costs less than the fill.
+    and Omega's row weights.  ``degrees`` are the k it may take
+    (``basis_degrees``).
     """
 
     def __init__(self, x, y, r2, sides):
@@ -353,10 +367,7 @@ class _OutputSums:
         self.n = y.size
         self.yy = float(y @ y)
         self.x1 = self.x2.max()  # read for one input dimension only
-        self.degrees = ()
-        if self.x0.size == 1 and self.x1 > self.x0[0]:
-            self.degrees = tuple(k for k in CHEBYSHEV_DEGREES
-                                 if k <= r2 // 2 and BASIS_ROWS_PER_DEGREE * k <= self.n)
+        self.degrees = basis_degrees(x, r2)
         degree = max(self.degrees, default=0)
         self.parts = {side: _Part(r2, 1 + self.x0.size, degree) for side in sorted(sides)}
         self.total = None  # set by merge

@@ -244,14 +244,18 @@ def test_criterion_5_assembled_kernels_are_psd():
 # basis the choice of its degree and the mapping of its sums) that does not
 # grow with N, and a raw log-log slope falls below 1 whenever rows get
 # cheaper and the fixed cost does not, though the cost stays linear in N.
-# N_0 = 2000 puts 1000 rows in each output, enough for every basis degree,
-# so the reference takes the same path as the larger sizes and their
-# difference is the cost of rows alone.  A row costs so little on that path
-# (about 0.16 us here) that the sizes start at 16000 and each takes the
-# median of 9 evaluations: with 8000 and 5, one run in about 20 read a slope
-# of 0.74-0.79, a millisecond of noise at N = 8000.  A step quadratic in N
-# still raises this slope.
-CRITERION_6_SIZES = [2000, 16000, 32000, 64000, 128000]
+# N_0 = 4000 puts 2000 rows in each output, enough for every basis degree,
+# and two chunks each, so the pass has two items a side and starts its
+# helper thread (``features.run_split``) as at the larger sizes: the
+# reference takes the same path as they do and their difference is the
+# cost of rows alone.  (From N_0 = 2000, one item a side and no helper,
+# the helper's own cost read as cost per row: slopes 0.78-1.18 in 60
+# runs, against 0.95-1.08 in 30 from N_0 = 4000.)  A row costs so little
+# on that path (about 0.16 us here) that the sizes start at 16000 and
+# each takes the median of 9 evaluations: with 8000 and 5, one run in
+# about 20 read a slope of 0.74-0.79, a millisecond of noise at N = 8000.
+# A step quadratic in N still raises this slope.
+CRITERION_6_SIZES = [4000, 16000, 32000, 64000, 128000]
 CRITERION_6_TIMING = f"""
 import json
 from time import perf_counter

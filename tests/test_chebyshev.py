@@ -1,13 +1,16 @@
-"""The objective's Chebyshev reduction of one-dimensional outputs against the direct fill.
+"""The Chebyshev reduction of one-dimensional outputs against the direct fill.
 
 An output whose inputs are one-dimensional (every LFM output, a MOGP's when
 p = 1) is reduced, in an evaluation where its features are resolved, in a
 Chebyshev basis of its span: its chunks add Grams of T_0..T_k instead of
-psi's, mapped to psi's by the block's coefficients.  Most other objective
-tests use R <= 28, where no basis degree is allowed, so this file is where
-that path is compared with the direct fill: its sums, and the objective's
-value and gradient, over operator edge cases and input layouts, and the
-cases it must leave to the direct fill with today's errors and warnings.
+psi's, mapped to psi's by the block's coefficients.  Prediction does the
+same for an output's test rows, and for a latent force's times: their means
+and variances come from B Z_c, not from filled rows.  Most other objective
+and prediction tests use R <= 28, where no basis degree is allowed, so this
+file is where that path is compared with the direct fill: its sums, the
+objective's value and gradient, and the predictions' means and variances,
+over operator edge cases and input layouts, and the cases it must leave to
+the direct fill with today's bits, errors and warnings.
 """
 
 import warnings
@@ -19,16 +22,20 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
-from lfmrff import features, likelihood
+from lfmrff import features, likelihood, predict
 from lfmrff.features import (
     NumericsWarning,
     chebyshev_coefficients,
     chebyshev_nodes,
     chebyshev_rows,
+    force_frequencies,
     output_blocks,
+    output_rows,
+    phi_c_width,
     sample_draws,
 )
-from lfmrff.likelihood import LmlObjective, _OutputSums, _Work
+from lfmrff.kernels import latent_block
+from lfmrff.likelihood import FitResult, LmlObjective, _OutputSums, _Work, weight_posterior
 from lfmrff.model import (
     Dataset,
     LfmSpec,
@@ -56,6 +63,12 @@ SUMS_RTOL = 1e-12
 VALUE_RTOL = 1e-12
 GRAD_RTOL = 1e-10
 CLOSE_ROOTS_GRAD_RTOL = 1e-8
+# Prediction's bound on the difference from the direct fill: the means'
+# relative to the largest |mean|, the variances' relative to the largest
+# variance.  Over about 560 comparisons here the largest were 2.1e-13 for
+# the means, at critical damping (roots perturbed 1e-3 apart, residues
+# near 500), and 1.7e-14 for the variances.
+PREDICT_RTOL = 1e-12
 
 PROPERTY = settings(max_examples=25, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -63,7 +76,8 @@ PROPERTY = settings(max_examples=25, deadline=None,
 
 @contextmanager
 def direct_fill():
-    """Objectives first evaluated in this context take the direct fill for every output."""
+    """Objectives first evaluated in this context, and predictions made in it, take the
+    direct fill for every output and latent force."""
     with mock.patch.object(likelihood, "BASIS_ROWS_PER_DEGREE", 10**9):
         yield
 
@@ -371,3 +385,152 @@ def test_near_critical_damping_warns_once_on_the_basis_path():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", NumericsWarning)
         assert degrees(obj, spec)[1] is not None
+
+
+# ---------------------------------------------------------------------------
+# prediction: the basis against the direct fill
+
+
+def make_fit(spec):
+    return FitResult(spec=spec, packed=pack(spec), final_lml=0.0, trace=(), seed=DRAWS_SEED,
+                     num_samples=SAMPLES, iterations=0, status="converged")
+
+
+def basis_outputs(spec, test):
+    """The outputs whose test rows ``predict_outputs`` reduces in a basis."""
+    rows = output_rows(test.output_ids)
+    blocks = output_blocks(rows, spec, sample_draws(spec, SAMPLES, DRAWS_SEED))
+    width = phi_c_width(spec.num_forces, SAMPLES)
+    return {d for d, r in rows.items()
+            if predict._coefficients(test.inputs[r], width,
+                                     lambda u, b=blocks[d]: b.fill(u).view(float)) is not None}
+
+
+def latent_takes_basis(spec, times, q):
+    lam = force_frequencies(sample_draws(spec, SAMPLES, DRAWS_SEED), q, spec.lengthscales[q - 1])
+    return predict._coefficients(times, 2 * SAMPLES,
+                                 lambda u: latent_block(u, lam).view(float)) is not None
+
+
+def assert_near(got, want):
+    """``got`` within PREDICT_RTOL of the direct fill's ``want`` (see PREDICT_RTOL)."""
+    assert np.max(np.abs(got.mean - want.mean)) <= PREDICT_RTOL * np.max(np.abs(want.mean))
+    assert np.max(np.abs(got.variance - want.variance)) <= PREDICT_RTOL * np.max(want.variance)
+    assert np.all(got.variance >= 0.0)
+
+
+def assert_predictions_match_the_fill(spec, train, test, times=()):
+    """Predictions at ``test`` (and latent forces at ``times``) against the direct fill.
+
+    Rows reduced in a basis are within the bounds; every other row has the
+    direct fill's bits.  Returns the outputs and forces that took the basis.
+    """
+    fit = make_fit(spec)
+    state = weight_posterior(train, spec, sample_draws(spec, SAMPLES, DRAWS_SEED))
+    forces = range(1, spec.num_forces + 1) if isinstance(spec, LfmSpec) else ()
+    got = [predict.predict_outputs(fit, state, test, include_noise=False)]
+    got += [predict.predict_latent_forces(fit, state, times, q) for q in forces]
+    with direct_fill():
+        want = [predict.predict_outputs(fit, state, test, include_noise=False)]
+        want += [predict.predict_latent_forces(fit, state, times, q) for q in forces]
+    reduced = basis_outputs(spec, test)
+    basis = np.isin(test.output_ids, list(reduced))
+    if basis.any():
+        assert_near(got[0], want[0])
+    for have, ref in ((got[0].mean, want[0].mean), (got[0].variance, want[0].variance)):
+        assert np.array_equal(have[~basis], ref[~basis])
+    latent = {q for q in forces if latent_takes_basis(spec, times, q)}
+    for q, have, ref in zip(forces, got[1:], want[1:]):
+        if q in latent:
+            assert_near(have, ref)
+        else:
+            assert np.array_equal(have.mean, ref.mean)
+            assert np.array_equal(have.variance, ref.variance)
+    return reduced, latent
+
+
+@PROPERTY
+@given(lfm_problems(), times(low=-4.0))
+def test_lfm_predictions_match_the_direct_fill(problem, latent_times):
+    # test rows at the training rows (with a row at t = 0 and duplicate
+    # times, sometimes), latent forces at negative times
+    spec, data = problem
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NumericsWarning)
+        reduced, latent = assert_predictions_match_the_fill(spec, data, data, latent_times)
+    assert 2 not in reduced  # the one-row output is filled
+    event("reduced" if 1 in reduced else "filled")
+    event(f"{len(latent)} forces reduced")
+
+
+@PROPERTY
+@given(mogp_problems())
+def test_one_dimensional_mogp_predictions_match_the_direct_fill(problem):
+    spec, data = problem
+    assert assert_predictions_match_the_fill(spec, data, data)[0] == {1}
+
+
+@pytest.mark.parametrize("op", [
+    Ode1Params(2.0),
+    Ode2Params(1.0, 0.6, 4.0),  # underdamped
+    Ode2Params(1.0, 5.0, 2.0),  # overdamped
+    Ode2Params(1.0, 2.0, 1.0),  # critically damped, perturbed
+    Ode2Params(1.0, 1e-7, 2.0),  # undamped
+    OdeOperator((1.0, 2.0, 5.0, 4.0)),  # (s + 1)(s^2 + s + 4)
+], ids=["ode1", "under", "over", "critical", "c=1e-7", "order3"])
+def test_every_operator_kind_predicts_in_the_basis(op):
+    # 1000 test rows over [0, 5], a row at t = 0 and duplicated times;
+    # the latent forces over [-1, 1.5]
+    t = np.random.default_rng(4).uniform(0.0, 5.0, 1000)
+    t[0], t[500:] = 0.0, t[:500]
+    data = Dataset(np.ones(1000, int), t, np.random.default_rng(5).normal(size=1000))
+    spec = LfmSpec((op,), FORCES, [1.0, 1.5], [[1.0, 0.6]], [0.1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NumericsWarning)
+        reduced, latent = assert_predictions_match_the_fill(spec, data, data, 0.5 * t - 1.0)
+    assert reduced == {1} and latent == {1, 2}
+
+
+def test_empty_times_give_empty_posteriors():
+    spec = lfm(Ode1Params(1.0))
+    state = weight_posterior(grid(3.0), spec, sample_draws(spec, SAMPLES, DRAWS_SEED))
+    post = predict.predict_latent_forces(make_fit(spec), state, np.array([]), 1)
+    assert post.mean.shape == post.variance.shape == (0,)
+
+
+@pytest.mark.parametrize("spec,test,reduced", [
+    pytest.param(lfm(Ode1Params(1.0)), grid(3.0, n=100), set(), id="few-rows"),
+    pytest.param(lfm(Ode1Params(1.0)),
+                 Dataset(np.repeat([1, 2], 400), np.append(np.full(400, 2.0), np.linspace(0, 3, 400)),
+                         np.zeros(800)), {2}, id="one-time"),
+    pytest.param(lfm(Ode1Params(1.0), ell=(0.3, 1.0)), grid(100.0), set(),
+                 id="short-ell-span-100"),
+    pytest.param(lfm(Ode1Params(50.0)), grid(10.0), {2}, id="stiff-root"),
+])
+def test_unresolved_test_rows_take_the_direct_fill(spec, test, reduced):
+    # The filled rows keep today's bits (assert_predictions_match_the_fill),
+    # and so do both forces at output 1's times: too few, all at one time,
+    # or a span (100 or 10) that degree 32, the most 2S = 64 columns allow,
+    # does not resolve at ell = 1.
+    times = test.inputs[test.output_ids == 1]
+    assert assert_predictions_match_the_fill(spec, grid(3.0), test, times) == (reduced, set())
+
+
+def test_overflowing_test_rows_keep_todays_errors():
+    # (s - 1)(s + 2): e^{t} overflows at t = 800, at the nodes as in the rows,
+    # so output 1's test rows are filled, and the fill raises or overflows
+    spec = lfm(OdeOperator((1.0, 1.0, -2.0)))
+    t = np.concatenate([np.linspace(0.0, 800.0, 500), np.linspace(0.0, 3.0, 500)])
+    test = Dataset(np.repeat([1, 2], 500), t, np.zeros(1000))
+    fit = make_fit(spec)
+    state = weight_posterior(grid(3.0), spec, sample_draws(spec, SAMPLES, DRAWS_SEED))
+    assert basis_outputs(spec, test) == {2}
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        predict.predict_outputs(fit, state, test)
+    with np.errstate(all="ignore"):
+        got = predict.predict_outputs(fit, state, test)
+        with direct_fill():
+            want = predict.predict_outputs(fit, state, test)
+    assert not np.all(np.isfinite(got.mean[:500]))
+    np.testing.assert_array_equal(got.mean[:500], want.mean[:500])
+

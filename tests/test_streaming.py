@@ -78,7 +78,20 @@ CASES = {
         sample_spectral(5, 2, 2, seed=8),
         mogp_feature_matrix,
     ),
+    # R = 128: an output of 192 test rows or more, or 192 latent times, may
+    # be predicted in a Chebyshev basis; force 1's frequencies are too high
+    # for degree 32 over [0, 5], force 2's are not
+    "ode1-ode2-s32": (
+        LfmSpec((Ode1Params(1.1), Ode2Params(1.0, 3.0, 2.0)), 2, [0.9, 1.7],
+                [[0.7, 0.2], [-0.5, 1.1]], [0.3, 0.1]),
+        sample_frequencies(32, 2, seed=4),
+        feature_matrix,
+    ),
 }
+# Rows predicted in a Chebyshev basis are within this of the whole-matrix
+# reference, relative to its largest |mean| and its largest variance (at
+# most 4.8e-15 and 1.1e-14 on these cases); every other row has its bits.
+PREDICT_RTOL = 1e-12
 
 
 @pytest.fixture(params=[0, 1], ids=["no-helper", "one-helper"])
@@ -127,6 +140,31 @@ def assert_posterior_near(post, state):
         assert np.max(np.abs(got - want)) <= POSTERIOR_RTOL * np.max(np.abs(want))
 
 
+def basis_rows(spec, draws, test):
+    """Which test rows ``predict_outputs`` predicts in a Chebyshev basis."""
+    rows = output_rows(test.output_ids)
+    blocks = output_blocks(rows, spec, draws)
+    width = 2 * spec.num_forces * draws.num_samples
+    basis = np.zeros(len(test), dtype=bool)
+    for d, r in rows.items():
+        values = lambda u, b=blocks[d]: b.fill(u).view(float)  # noqa: E731
+        basis[r] = predict._coefficients(test.inputs[r], width, values) is not None
+    return basis
+
+
+def latent_in_basis(lam, times):
+    """Whether ``predict_latent_forces`` predicts a force of frequencies ``lam`` in a basis."""
+    values = lambda u: latent_block(u, lam).view(float)  # noqa: E731
+    return predict._coefficients(times, 2 * lam.size, values) is not None
+
+
+def assert_rows_match(got, want, basis):
+    """Rows ``basis`` within PREDICT_RTOL of ``want``'s largest entry, the others bit for bit."""
+    assert_array_equal(got[~basis], want[~basis])
+    if basis.any():
+        assert np.max(np.abs(got[basis] - want[basis])) <= PREDICT_RTOL * np.max(np.abs(want))
+
+
 def trained(spec, draws, assemble, n=300):
     data = interleaved(n, isinstance(spec, MogpSpec), seed=1)
     fm = assemble(data.inputs, data.output_ids, spec, draws)
@@ -150,12 +188,16 @@ def test_predict_outputs_match_whole_matrix(case, rows):
     test = interleaved(rows, isinstance(spec, MogpSpec), seed=2)
     post = predict_outputs(make_fit(spec, draws), state, test, include_noise=False)
     phi_c = assemble(test.inputs, test.output_ids, spec, draws).phi_c
-    assert_array_equal(post.mean, phi_c @ state.solve_a(state.alpha))
-    assert_allclose(post.variance, n_rhs_variance(phi_c, state.chol_a), rtol=1e-12)
+    basis = basis_rows(spec, draws, test)
+    assert basis.all() if case.endswith("s32") else not basis.any()
+    assert_rows_match(post.mean, phi_c @ state.solve_a(state.alpha), basis)
+    variance = n_rhs_variance(phi_c, state.chol_a)
+    assert_allclose(post.variance[~basis], variance[~basis], rtol=1e-12)
+    assert_rows_match(post.variance[basis], variance[basis], np.ones(basis.sum(), dtype=bool))
 
 
 @pytest.mark.parametrize("rows", ROWS)
-@pytest.mark.parametrize("case", ["ode1-ode2", "order3-ode2"])
+@pytest.mark.parametrize("case", ["ode1-ode2", "order3-ode2", "ode1-ode2-s32"])
 def test_predict_latent_forces_match_whole_matrix(case, rows):
     spec, draws, assemble = CASES[case]
     _, state = trained(spec, draws, assemble)
@@ -163,16 +205,24 @@ def test_predict_latent_forces_match_whole_matrix(case, rows):
     for q in range(1, spec.num_forces + 1):
         post = predict_latent_forces(make_fit(spec, draws), state, times, q)
         phi_c = latent_feature_matrix(times, q, spec, draws).phi_c
-        assert_array_equal(post.mean, phi_c @ state.solve_a(state.alpha))
-        assert_allclose(post.variance, n_rhs_variance(phi_c, state.chol_a), rtol=1e-12)
+        lam = force_frequencies(draws, q, spec.lengthscales[q - 1])
+        basis = np.full(rows, latent_in_basis(lam, times))
+        assert basis[0] == (case.endswith("s32") and q == 2)
+        assert_rows_match(post.mean, phi_c @ state.solve_a(state.alpha), basis)
+        variance = n_rhs_variance(phi_c, state.chol_a)
+        if basis[0]:
+            assert_rows_match(post.variance, variance, basis)
+        else:
+            assert_allclose(post.variance, variance, rtol=1e-12)
 
 
 @pytest.mark.parametrize("rows", THREAD_ROWS)
 @pytest.mark.parametrize("case", list(CASES))
 def test_predictions_have_the_bits_of_fills_into_new_arrays(case, rows, helpers):
     # The passes fill into buffers that each side holds across its chunks;
-    # with a fixed posterior every chunk's means and variances have the
-    # bits of rows filled into new arrays (whole blocks, new latent rows).
+    # with a fixed posterior every chunk's filled means and variances have
+    # the bits of rows filled into new arrays (whole blocks, new latent
+    # rows), and rows predicted in a basis are near them.
     spec, draws, assemble = CASES[case]
     _, state = trained(spec, draws, assemble)
     fit = make_fit(spec, draws)
@@ -180,10 +230,14 @@ def test_predictions_have_the_bits_of_fills_into_new_arrays(case, rows, helpers)
     test = interleaved(rows, isinstance(spec, MogpSpec), seed=3)
     phi_c = whole_block_phi_c(test, spec, draws)
     post = predict_outputs(fit, state, test, include_noise=False)
+    basis = basis_rows(spec, draws, test)
+    want = [np.empty(rows), np.empty(rows)]
     for lo in range(0, rows, CHUNK):
         sl = slice(lo, lo + CHUNK)
-        assert_array_equal(post.mean[sl], backends.matmul_rows(phi_c[sl], m))
-        assert_array_equal(post.variance[sl], predict._sq_row_norms(phi_c[sl], l_inv_t))
+        want[0][sl] = backends.matmul_rows(phi_c[sl], m)
+        want[1][sl] = predict._sq_row_norms(phi_c[sl], l_inv_t)
+    assert_rows_match(post.mean, want[0], basis)
+    assert_rows_match(post.variance, want[1], basis)
     if not isinstance(spec, LfmSpec):
         return
     times = np.random.default_rng(rows).uniform(-1.0, 5.0, rows)
@@ -192,11 +246,14 @@ def test_predictions_have_the_bits_of_fills_into_new_arrays(case, rows, helpers)
         post = predict_latent_forces(fit, state, times, q)
         cols = slice(2 * (q - 1) * s_count, 2 * q * s_count)
         lam = force_frequencies(draws, q, spec.lengthscales[q - 1])
+        basis = np.full(rows, latent_in_basis(lam, times))
         for lo in range(0, rows, CHUNK):
             sl = slice(lo, lo + CHUNK)
             fresh = latent_block(times[sl], lam).view(float)
-            assert_array_equal(post.mean[sl], backends.matmul_rows(fresh, m[cols]))
-            assert_array_equal(post.variance[sl], predict._sq_row_norms(fresh, l_inv_t[cols]))
+            want[0][sl] = backends.matmul_rows(fresh, m[cols])
+            want[1][sl] = predict._sq_row_norms(fresh, l_inv_t[cols])
+        assert_rows_match(post.mean, want[0], basis)
+        assert_rows_match(post.variance, want[1], basis)
 
 
 @pytest.mark.parametrize("rows", ROWS)
@@ -274,14 +331,14 @@ def test_a_helper_runs_under_the_callers_error_state(monkeypatch):
 
 def test_the_objectives_helper_honours_the_callers_error_state(monkeypatch):
     # (s - 1)(s + 2): the root 1 makes e^{t} overflow at t = 800.  With
-    # chunks of 7 rows the overflowing rows are the second chunk, item 1,
-    # which the helper takes.
+    # chunks of 7 rows the overflowing rows are the second of four chunks,
+    # item 1, which the helper takes (it starts with two items a side).
     monkeypatch.setattr(backends, "CHUNK_ROWS", 7)
     monkeypatch.setattr(features, "_helper_count", lambda: 1)
     spec = LfmSpec((OdeOperator((1.0, 1.0, -2.0)),), 1, [1.0], [[1.0]], [0.1])
     draws = sample_frequencies(5, 1, seed=0)
-    t = np.concatenate([np.linspace(0.0, 1.0, 7), np.full(7, 800.0)])
-    obj = LmlObjective(Dataset(np.ones(14, int), t, np.ones(14)), spec, draws)
+    t = np.concatenate([np.linspace(0.0, 1.0, 7), np.full(7, 800.0), np.linspace(0.0, 1.0, 14)])
+    obj = LmlObjective(Dataset(np.ones(28, int), t, np.ones(28)), spec, draws)
     theta = pack(spec).values
     filled_by = []  # (overflowing rows, on the helper) per fill
     fill = features.ResponseBlock.fill
@@ -302,37 +359,45 @@ def test_the_objectives_helper_honours_the_callers_error_state(monkeypatch):
                 obj.value_and_gradient(theta)
 
 
-@pytest.mark.parametrize("fail_at", [None, 0, 501], ids=["all", "caller-fails", "helper-fails"])
-def test_split_takes_each_item_once_on_its_side(fail_at, helpers):
+@pytest.mark.parametrize("count", [3, 4, 1001])
+@pytest.mark.parametrize("fail_at", [None, 0, "odd"], ids=["all", "caller-fails", "helper-fails"])
+def test_split_takes_each_item_once_on_its_side(count, fail_at, helpers):
     # switching as often as the interpreter can; each side appends only to
     # its own list, as the objective adds only into its own side's sums
+    if fail_at == "odd":
+        fail_at = count // 2 | 1  # an odd item, past the first
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     before = threading.active_count()
     seen = ([], [])
+    on_main = (set(), set())
 
     def work(side, i):
         if i == fail_at:
             raise ChunkFailure(i)
+        on_main[side].add(threading.current_thread() is threading.main_thread())
         seen[side].append(i)
 
     try:
         if fail_at is None:
-            features.run_split(1001, work)
+            features.run_split(count, work)
         else:
             with pytest.raises(ChunkFailure):
-                features.run_split(1001, work)
+                features.run_split(count, work)
     finally:
         sys.setswitchinterval(interval)
     assert threading.active_count() == before
     if fail_at is None:
-        assert seen == (list(range(0, 1001, 2)), list(range(1, 1001, 2)))
+        assert seen == (list(range(0, count, 2)), list(range(1, count, 2)))
+        # a helper takes the odd items only with two or more items a side
+        split = helpers and count >= 4
+        assert on_main == ({True}, {not split})
     else:
         # the failing side stops at its item and the other side, which
         # may have finished first, took a prefix of its own items
         side = fail_at % 2
         assert seen[side] == list(range(side, fail_at, 2))
-        other = list(range(1 - side, 1001, 2))
+        other = list(range(1 - side, count, 2))
         assert seen[1 - side] == other[: len(seen[1 - side])]
 
 
