@@ -598,6 +598,15 @@ def write_phi_block(out, rows, spec, num_samples, d, v):
     out.view(complex)[rows] = v
 
 
+# ``run_split`` starts its helper only for a pass of this many items or
+# more, two a side.  With one item a side the thread cost more than it
+# saved on the criterion 6 spec (R = 200, one BLAS thread, 2-vCPU VM):
+# 3.50 against 3.03 ms at N = 200, 3.70 against 3.36 ms at N = 2000
+# (README, Numerical notes).  No benchmark workload has a pass of two or
+# three items, so the benchmark does not measure this gain.
+SPLIT_MIN_ITEMS = 4
+
+
 def _helper_count():
     """Helper threads of ``run_split``: one when this process may run on two CPUs.
 
@@ -640,12 +649,10 @@ def run_split(count, work):
     """Call ``work(side, i)`` for the items i < ``count``, split by parity: side = i % 2.
 
     The caller takes the even items in order and, when ``_helper_count()``
-    allows and each side has at least two items, one helper thread takes
-    the odd items; otherwise the caller takes the odd items after the even
-    ones (with one item a side the thread cost more than it saved: README,
-    Numerical notes).  Each side runs its items in
-    the same order either way, so sums kept per side have the same bits
-    whatever the thread count.  The helper runs under a copy of the
+    allows and ``count`` is at least ``SPLIT_MIN_ITEMS``, one helper thread
+    takes the odd items; otherwise the caller takes the odd items after the
+    even ones.  Each side runs its items in the same order either way, so
+    sums kept per side have the same bits whatever the thread count.  The helper runs under a copy of the
     caller's ``contextvars`` context, so numpy's error state carries over.
     An exception on either side stops both and is raised here, the
     caller's first, and no thread outlives the call.
@@ -662,7 +669,7 @@ def run_split(count, work):
             stop.set()
             raise
 
-    if count < 4 or _helper_count() < 1:
+    if count < SPLIT_MIN_ITEMS or _helper_count() < 1:
         side(0)
         side(1)
         return

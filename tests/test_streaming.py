@@ -1,11 +1,11 @@
 """Chunked fills, assembly and prediction: results do not depend on where chunks end.
 
 Row counts straddle ``backends.CHUNK_ROWS`` (chunk - 1, chunk, chunk + 1,
-2 chunk + 3, and 1 in the two-thread cases) with randomly interleaved output
-ids, so chunks hold unequal and sometimes single rows of an output.
-References assemble or solve the whole matrix at once.  The passes run on
-``features.run_chunks`` with no helper thread and with one, and give the
-same bits both ways.
+2 chunk + 3, and 1 and 4 chunk + 1 in the two-thread cases) with randomly
+interleaved output ids, so chunks hold unequal and sometimes single rows of
+an output.  References assemble or solve the whole matrix at once.  The
+passes run on ``features.run_chunks`` with no helper thread and with one,
+and give the same bits both ways.
 """
 
 import json
@@ -56,9 +56,10 @@ from lfmrff.predict import predict_latent_forces, predict_outputs
 
 CHUNK = backends.CHUNK_ROWS
 ROWS = [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3]
-# The two-thread cases add a single row; the whole-matrix references above
-# multiply one row by GEMV, whose bits differ from a row of a GEMM.
-THREAD_ROWS = [1, *ROWS]
+# The two-thread cases add a single row (the whole-matrix references above
+# multiply one row by GEMV, whose bits differ from a row of a GEMM) and five
+# chunks, since a helper starts only at features.SPLIT_MIN_ITEMS chunks.
+THREAD_ROWS = [1, *ROWS, 4 * CHUNK + 1]
 
 CASES = {
     "ode1-ode2": (
@@ -99,6 +100,38 @@ def helpers(request, monkeypatch):
     """Run every chunked pass of the test with this many helper threads."""
     monkeypatch.setattr(features, "_helper_count", lambda: request.param)
     return request.param
+
+
+@pytest.fixture
+def splits(monkeypatch):
+    """(chunks, whether a helper took any) for each ``run_chunks`` pass that finishes."""
+    log = []
+    split = features.run_split
+
+    def traced(count, work):
+        caller = threading.current_thread()
+        helped = []
+
+        def traced_work(side, i):
+            if threading.current_thread() is not caller:
+                helped.append(i)
+            work(side, i)
+
+        split(count, traced_work)
+        log.append((count, bool(helped)))
+
+    monkeypatch.setattr(features, "run_split", traced)
+    return log
+
+
+def assert_helper_took_long_passes(splits, helpers, rows):
+    """A helper, if allowed, took part in each pass of SPLIT_MIN_ITEMS chunks or more, and only those.
+
+    ``rows`` rows make at least one such pass when they fill five chunks.
+    """
+    long_pass = [count >= features.SPLIT_MIN_ITEMS for count, _ in splits]
+    assert [helped for _, helped in splits] == [helpers > 0 and long for long in long_pass]
+    assert any(long_pass) == (rows > 4 * CHUNK)
 
 
 def interleaved(n, mogp, seed=0):
@@ -218,7 +251,7 @@ def test_predict_latent_forces_match_whole_matrix(case, rows):
 
 @pytest.mark.parametrize("rows", THREAD_ROWS)
 @pytest.mark.parametrize("case", list(CASES))
-def test_predictions_have_the_bits_of_fills_into_new_arrays(case, rows, helpers):
+def test_predictions_have_the_bits_of_fills_into_new_arrays(case, rows, helpers, splits):
     # The passes fill into buffers that each side holds across its chunks;
     # with a fixed posterior every chunk's filled means and variances have
     # the bits of rows filled into new arrays (whole blocks, new latent
@@ -226,6 +259,7 @@ def test_predictions_have_the_bits_of_fills_into_new_arrays(case, rows, helpers)
     spec, draws, assemble = CASES[case]
     _, state = trained(spec, draws, assemble)
     fit = make_fit(spec, draws)
+    splits.clear()
     m, l_inv_t = predict._weights(state)
     test = interleaved(rows, isinstance(spec, MogpSpec), seed=3)
     phi_c = whole_block_phi_c(test, spec, draws)
@@ -239,6 +273,7 @@ def test_predictions_have_the_bits_of_fills_into_new_arrays(case, rows, helpers)
     assert_rows_match(post.mean, want[0], basis)
     assert_rows_match(post.variance, want[1], basis)
     if not isinstance(spec, LfmSpec):
+        assert_helper_took_long_passes(splits, helpers, rows)
         return
     times = np.random.default_rng(rows).uniform(-1.0, 5.0, rows)
     s_count = draws.num_samples
@@ -254,6 +289,7 @@ def test_predictions_have_the_bits_of_fills_into_new_arrays(case, rows, helpers)
             want[1][sl] = predict._sq_row_norms(fresh, l_inv_t[cols])
         assert_rows_match(post.mean, want[0], basis)
         assert_rows_match(post.variance, want[1], basis)
+    assert_helper_took_long_passes(splits, helpers, rows)
 
 
 @pytest.mark.parametrize("rows", ROWS)
@@ -270,7 +306,7 @@ def test_streamed_weight_posterior_equals_low_rank_state(case, rows):
 
 @pytest.mark.parametrize("rows", THREAD_ROWS)
 @pytest.mark.parametrize("case", list(CASES))
-def test_passes_have_the_same_bits_with_and_without_the_helper(case, rows, monkeypatch):
+def test_passes_have_the_same_bits_with_and_without_the_helper(case, rows, monkeypatch, splits):
     spec, draws, assemble = CASES[case]
     _, state = trained(spec, draws, assemble)
     fit = make_fit(spec, draws)
@@ -281,6 +317,7 @@ def test_passes_have_the_same_bits_with_and_without_the_helper(case, rows, monke
     posts = {}
     for h in (0, 1):
         monkeypatch.setattr(features, "_helper_count", lambda h=h: h)
+        splits.clear()
         fm = assemble(data.inputs, data.output_ids, spec, draws)
         assert_array_equal(fm.phi_c, whole)
         streamed = weight_posterior(data, spec, draws)
@@ -289,6 +326,7 @@ def test_passes_have_the_same_bits_with_and_without_the_helper(case, rows, monke
         if isinstance(spec, LfmSpec):
             posts[h] += [predict_latent_forces(fit, state, times, q)
                          for q in range(1, spec.num_forces + 1)]
+        assert_helper_took_long_passes(splits, h, rows)
     assert_array_equal(posts[1][0].chol_a, posts[0][0].chol_a)
     assert_array_equal(posts[1][0].alpha, posts[0][0].alpha)
     for alone, helped in zip(posts[0][1:], posts[1][1:]):
@@ -390,7 +428,7 @@ def test_split_takes_each_item_once_on_its_side(count, fail_at, helpers):
     if fail_at is None:
         assert seen == (list(range(0, count, 2)), list(range(1, count, 2)))
         # a helper takes the odd items only with two or more items a side
-        split = helpers and count >= 4
+        split = helpers and count >= features.SPLIT_MIN_ITEMS
         assert on_main == ({True}, {not split})
     else:
         # the failing side stops at its item and the other side, which
@@ -401,19 +439,26 @@ def test_split_takes_each_item_once_on_its_side(count, fail_at, helpers):
         assert seen[1 - side] == other[: len(seen[1 - side])]
 
 
-def test_cli_predict_writes_the_same_bytes_with_and_without_the_helper(tmp_path, monkeypatch):
+def test_cli_predict_writes_the_same_bytes_with_and_without_the_helper(tmp_path, monkeypatch,
+                                                                        splits):
+    # five chunks of test rows and of times, filled (R = 24 allows no
+    # Chebyshev degree), so the one-helper run splits both predictions
     spec, draws, _ = CASES["ode1-ode2"]
     train_csv, test_csv = tmp_path / "train.csv", tmp_path / "test.csv"
+    rows = 4 * CHUNK + 1
     write_dataset_csv(train_csv, interleaved(3000, mogp=False, seed=3))
-    write_dataset_csv(test_csv, interleaved(3000, mogp=False, seed=4))
+    write_dataset_csv(test_csv, interleaved(rows, mogp=False, seed=4))
     cli.write_fit_file(tmp_path / "fit.json", make_fit(spec, draws), "odeP", train_csv)
     (tmp_path / "lf.cfg").write_text("latent_force=1\n")
     written = []
     for h in (0, 1):
         monkeypatch.setattr(features, "_helper_count", lambda h=h: h)
+        splits.clear()
         out = tmp_path / f"out{h}"
         assert cli.main(["predict", str(tmp_path / "fit.json"), str(test_csv), "--config",
                          str(tmp_path / "lf.cfg"), "--out-dir", str(out)]) == 0
+        assert splits and all(count == 5 for count, _ in splits)
+        assert_helper_took_long_passes(splits, h, rows)
         written.append([(out / name).read_bytes()
                         for name in ("predictions.csv", "latent_forces.csv")])
     assert written[0] == written[1]
