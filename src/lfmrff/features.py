@@ -38,8 +38,10 @@ takes both halves, each in the same order.  The likelihood objective and
 bit.  The other passes over rows of Phi_c, ``kernels.feature_matrix``
 (the one assembler of Phi_c, for either model kind) and the rows the two
 predictions fill, go through ``run_chunks``.  It splits the rows into
-chunks of ``backends.CHUNK_ROWS``, chunk i on side i % 2, fills each
-chunk's rows into its side's work array (``phi_fill`` writes them from
+segments (one for ``feature_matrix``, one per filled output for
+prediction) and each segment into chunks of ``backends.CHUNK_ROWS`` from
+its first row, chunk i on side i % 2, fills each chunk's rows into its
+side's work array (``phi_fill`` writes them from
 the output blocks, each piece filled into a buffer its thread holds) and
 hands them to a per-chunk ``work`` function, which writes only the
 chunk's slice of its result; so no fill temporary is larger than a chunk.
@@ -619,30 +621,38 @@ def _helper_count():
     return 1 if cpus >= 2 else 0
 
 
-def run_chunks(n, width, fill, work=None):
-    """Fill and process an n-row pass in chunks of ``CHUNK_ROWS`` rows, on ``run_split``.
+def run_chunks(sizes, width, fill, work=None):
+    """Fill and process a pass over consecutive segments of ``sizes`` rows in chunks, on ``run_split``.
 
-    Chunk i goes to side i % 2.  For the chunk of rows ``sl`` its side
-    calls ``phi = fill(sl, buf)``, then ``work(sl, phi)``.  ``buf`` is that
-    chunk's rows of the side's own uninitialised work array,
-    (min(n, CHUNK_ROWS), width), so ``fill`` may write every column of the
-    chunk's rows into it and return it (``width`` is 0 when it makes or
-    writes them elsewhere); the rows are valid until that side's next
-    chunk.  The two sides may run at once, so ``work`` writes only what
-    belongs to its chunk, such as the chunk's slice of an output.
+    Each segment is cut into chunks of ``CHUNK_ROWS`` rows from its own
+    first row, so no chunk spans two segments, and chunk i of the pass
+    goes to side i % 2.  For the chunk of rows ``sl`` its side calls
+    ``phi = fill(sl, buf)``, then ``work(sl, phi)``.  ``buf`` is that
+    chunk's rows of the side's own uninitialised work array, (longest
+    chunk, width), so ``fill`` may write every column of the chunk's rows
+    into it and return it (``width`` is 0 when it makes or writes them
+    elsewhere); the rows are valid until that side's next chunk.  The two
+    sides may run at once, so ``work`` writes only what belongs to its
+    chunk, such as the chunk's slice of an output.
     """
     step = backends.CHUNK_ROWS
+    chunks, start = [], 0
+    for size in sizes:
+        stop = start + size
+        chunks += [slice(lo, min(stop, lo + step)) for lo in range(start, stop, step)]
+        start = stop
+    longest = min(step, max(sizes, default=0))
     bufs = [None, None]
 
     def chunk(side, i):
+        sl = chunks[i]
         if bufs[side] is None:
-            bufs[side] = np.empty((min(n, step), width))
-        sl = slice(i * step, min(n, i * step + step))
+            bufs[side] = np.empty((longest, width))
         phi = fill(sl, bufs[side][: sl.stop - sl.start])
         if work is not None:
             work(sl, phi)
 
-    run_split(-(-n // step), chunk)
+    run_split(len(chunks), chunk)
 
 
 def run_split(count, work):
@@ -686,9 +696,8 @@ def phi_fill(inputs, output_ids, spec, num_samples, blocks):
     made by the caller in its own thread, so the collision perturbation and
     its one warning happen once, before any chunk is filled.  The returned
     ``fill(sl, rows)`` writes rows ``sl`` of Phi_c for ``inputs`` and
-    ``output_ids`` into ``rows`` and returns ``rows``, the rows of an output
-    without a block in ``blocks`` as zeros and the others output by
-    output: one ``fill`` of the output's block per piece of
+    ``output_ids`` into ``rows`` and returns ``rows``, output by output:
+    one ``fill`` of the output's block per piece of
     ``backends.PIECE_ROWS // Q`` rows (so a piece holds as many values as
     half a chunk of one force), into a piece buffer that each thread holds
     across its chunks, then scaled and written with ``write_phi_block``.
@@ -704,9 +713,6 @@ def phi_fill(inputs, output_ids, spec, num_samples, blocks):
             held.piece = np.empty((step, spec.num_forces * num_samples), dtype=complex)
         x = inputs[sl]
         for d, r in output_rows(output_ids[sl]).items():
-            if d not in blocks:
-                rows[r] = 0.0
-                continue
             for lo in range(0, r.size, step):
                 part = r[lo : lo + step]
                 v = blocks[d].fill(x[part], held.piece[: part.size])

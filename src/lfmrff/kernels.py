@@ -95,7 +95,7 @@ def feature_matrix(inputs, output_ids, spec, draws) -> FeatureMatrix:
     phi_c = np.empty((output_ids.size, phi_c_width(spec.num_forces, draws.num_samples)))
     blocks = output_blocks(np.unique(output_ids).tolist(), spec, draws)
     fill = phi_fill(inputs, output_ids, spec, draws.num_samples, blocks)
-    run_chunks(output_ids.size, 0, lambda sl, _: fill(sl, phi_c[sl]))
+    run_chunks([output_ids.size], 0, lambda sl, _: fill(sl, phi_c[sl]))
     return FeatureMatrix(phi_c)
 
 

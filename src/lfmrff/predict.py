@@ -20,23 +20,23 @@ still nonnegative by construction.  A latent force's times take the same
 basis, with force q's ``kernels.latent_block`` columns.  B is written
 ``backends.CHUNK_ROWS`` rows at a time on the calling thread.
 
-Every other row is filled, with the bits it had before the basis: an
-unresolved span, a non-finite sample at the nodes, too few rows for any
-degree, rows at one time, and a MOGP over two or more dimensions.  That
-pass streams over chunks of ``CHUNK_ROWS`` test rows with
-``features.run_chunks``: each chunk's feature rows are filled, used for
+Every other output is filled: an unresolved span, a non-finite sample
+at the nodes, too few rows for any degree, rows at one time, and a MOGP
+over two or more dimensions.  Their rows, gathered output by output,
+make one ``features.run_chunks`` pass with a segment per output, so each
+chunk holds one output's rows; its feature rows are filled, used for
 its means and variances and dropped, so no test N x R matrix is formed
-and memory is flat in the number of test rows.  A chunk keeps every row
-in its place, the rows of outputs in a basis written as zeros and their
-results dropped, since a GEMV rounds a row by its place in the chunk; a
-chunk with no filled row is skipped.  A latent force's rows are zero
-outside force q's 2S columns, so its pass fills and multiplies only
-those, against the matching rows of the weights.  The calling thread and
-one helper thread take alternate chunks and write disjoint slices of the
-means and variances, which are the same whatever the thread count.  The
-posterior is a ``likelihood.WeightPosterior``: ``weight_posterior``
-builds it from the objective's per-output Grams, without a training
-Phi_c.
+and memory is flat in the number of test rows.  A filled row thus has
+the bits of the product over its own output's rows, in chunks of
+``CHUNK_ROWS`` from the first, whatever the order of the test rows and
+whichever outputs take the basis.  A latent force's times are one
+segment; its rows are zero outside force q's 2S columns, so its pass
+fills and multiplies only those, against the matching rows of the
+weights.  The calling thread and one helper thread take alternate chunks
+and write disjoint slices of the means and variances, which are the same
+whatever the thread count.  The posterior is a
+``likelihood.WeightPosterior``: ``weight_posterior`` builds it from the
+objective's per-output Grams, without a training Phi_c.
 """
 
 from __future__ import annotations
@@ -158,6 +158,23 @@ def _basis_pass(x, z, m, l_inv_t):
     return mean, var
 
 
+def _fill_pass(sizes, width, fill, m, l_inv_t):
+    """(means, variances) of the rows a ``run_chunks`` pass over segments of ``sizes`` rows fills.
+
+    ``fill`` writes rows ``width`` columns wide, and ``m`` and ``l_inv_t``
+    are the weights they meet.  Each chunk's rows are used and dropped.
+    """
+    n = sum(sizes)
+    mean, var = np.empty(n), np.empty(n)
+
+    def work(sl, phi):
+        mean[sl] = backends.matmul_rows(phi, m)
+        var[sl] = _sq_row_norms(phi, l_inv_t)
+
+    run_chunks(sizes, width, fill, work)
+    return mean, var
+
+
 def predict_outputs(fit: FitResult, state: WeightPosterior, test: Dataset,
                     include_noise=True) -> Posterior:
     """Posterior over outputs at the test rows.
@@ -174,42 +191,28 @@ def predict_outputs(fit: FitResult, state: WeightPosterior, test: Dataset,
     width = phi_c_width(spec.num_forces, fit.num_samples)
     rows = output_rows(test.output_ids)
     blocks = output_blocks(rows, spec, draws)
-    mean = np.empty(len(test))
-    var = np.empty(len(test))
-    filled = np.zeros(len(test), dtype=bool)  # the rows of outputs not in a basis
+    mean, var = np.empty(len(test)), np.empty(len(test))
+    unresolved = []  # the rows of each output not in a basis
     for d, r in rows.items():
         x = test.inputs[r]
         z = _coefficients(x, width, lambda u, block=blocks[d]: block.fill(u).view(float))
         if z is None:
-            filled[r] = True
+            unresolved.append(r)
             continue
-        del blocks[d]  # so phi_fill writes its rows as zeros
         # Z C_d, in place: the coefficients of output d's rows of Phi_c
         write_phi_block(z, slice(None), spec, fit.num_samples, d, z.view(complex))
         mean[r], var[r] = _basis_pass(x, z, m, l_inv_t)
-    if filled.any():
-        fill = phi_fill(test.inputs, test.output_ids, spec, fit.num_samples, blocks)
-
-        # The pass keeps every row in its place in its chunk, as a GEMV
-        # rounds a row by its place, so a filled row has the bits it has
-        # when every output is filled; a chunk without one is skipped.
-        def fill_chunk(sl, buf):
-            return fill(sl, buf) if filled[sl].any() else None
-
-        def work(sl, phi):
-            if phi is not None:
-                own = filled[sl]
-                mean[sl][own] = backends.matmul_rows(phi, m)[own]
-                var[sl][own] = _sq_row_norms(phi, l_inv_t)[own]
-
-        run_chunks(len(test), width, fill_chunk, work)
+    if unresolved:
+        at = np.concatenate(unresolved)
+        fill = phi_fill(test.inputs[at], test.output_ids[at], spec, fit.num_samples, blocks)
+        mean[at], var[at] = _fill_pass([r.size for r in unresolved], width, fill, m, l_inv_t)
     if include_noise:
         var += noise_vector(spec, test.output_ids)
     return Posterior(mean, var, bool(include_noise))
 
 
 def predict_latent_forces(fit: FitResult, state: WeightPosterior, times, q) -> Posterior:
-    """Posterior over latent force q (1-based) at the given times.
+    """Posterior over latent force q (1-based) at the given times, raveled.
 
     Latent features share the fitted weight space, so with no data the
     mean is 0 and the variance is exactly 1 at every time (the force
@@ -222,7 +225,7 @@ def predict_latent_forces(fit: FitResult, state: WeightPosterior, times, q) -> P
         raise TypeError("latent force prediction requires an LFM spec")
     if not 1 <= q <= spec.num_forces:
         raise ValueError(f"force index {q} outside 1..{spec.num_forces}")
-    times = np.asarray(times, dtype=float)
+    times = np.asarray(times, dtype=float).ravel()
     if not np.all(np.isfinite(times)):
         raise DataError("inputs must be finite")
     lam = force_frequencies(draws_for(fit), q, spec.lengthscales[q - 1])
@@ -232,21 +235,12 @@ def predict_latent_forces(fit: FitResult, state: WeightPosterior, times, q) -> P
     m_q, l_inv_t_q = m[cols], l_inv_t[cols]  # the weights those columns meet
     # A row of latent_feature_matrix is zero outside force q's columns, so
     # only those 2S columns are filled, or reduced in a basis, and multiplied.
-    z = _coefficients(times.ravel(), cols.stop - cols.start,
-                      lambda u: latent_block(u, lam).view(float))
+    width = cols.stop - cols.start
+    z = _coefficients(times, width, lambda u: latent_block(u, lam).view(float))
     if z is not None:
-        return Posterior(*_basis_pass(times.ravel(), z, m_q, l_inv_t_q), False)
-    n = times.size
-    mean = np.empty(n)
-    var = np.empty(n)
-
-    def work(sl, rows):
-        mean[sl] = backends.matmul_rows(rows, m_q)
-        var[sl] = _sq_row_norms(rows, l_inv_t_q)
-
-    run_chunks(n, cols.stop - cols.start,
-               lambda sl, rows: latent_block(times[sl], lam, rows.view(complex)).view(float), work)
-    return Posterior(mean, var, False)
+        return Posterior(*_basis_pass(times, z, m_q, l_inv_t_q), False)
+    return Posterior(*_fill_pass([times.size], width, lambda sl, rows: latent_block(
+        times[sl], lam, rows.view(complex)).view(float), m_q, l_inv_t_q), False)
 
 
 def nmse(y_true, y_pred) -> float:

@@ -124,14 +124,17 @@ def splits(monkeypatch):
     return log
 
 
-def assert_helper_took_long_passes(splits, helpers, rows):
-    """A helper, if allowed, took part in each pass of SPLIT_MIN_ITEMS chunks or more, and only those.
+def chunk_count(sizes):
+    """Chunks of a ``run_chunks`` pass over segments of these sizes."""
+    return sum(-(-size // CHUNK) for size in sizes)
 
-    ``rows`` rows make at least one such pass when they fill five chunks.
-    """
-    long_pass = [count >= features.SPLIT_MIN_ITEMS for count, _ in splits]
-    assert [helped for _, helped in splits] == [helpers > 0 and long for long in long_pass]
-    assert any(long_pass) == (rows > 4 * CHUNK)
+
+def assert_helper_took_long_passes(splits, helpers, chunks):
+    """The passes made ``chunks`` chunks each, and a helper, if allowed, took
+    part in each of SPLIT_MIN_ITEMS chunks or more, and only those."""
+    assert [count for count, _ in splits] == chunks
+    assert [helped for _, helped in splits] == [
+        helpers > 0 and count >= features.SPLIT_MIN_ITEMS for count in chunks]
 
 
 def interleaved(n, mogp, seed=0):
@@ -191,6 +194,27 @@ def latent_in_basis(lam, times):
     return predict._coefficients(times, 2 * lam.size, values) is not None
 
 
+def prediction_passes(spec, draws, test, times=None, forces=()):
+    """Chunks of each pass that fills: ``predict_outputs`` at ``test``, then
+    ``predict_latent_forces`` at ``times`` for each of ``forces``."""
+    basis = basis_rows(spec, draws, test)
+    filled = [r.size for r in output_rows(test.output_ids).values() if not basis[r[0]]]
+    passes = [chunk_count(filled)] if filled else []
+    for q in forces:
+        if not latent_in_basis(force_frequencies(draws, q, spec.lengthscales[q - 1]), times):
+            passes.append(chunk_count([times.size]))
+    return passes
+
+
+def by_output(output_ids, phi_c, product, step):
+    """``product`` of each output's rows of ``phi_c``, ``step`` rows at a time from its first."""
+    out = np.empty(len(output_ids))
+    for r in output_rows(output_ids).values():
+        for lo in range(0, r.size, step):
+            out[r[lo : lo + step]] = product(phi_c[r[lo : lo + step]])
+    return out
+
+
 def assert_rows_match(got, want, basis):
     """Rows ``basis`` within PREDICT_RTOL of ``want``'s largest entry, the others bit for bit."""
     assert_array_equal(got[~basis], want[~basis])
@@ -223,7 +247,9 @@ def test_predict_outputs_match_whole_matrix(case, rows):
     phi_c = assemble(test.inputs, test.output_ids, spec, draws).phi_c
     basis = basis_rows(spec, draws, test)
     assert basis.all() if case.endswith("s32") else not basis.any()
-    assert_rows_match(post.mean, phi_c @ state.solve_a(state.alpha), basis)
+    # each output's rows are one block, with the bits of the product over them
+    m = state.solve_a(state.alpha)
+    assert_rows_match(post.mean, by_output(test.output_ids, phi_c, lambda p: p @ m, rows), basis)
     variance = n_rhs_variance(phi_c, state.chol_a)
     assert_allclose(post.variance[~basis], variance[~basis], rtol=1e-12)
     assert_rows_match(post.variance[basis], variance[basis], np.ones(basis.sum(), dtype=bool))
@@ -255,7 +281,8 @@ def test_predictions_have_the_bits_of_fills_into_new_arrays(case, rows, helpers,
     # The passes fill into buffers that each side holds across its chunks;
     # with a fixed posterior every chunk's filled means and variances have
     # the bits of rows filled into new arrays (whole blocks, new latent
-    # rows), and rows predicted in a basis are near them.
+    # rows) and multiplied output by output, a chunk at a time from the
+    # output's first row, and rows predicted in a basis are near them.
     spec, draws, assemble = CASES[case]
     _, state = trained(spec, draws, assemble)
     fit = make_fit(spec, draws)
@@ -265,19 +292,17 @@ def test_predictions_have_the_bits_of_fills_into_new_arrays(case, rows, helpers,
     phi_c = whole_block_phi_c(test, spec, draws)
     post = predict_outputs(fit, state, test, include_noise=False)
     basis = basis_rows(spec, draws, test)
-    want = [np.empty(rows), np.empty(rows)]
-    for lo in range(0, rows, CHUNK):
-        sl = slice(lo, lo + CHUNK)
-        want[0][sl] = backends.matmul_rows(phi_c[sl], m)
-        want[1][sl] = predict._sq_row_norms(phi_c[sl], l_inv_t)
+    want = [by_output(test.output_ids, phi_c, lambda p: backends.matmul_rows(p, m), CHUNK),
+            by_output(test.output_ids, phi_c, lambda p: predict._sq_row_norms(p, l_inv_t), CHUNK)]
     assert_rows_match(post.mean, want[0], basis)
     assert_rows_match(post.variance, want[1], basis)
     if not isinstance(spec, LfmSpec):
-        assert_helper_took_long_passes(splits, helpers, rows)
+        assert_helper_took_long_passes(splits, helpers, prediction_passes(spec, draws, test))
         return
     times = np.random.default_rng(rows).uniform(-1.0, 5.0, rows)
     s_count = draws.num_samples
-    for q in range(1, spec.num_forces + 1):
+    forces = range(1, spec.num_forces + 1)
+    for q in forces:
         post = predict_latent_forces(fit, state, times, q)
         cols = slice(2 * (q - 1) * s_count, 2 * q * s_count)
         lam = force_frequencies(draws, q, spec.lengthscales[q - 1])
@@ -289,7 +314,67 @@ def test_predictions_have_the_bits_of_fills_into_new_arrays(case, rows, helpers,
             want[1][sl] = predict._sq_row_norms(fresh, l_inv_t[cols])
         assert_rows_match(post.mean, want[0], basis)
         assert_rows_match(post.variance, want[1], basis)
-    assert_helper_took_long_passes(splits, helpers, rows)
+    assert_helper_took_long_passes(splits, helpers, prediction_passes(spec, draws, test, times, forces))
+
+
+@pytest.mark.parametrize("rows", ROWS)
+@pytest.mark.parametrize("case", list(CASES))
+def test_predictions_have_the_same_bits_in_any_order_of_outputs(case, rows):
+    spec, draws, assemble = CASES[case]
+    _, state = trained(spec, draws, assemble)
+    fit = make_fit(spec, draws)
+    test = interleaved(rows, isinstance(spec, MogpSpec), seed=2)
+    order = np.argsort(test.output_ids, kind="stable")
+    by_id = Dataset(test.output_ids[order], test.inputs[order], test.y[order])
+    want, got = predict_outputs(fit, state, test), predict_outputs(fit, state, by_id)
+    assert_array_equal(got.mean, want.mean[order])
+    assert_array_equal(got.variance, want.variance[order])
+
+
+def test_mixed_test_sets_multiply_only_the_filled_rows(monkeypatch):
+    # 20000 rows of output 1, in the basis, and 100 of output 2, too few
+    # for any degree, their ids interleaved
+    spec, draws, assemble = CASES["ode1-ode2-s32"]
+    _, state = trained(spec, draws, assemble)
+    rng = np.random.default_rng(7)
+    ids = rng.permutation(np.repeat([1, 2], [20000, 100]))
+    test = Dataset(ids, rng.uniform(0.0, 5.0, ids.size), np.zeros(ids.size))
+    assert_array_equal(basis_rows(spec, draws, test), ids == 1)
+    width = 2 * spec.num_forces * draws.num_samples
+    seen = {"matmul_rows": 0, "_sq_row_norms": 0}  # rows of Phi_c multiplied
+    for module, name in ((backends, "matmul_rows"), (predict, "_sq_row_norms")):
+        def counted(phi, *args, name=name, call=getattr(module, name)):
+            if phi.shape[1] == width:  # not a fill's own product of root terms
+                seen[name] += phi.shape[0]
+            return call(phi, *args)
+
+        monkeypatch.setattr(module, name, counted)
+    predict_outputs(make_fit(spec, draws), state, test)
+    # the means' product, and _sq_row_norms's own through matmul_rows
+    assert seen == {"matmul_rows": 200, "_sq_row_norms": 100}
+
+
+def test_latent_times_of_any_shape_predict_as_their_ravel():
+    spec, draws, assemble = CASES["ode1-ode2"]
+    _, state = trained(spec, draws, assemble)
+    fit = make_fit(spec, draws)
+    times = np.random.default_rng(9).uniform(0.0, 5.0, (2, 1500))  # three chunks, filled
+    for q in (1, 2):
+        got = predict_latent_forces(fit, state, times, q)
+        want = predict_latent_forces(fit, state, times.ravel(), q)
+        assert_array_equal(got.mean, want.mean)
+        assert_array_equal(got.variance, want.variance)
+
+
+@pytest.mark.parametrize("sizes", [[1, CHUNK + 1, 0, 2], [2 * CHUNK + 3]])
+def test_chunks_restart_at_each_segment(sizes, helpers):
+    seen = []
+    run_chunks(sizes, 0, lambda sl, rows: seen.append((sl.start, sl.stop)))
+    chunks, start = [], 0
+    for size in sizes:
+        chunks += [(lo, min(start + size, lo + CHUNK)) for lo in range(start, start + size, CHUNK)]
+        start += size
+    assert sorted(seen) == chunks
 
 
 @pytest.mark.parametrize("rows", ROWS)
@@ -314,6 +399,10 @@ def test_passes_have_the_same_bits_with_and_without_the_helper(case, rows, monke
     noise = noise_vector(spec, data.output_ids)
     times = np.random.default_rng(rows).uniform(0.0, 5.0, rows)
     whole = whole_block_phi_c(data, spec, draws)
+    # feature_matrix's pass, then the predictions' (weight_posterior splits
+    # the objective's items itself)
+    forces = range(1, spec.num_forces + 1) if isinstance(spec, LfmSpec) else ()
+    passes = [chunk_count([rows])] + prediction_passes(spec, draws, data, times, forces)
     posts = {}
     for h in (0, 1):
         monkeypatch.setattr(features, "_helper_count", lambda h=h: h)
@@ -323,10 +412,8 @@ def test_passes_have_the_same_bits_with_and_without_the_helper(case, rows, monke
         streamed = weight_posterior(data, spec, draws)
         assert_posterior_near(streamed, low_rank_log_marginal(whole, noise, data.y)[1])
         posts[h] = [streamed, predict_outputs(fit, state, data)]
-        if isinstance(spec, LfmSpec):
-            posts[h] += [predict_latent_forces(fit, state, times, q)
-                         for q in range(1, spec.num_forces + 1)]
-        assert_helper_took_long_passes(splits, h, rows)
+        posts[h] += [predict_latent_forces(fit, state, times, q) for q in forces]
+        assert_helper_took_long_passes(splits, h, passes)
     assert_array_equal(posts[1][0].chol_a, posts[0][0].chol_a)
     assert_array_equal(posts[1][0].alpha, posts[0][0].alpha)
     for alone, helped in zip(posts[0][1:], posts[1][1:]):
@@ -347,7 +434,7 @@ def test_a_failing_chunk_raises_in_the_caller_and_leaves_no_thread(where, helper
 
     before = threading.active_count()
     with pytest.raises(ChunkFailure):
-        run_chunks(5 * CHUNK, 3, fill, lambda sl, rows: sl.start)
+        run_chunks([5 * CHUNK], 3, fill, lambda sl, rows: sl.start)
     assert threading.active_count() == before
 
 
@@ -363,7 +450,7 @@ def test_a_helper_runs_under_the_callers_error_state(monkeypatch):
         return rows
 
     with np.errstate(over="raise"):
-        run_chunks(8 * CHUNK, 0, fill)
+        run_chunks([8 * CHUNK], 0, fill)
     assert seen and set(seen) == {"raise"}
 
 
@@ -446,8 +533,11 @@ def test_cli_predict_writes_the_same_bytes_with_and_without_the_helper(tmp_path,
     spec, draws, _ = CASES["ode1-ode2"]
     train_csv, test_csv = tmp_path / "train.csv", tmp_path / "test.csv"
     rows = 4 * CHUNK + 1
+    test = interleaved(rows, mogp=False, seed=4)
     write_dataset_csv(train_csv, interleaved(3000, mogp=False, seed=3))
-    write_dataset_csv(test_csv, interleaved(rows, mogp=False, seed=4))
+    write_dataset_csv(test_csv, test)
+    passes = prediction_passes(spec, draws, test, np.unique(test.inputs), [1])
+    assert passes == [5, 5]
     cli.write_fit_file(tmp_path / "fit.json", make_fit(spec, draws), "odeP", train_csv)
     (tmp_path / "lf.cfg").write_text("latent_force=1\n")
     written = []
@@ -457,8 +547,7 @@ def test_cli_predict_writes_the_same_bytes_with_and_without_the_helper(tmp_path,
         out = tmp_path / f"out{h}"
         assert cli.main(["predict", str(tmp_path / "fit.json"), str(test_csv), "--config",
                          str(tmp_path / "lf.cfg"), "--out-dir", str(out)]) == 0
-        assert splits and all(count == 5 for count, _ in splits)
-        assert_helper_took_long_passes(splits, h, rows)
+        assert_helper_took_long_passes(splits, h, passes)
         written.append([(out / name).read_bytes()
                         for name in ("predictions.csv", "latent_forces.csv")])
     assert written[0] == written[1]
