@@ -45,11 +45,13 @@ import numpy as np
 # rounds rows in groups of 4 from the first row.
 CHUNK_ROWS = 1024
 # Rows of a chunk that one prediction product takes at once, and that one
-# fill call takes per force (``features.phi_fill`` fills PIECE_ROWS // Q
-# rows of all Q forces): half a chunk, so the two chunks in flight of a
-# two-thread pass hold no more temporaries than one whole chunk did.
-# Fills of half a chunk also ran about 20% faster than whole-chunk ones,
-# their arrays fitting in cache; every row keeps its bits (see
+# fill call takes per force (``kernels.feature_matrix`` and
+# ``predict.predict_outputs`` fill PIECE_ROWS // Q rows of all Q forces at
+# a time): half a chunk.  Pieces bound each fill's work array and each
+# product to half a chunk, so the two items in flight of a two-thread
+# pass hold no more temporaries than one whole chunk did: with whole-chunk
+# fills, a filled 2-D MOGP prediction of 8000 rows (R = 200) peaked at
+# 7.5 MB against 5.8 MB (tracemalloc).  Every row keeps its bits (see
 # ``matmul_rows``).
 PIECE_ROWS = CHUNK_ROWS // 2
 

@@ -32,21 +32,22 @@ Every pass over rows, but prediction's rows in a Chebyshev basis, runs
 on ``run_split``, which splits the pass's items by index parity between
 the calling thread and, when the process may run on two CPUs and each
 side has two items or more, one helper thread; otherwise the caller
-takes both halves, each in the same order.  The likelihood objective and
+takes both halves, each in the same order.  Each side holds its own work
+arrays across its items.  The likelihood objective and
 ``likelihood.weight_posterior`` reduce the blocks themselves (see
 ``likelihood``) into sums kept per side, so those sums repeat bit for
-bit.  The other passes over rows of Phi_c, ``kernels.feature_matrix``
-(the one assembler of Phi_c, for either model kind) and the rows the two
-predictions fill, go through ``run_chunks``.  It splits the rows into
-segments (one for ``feature_matrix``, one per filled output for
-prediction) and each segment into chunks of ``backends.CHUNK_ROWS`` from
-its first row, chunk i on side i % 2, fills each chunk's rows into its
-side's work array (``phi_fill`` writes them from
-the output blocks, each piece filled into a buffer its thread holds) and
-hands them to a per-chunk ``work`` function, which writes only the
-chunk's slice of its result; so no fill temporary is larger than a chunk.
-The fills and products that dominate a chunk release the interpreter
-lock, so the two sides overlap.  A row has the same bits whichever chunk,
+bit.  ``kernels.feature_matrix`` (the one assembler of Phi_c, for either
+model kind) takes pieces of each output's rows as its items, fills each
+into its side's piece buffer and scatters it into Phi_c with
+``write_phi_block``.  The rows the two predictions fill go through
+``run_chunks``, which splits them into segments (one per filled output,
+one for a latent force) and each segment into chunks of
+``backends.CHUNK_ROWS`` from its first row, chunk i on side i % 2,
+fills each chunk's rows in place into its side's work array and hands
+them to a per-chunk ``work`` function, which writes only the chunk's
+slice of its result; so no fill temporary is larger than a chunk.  The
+fills and products that dominate an item release the interpreter lock,
+so the two sides overlap.  A row has the same bits whichever chunk,
 piece, buffer or thread it is filled in, so every result is the same
 whatever the thread count.
 """
@@ -87,13 +88,14 @@ __all__ = [
     "output_blocks",
     "force_columns",
     "phi_c_width",
+    "output_scale",
     "write_phi_block",
     "chebyshev_nodes",
     "chebyshev_coefficients",
     "chebyshev_rows",
+    "basis_degrees",
     "run_chunks",
     "run_split",
-    "phi_fill",
 ]
 
 # Roots closer than SEPARATION_RTOL * (1 + max |root|) count as repeated.
@@ -503,6 +505,27 @@ CHEBYSHEV_DEGREES = (32, 48, 64, 96)
 # the Cauchy-Schwarz bounds on their entries (README, Numerical notes).
 CHEBYSHEV_TAIL = 4
 CHEBYSHEV_RTOL = 1024 * np.finfo(float).eps
+# An output is reduced in a Chebyshev basis of n columns only if it has at
+# least this many times n rows (see ``basis_degrees``).
+BASIS_ROWS_PER_DEGREE = 6
+
+
+def basis_degrees(x, width):
+    """The degrees k of a Chebyshev basis that rows at inputs ``x``, ``width`` columns wide, may take.
+
+    Only one-dimensional inputs with a span [lo, hi] take a basis, and only
+    where 2/(hi - lo), the scale of ``chebyshev_rows``, is finite: a
+    subnormal span would map its rows to inf or NaN.  The degrees are those
+    of ``CHEBYSHEV_DEGREES`` of at most ``width``/2, and only with
+    ``BASIS_ROWS_PER_DEGREE`` k rows or more, so that the basis costs less
+    than the fill.  The objective's sums (``likelihood._OutputSums``) and
+    prediction (``predict``) share this rule.
+    """
+    span = float(x.max() - x.min()) if x.size else 0.0
+    if (x.ndim > 1 and x.shape[1] != 1) or not (span > 0.0 and math.isfinite(2.0 / span)):
+        return ()
+    return tuple(k for k in CHEBYSHEV_DEGREES
+                 if k <= width // 2 and BASIS_ROWS_PER_DEGREE * k <= x.size)
 
 
 @lru_cache(maxsize=8)
@@ -587,16 +610,20 @@ def phi_c_width(num_forces, num_samples):
     return 2 * num_forces * num_samples
 
 
+def output_scale(spec, num_samples, d):
+    """C_d over the columns of Phi: S_{d,q}/sqrt(S) over force q's ``force_columns(q, S)``."""
+    return np.repeat(spec.sensitivities[d - 1] * (1.0 / math.sqrt(num_samples)), num_samples)
+
+
 def write_phi_block(out, rows, spec, num_samples, d, v):
     """Write output d's block of Phi into ``out[rows]``, rows of Phi_c.
 
     ``v`` is the unscaled fill of d's ``output_blocks`` block, or a row
     slice of it; ``rows`` indexes the rows of ``out`` it fills.  It is
-    scaled in place by C_d, which holds S_{d,q}/sqrt(S) over force q's
-    columns ``force_columns(q, S)``, and written to ``out.view(complex)``,
-    which is Phi.
+    scaled in place by C_d (``output_scale``) and written to
+    ``out.view(complex)``, which is Phi.
     """
-    v *= np.repeat(spec.sensitivities[d - 1] * (1.0 / math.sqrt(num_samples)), num_samples)
+    v *= output_scale(spec, num_samples, d)
     out.view(complex)[rows] = v
 
 
@@ -621,7 +648,7 @@ def _helper_count():
     return 1 if cpus >= 2 else 0
 
 
-def run_chunks(sizes, width, fill, work=None):
+def run_chunks(sizes, width, fill, work):
     """Fill and process a pass over consecutive segments of ``sizes`` rows in chunks, on ``run_split``.
 
     Each segment is cut into chunks of ``CHUNK_ROWS`` rows from its own
@@ -629,11 +656,10 @@ def run_chunks(sizes, width, fill, work=None):
     goes to side i % 2.  For the chunk of rows ``sl`` its side calls
     ``phi = fill(sl, buf)``, then ``work(sl, phi)``.  ``buf`` is that
     chunk's rows of the side's own uninitialised work array, (longest
-    chunk, width), so ``fill`` may write every column of the chunk's rows
-    into it and return it (``width`` is 0 when it makes or writes them
-    elsewhere); the rows are valid until that side's next chunk.  The two
-    sides may run at once, so ``work`` writes only what belongs to its
-    chunk, such as the chunk's slice of an output.
+    chunk, ``width``), so ``fill`` writes every column of the chunk's rows
+    into it and returns it, or a view of it; the rows are valid until that
+    side's next chunk.  The two sides may run at once, so ``work`` writes
+    only what belongs to its chunk, such as the chunk's slice of an output.
     """
     step = backends.CHUNK_ROWS
     chunks, start = [], 0
@@ -642,15 +668,11 @@ def run_chunks(sizes, width, fill, work=None):
         chunks += [slice(lo, min(stop, lo + step)) for lo in range(start, stop, step)]
         start = stop
     longest = min(step, max(sizes, default=0))
-    bufs = [None, None]
+    bufs = [np.empty((longest, width)) for _ in range(min(2, len(chunks)))]
 
     def chunk(side, i):
         sl = chunks[i]
-        if bufs[side] is None:
-            bufs[side] = np.empty((longest, width))
-        phi = fill(sl, bufs[side][: sl.stop - sl.start])
-        if work is not None:
-            work(sl, phi)
+        work(sl, fill(sl, bufs[side][: sl.stop - sl.start]))
 
     run_split(len(chunks), chunk)
 
@@ -688,35 +710,3 @@ def run_split(count, work):
         side(0)
     helper.result()
 
-
-def phi_fill(inputs, output_ids, spec, num_samples, blocks):
-    """A ``run_chunks`` fill that writes the chunk's rows of Phi_c.
-
-    ``blocks`` are ``output_blocks`` at ``num_samples`` samples a force,
-    made by the caller in its own thread, so the collision perturbation and
-    its one warning happen once, before any chunk is filled.  The returned
-    ``fill(sl, rows)`` writes rows ``sl`` of Phi_c for ``inputs`` and
-    ``output_ids`` into ``rows`` and returns ``rows``, output by output:
-    one ``fill`` of the output's block per piece of
-    ``backends.PIECE_ROWS // Q`` rows (so a piece holds as many values as
-    half a chunk of one force), into a piece buffer that each thread holds
-    across its chunks, then scaled and written with ``write_phi_block``.
-    The rows equal those of each block filled over all its rows at once,
-    bit for bit.
-    """
-    output_ids = np.asarray(output_ids, dtype=int)
-    step = max(1, backends.PIECE_ROWS // spec.num_forces)
-    held = threading.local()  # each thread's piece buffer, made at its first chunk
-
-    def fill(sl, rows):
-        if not hasattr(held, "piece"):
-            held.piece = np.empty((step, spec.num_forces * num_samples), dtype=complex)
-        x = inputs[sl]
-        for d, r in output_rows(output_ids[sl]).items():
-            for lo in range(0, r.size, step):
-                part = r[lo : lo + step]
-                v = blocks[d].fill(x[part], held.piece[: part.size])
-                write_phi_block(rows, part, spec, num_samples, d, v)
-        return rows
-
-    return fill

@@ -30,10 +30,11 @@ from .features import (
     force_frequencies,
     operator_roots,
     output_blocks,
+    output_rows,
     phi_c_width,
-    phi_fill,
     residue_coeffs,
-    run_chunks,
+    run_split,
+    write_phi_block,
     # not used here: kept for the benchmark's tracer, which wraps this name;
     # delete with ROADMAP item 1
     rfrf_general,
@@ -93,9 +94,21 @@ def feature_matrix(inputs, output_ids, spec, draws) -> FeatureMatrix:
     if not np.all(np.isfinite(inputs)):
         raise DataError("inputs must be finite")
     phi_c = np.empty((output_ids.size, phi_c_width(spec.num_forces, draws.num_samples)))
-    blocks = output_blocks(np.unique(output_ids).tolist(), spec, draws)
-    fill = phi_fill(inputs, output_ids, spec, draws.num_samples, blocks)
-    run_chunks([output_ids.size], 0, lambda sl, _: fill(sl, phi_c[sl]))
+    rows = output_rows(output_ids)
+    blocks = output_blocks(rows, spec, draws)
+    # the pass's items: pieces of each output's rows, each holding as many
+    # values as half a chunk of one force; each side fills its pieces into
+    # its own buffer and scatters them into Phi_c
+    step = max(1, backends.PIECE_ROWS // spec.num_forces)
+    items = [(d, r[lo : lo + step]) for d, r in rows.items() for lo in range(0, r.size, step)]
+    bufs = [np.empty((step, phi_c.shape[1] // 2), complex) for _ in range(min(2, len(items)))]
+
+    def piece(side, i):
+        d, part = items[i]
+        v = blocks[d].fill(inputs[part], bufs[side][: part.size])
+        write_phi_block(phi_c, part, spec, draws.num_samples, d, v)
+
+    run_split(len(items), piece)
     return FeatureMatrix(phi_c)
 
 

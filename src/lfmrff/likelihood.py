@@ -89,8 +89,8 @@ from scipy.optimize import minimize
 
 from . import backends
 from .features import (
-    CHEBYSHEV_DEGREES,
     NumericsWarning,
+    basis_degrees,
     chebyshev_coefficients,
     chebyshev_rows,
     check_draws,
@@ -127,24 +127,6 @@ __all__ = [
 ]
 
 LOG_2PI = math.log(2.0 * math.pi)
-# An output is reduced in a Chebyshev basis of n columns only if it has at
-# least this many times n rows (see ``basis_degrees``).
-BASIS_ROWS_PER_DEGREE = 6
-
-
-def basis_degrees(x, width):
-    """The degrees k of a Chebyshev basis that rows at inputs ``x``, ``width`` columns wide, may take.
-
-    Only one-dimensional inputs with a span (largest above least) take a
-    basis, at degrees of ``features.CHEBYSHEV_DEGREES`` of at most
-    ``width``/2, and only with ``BASIS_ROWS_PER_DEGREE`` k rows or more,
-    so that the basis costs less than the fill.  The objective's sums
-    (``_OutputSums``) and prediction (``predict``) share this rule.
-    """
-    if x.size == 0 or (x.ndim > 1 and x.shape[1] != 1) or not x.max() > x.min():
-        return ()
-    return tuple(k for k in CHEBYSHEV_DEGREES
-                 if k <= width // 2 and BASIS_ROWS_PER_DEGREE * k <= x.size)
 
 
 def noise_vector(spec, output_ids) -> np.ndarray:
@@ -356,7 +338,7 @@ class _OutputSums:
     shifted columns.  A row then costs T_0..T_k and one SYRK of k + 1
     columns, where a filled row costs the fill, 1 + p SYRKs of R columns
     and Omega's row weights.  ``degrees`` are the k it may take
-    (``basis_degrees``).
+    (``features.basis_degrees``).
     """
 
     def __init__(self, x, y, r2, sides):

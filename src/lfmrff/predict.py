@@ -8,9 +8,9 @@ never forms an N x N matrix.  With A = L L^T the variance is the squared
 norm of phi* L^-T, which is nonnegative by construction.
 
 An output with one input dimension (every LFM output, a MOGP's when
-p = 1) whose test rows span [lo, hi], hi > lo, is predicted in a
-Chebyshev basis of that span where its block is resolved there, as the
-objective reduces it (``likelihood.basis_degrees`` and
+p = 1) whose test rows span [lo, hi], with 2/(hi - lo) finite, is
+predicted in a Chebyshev basis of that span where its block is resolved
+there, as the objective reduces it (``features.basis_degrees`` and
 ``features.chebyshev_coefficients``): its rows of Phi_c are B Z_c to
 rounding, B holding T_0..T_{k-1} and Z_c = Z C_d its coefficients scaled
 by the sensitivities.  The means are then B (Z_c m) and the variances the
@@ -21,13 +21,15 @@ basis, with force q's ``kernels.latent_block`` columns.  B is written
 ``backends.CHUNK_ROWS`` rows at a time on the calling thread.
 
 Every other output is filled: an unresolved span, a non-finite sample
-at the nodes, too few rows for any degree, rows at one time, and a MOGP
-over two or more dimensions.  Their rows, gathered output by output,
-make one ``features.run_chunks`` pass with a segment per output, so each
-chunk holds one output's rows; its feature rows are filled, used for
-its means and variances and dropped, so no test N x R matrix is formed
-and memory is flat in the number of test rows.  A filled row thus has
-the bits of the product over its own output's rows, in chunks of
+at the nodes, too few rows for any degree, rows at one time or over a
+subnormal span, and a MOGP over two or more dimensions.  Their rows,
+gathered output by output, make one ``features.run_chunks`` pass with a
+segment per output, so each chunk holds one output's rows.  The output's
+block fills them in place, ``backends.PIECE_ROWS // Q`` rows at a time,
+into the side's work array, where C_d scales them; they are used for
+the chunk's means and variances and dropped, so no test N x R matrix is
+formed and memory is flat in the number of test rows.  A filled row thus
+has the bits of the product over its own output's rows, in chunks of
 ``CHUNK_ROWS`` from the first, whatever the order of the test rows and
 whichever outputs take the basis.  A latent force's times are one
 segment; its rows are zero outside force q's 2S columns, so its pass
@@ -49,17 +51,17 @@ from scipy.linalg import cho_solve, solve_triangular
 
 from . import backends
 from .features import (
+    basis_degrees,
     chebyshev_coefficients,
     chebyshev_rows,
     force_columns,
     force_frequencies,
     output_blocks,
     output_rows,
+    output_scale,
     phi_c_width,
-    phi_fill,
     run_chunks,
     sample_draws,
-    write_phi_block,
 )
 from .kernels import (
     # feature_matrix and latent_feature_matrix are not used here: kept for
@@ -69,7 +71,7 @@ from .kernels import (
     latent_block,
     latent_feature_matrix,
 )
-from .likelihood import FitResult, WeightPosterior, basis_degrees, noise_vector
+from .likelihood import FitResult, WeightPosterior, noise_vector
 from .model import DataError, Dataset, LfmSpec, validate_dataset
 
 __all__ = [
@@ -124,7 +126,7 @@ def _sq_row_norms(phi, l_inv_t):
 def _coefficients(x, width, values):
     """Z of ``values`` on the span of inputs ``x``, rows ``width`` columns wide, or None.
 
-    None unless ``likelihood.basis_degrees`` allows a degree and one of
+    None unless ``features.basis_degrees`` allows a degree and one of
     them resolves ``values`` there (``features.chebyshev_coefficients``).
     """
     degrees = basis_degrees(x, width)
@@ -199,12 +201,21 @@ def predict_outputs(fit: FitResult, state: WeightPosterior, test: Dataset,
         if z is None:
             unresolved.append(r)
             continue
-        # Z C_d, in place: the coefficients of output d's rows of Phi_c
-        write_phi_block(z, slice(None), spec, fit.num_samples, d, z.view(complex))
+        # Z C_d: the coefficients of output d's rows of Phi_c
+        z = (z.view(complex) * output_scale(spec, fit.num_samples, d)).view(float)
         mean[r], var[r] = _basis_pass(x, z, m, l_inv_t)
     if unresolved:
         at = np.concatenate(unresolved)
-        fill = phi_fill(test.inputs[at], test.output_ids[at], spec, fit.num_samples, blocks)
+        step = max(1, backends.PIECE_ROWS // spec.num_forces)
+
+        def fill(sl, phi):
+            r = at[sl]  # a chunk holds one output's rows
+            d, x = test.output_ids[r[0]], test.inputs[r]
+            for lo in range(0, x.shape[0], step):
+                v = blocks[d].fill(x[lo : lo + step], phi[lo : lo + step].view(complex))
+                v *= output_scale(spec, fit.num_samples, d)
+            return phi
+
         mean[at], var[at] = _fill_pass([r.size for r in unresolved], width, fill, m, l_inv_t)
     if include_noise:
         var += noise_vector(spec, test.output_ids)

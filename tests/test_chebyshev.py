@@ -22,7 +22,7 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
-from lfmrff import features, likelihood, predict
+from lfmrff import features, predict
 from lfmrff.features import (
     NumericsWarning,
     chebyshev_coefficients,
@@ -78,7 +78,7 @@ PROPERTY = settings(max_examples=25, deadline=None,
 def direct_fill():
     """Objectives first evaluated in this context, and predictions made in it, take the
     direct fill for every output and latent force."""
-    with mock.patch.object(likelihood, "BASIS_ROWS_PER_DEGREE", 10**9):
+    with mock.patch.object(features, "BASIS_ROWS_PER_DEGREE", 10**9):
         yield
 
 
@@ -349,6 +349,42 @@ def test_unresolved_outputs_take_the_direct_fill(spec, data, filled):
         with direct_fill():
             want = LmlObjective(data, spec, draws).value_and_gradient(theta)
         assert got[0] == want[0] and np.array_equal(got[1], want[1])
+
+
+# 800 rows alternating t = 0 and a subnormal t, where 2/(hi - lo) overflows:
+# a basis would map the rows to inf and NaN, so they take the direct fill
+SUBNORMAL_SPAN = np.tile([0.0, 1e-310], 400)
+SUBNORMAL_SPEC = LfmSpec((Ode1Params(1.0),), 1, [1.0], [[1.0]], [0.1])
+SUBNORMAL_DRAWS = sample_draws(SUBNORMAL_SPEC, 64, DRAWS_SEED)  # R = 128: degrees up to 64
+
+
+def test_a_subnormal_span_takes_the_direct_fill():
+    assert features.basis_degrees(SUBNORMAL_SPAN, 128) == ()
+    assert features.basis_degrees(np.tile([0.0, 1e-300], 400), 128) == (32, 48, 64)
+    data = Dataset(np.ones(800, int), SUBNORMAL_SPAN, np.random.default_rng(6).normal(size=800))
+    obj = LmlObjective(data, SUBNORMAL_SPEC, SUBNORMAL_DRAWS)
+    value, grad = obj.value_and_gradient(pack(SUBNORMAL_SPEC).values)
+    assert np.isfinite(value) and np.all(np.isfinite(grad))
+    assert degrees(obj, SUBNORMAL_SPEC) == {1: None}
+
+
+def test_subnormal_spans_predict_from_the_direct_fill():
+    train = Dataset(np.ones(800, int), np.linspace(0.0, 3.0, 800),
+                    np.random.default_rng(7).normal(size=800))
+    state = weight_posterior(train, SUBNORMAL_SPEC, SUBNORMAL_DRAWS)
+    fit = FitResult(spec=SUBNORMAL_SPEC, packed=pack(SUBNORMAL_SPEC), final_lml=0.0, trace=(),
+                    seed=DRAWS_SEED, num_samples=64, iterations=0, status="converged")
+    test = Dataset(np.ones(800, int), SUBNORMAL_SPAN, np.zeros(800))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = [predict.predict_outputs(fit, state, test),
+               predict.predict_latent_forces(fit, state, SUBNORMAL_SPAN, 1)]
+    with direct_fill():
+        want = [predict.predict_outputs(fit, state, test),
+                predict.predict_latent_forces(fit, state, SUBNORMAL_SPAN, 1)]
+    for have, ref in zip(got, want):
+        assert np.all(np.isfinite(have.mean)) and np.all(np.isfinite(have.variance))
+        assert np.array_equal(have.mean, ref.mean) and np.array_equal(have.variance, ref.variance)
 
 
 def test_overflowing_outputs_keep_todays_errors():

@@ -4,8 +4,9 @@ Row counts straddle ``backends.CHUNK_ROWS`` (chunk - 1, chunk, chunk + 1,
 2 chunk + 3, and 1 and 4 chunk + 1 in the two-thread cases) with randomly
 interleaved output ids, so chunks hold unequal and sometimes single rows of
 an output.  References assemble or solve the whole matrix at once.  The
-passes run on ``features.run_chunks`` with no helper thread and with one,
-and give the same bits both ways.
+passes run on ``features.run_split`` (the predictions' through
+``features.run_chunks``) with no helper thread and with one, and give the
+same bits both ways.
 """
 
 import json
@@ -22,7 +23,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.linalg import cho_solve
 
-from lfmrff import backends, cli, features, predict
+from lfmrff import backends, cli, features, kernels, predict
 from lfmrff.features import (
     NumericsWarning,
     force_frequencies,
@@ -104,7 +105,8 @@ def helpers(request, monkeypatch):
 
 @pytest.fixture
 def splits(monkeypatch):
-    """(chunks, whether a helper took any) for each ``run_chunks`` pass that finishes."""
+    """(items, whether a helper took any) for each pass that finishes: ``feature_matrix``'s
+    pieces and the predictions' ``run_chunks`` chunks (not the objective's items)."""
     log = []
     split = features.run_split
 
@@ -121,6 +123,7 @@ def splits(monkeypatch):
         log.append((count, bool(helped)))
 
     monkeypatch.setattr(features, "run_split", traced)
+    monkeypatch.setattr(kernels, "run_split", traced)
     return log
 
 
@@ -129,12 +132,18 @@ def chunk_count(sizes):
     return sum(-(-size // CHUNK) for size in sizes)
 
 
-def assert_helper_took_long_passes(splits, helpers, chunks):
-    """The passes made ``chunks`` chunks each, and a helper, if allowed, took
-    part in each of SPLIT_MIN_ITEMS chunks or more, and only those."""
-    assert [count for count, _ in splits] == chunks
+def piece_count(output_ids, spec):
+    """Items of ``feature_matrix``'s pass: pieces of PIECE_ROWS // Q rows of each output's rows."""
+    step = max(1, backends.PIECE_ROWS // spec.num_forces)
+    return sum(-(-r.size // step) for r in output_rows(output_ids).values())
+
+
+def assert_helper_took_long_passes(splits, helpers, items):
+    """The passes made ``items`` items each, and a helper, if allowed, took
+    part in each of SPLIT_MIN_ITEMS items or more, and only those."""
+    assert [count for count, _ in splits] == items
     assert [helped for _, helped in splits] == [
-        helpers > 0 and count >= features.SPLIT_MIN_ITEMS for count in chunks]
+        helpers > 0 and count >= features.SPLIT_MIN_ITEMS for count in items]
 
 
 def interleaved(n, mogp, seed=0):
@@ -369,7 +378,7 @@ def test_latent_times_of_any_shape_predict_as_their_ravel():
 @pytest.mark.parametrize("sizes", [[1, CHUNK + 1, 0, 2], [2 * CHUNK + 3]])
 def test_chunks_restart_at_each_segment(sizes, helpers):
     seen = []
-    run_chunks(sizes, 0, lambda sl, rows: seen.append((sl.start, sl.stop)))
+    run_chunks(sizes, 1, lambda sl, rows: rows, lambda sl, rows: seen.append((sl.start, sl.stop)))
     chunks, start = [], 0
     for size in sizes:
         chunks += [(lo, min(start + size, lo + CHUNK)) for lo in range(start, start + size, CHUNK)]
@@ -402,7 +411,8 @@ def test_passes_have_the_same_bits_with_and_without_the_helper(case, rows, monke
     # feature_matrix's pass, then the predictions' (weight_posterior splits
     # the objective's items itself)
     forces = range(1, spec.num_forces + 1) if isinstance(spec, LfmSpec) else ()
-    passes = [chunk_count([rows])] + prediction_passes(spec, draws, data, times, forces)
+    passes = [piece_count(data.output_ids, spec)]
+    passes += prediction_passes(spec, draws, data, times, forces)
     posts = {}
     for h in (0, 1):
         monkeypatch.setattr(features, "_helper_count", lambda h=h: h)
@@ -450,7 +460,7 @@ def test_a_helper_runs_under_the_callers_error_state(monkeypatch):
         return rows
 
     with np.errstate(over="raise"):
-        run_chunks([8 * CHUNK], 0, fill)
+        run_chunks([8 * CHUNK], 1, fill, lambda sl, rows: None)
     assert seen and set(seen) == {"raise"}
 
 
@@ -689,6 +699,27 @@ def test_feature_matrix_and_objective_memory_near_what_they_keep():
     theta = pack(MEM_SPEC).values
     obj.value_and_gradient(theta)  # warm-up
     assert peak(obj.value_and_gradient, theta) <= 1800 * n
+
+
+# a 2-D MOGP, R = 200, whose test rows are always filled
+MEM_MOGP = MogpSpec(2, [2.0, 4.0], 2, [1.0, 1.5], [[1.0, 0.5], [0.8, 1.2]], [0.05, 0.05])
+MEM_MOGP_DRAWS = sample_spectral(50, 2, 2, seed=0)
+
+
+def mogp_data(n, seed):
+    rng = np.random.default_rng(seed)
+    return Dataset(rng.integers(1, 3, n), rng.uniform(-1.0, 1.0, (n, 2)), rng.normal(size=n))
+
+
+def test_filled_prediction_memory_is_flat_in_test_rows():
+    # the two sides' chunk work arrays, fills and products, and the
+    # per-row means, variances and row indices
+    state = weight_posterior(mogp_data(2000, 1), MEM_MOGP, MEM_MOGP_DRAWS)
+    fit = make_fit(MEM_MOGP, MEM_MOGP_DRAWS)
+    for n in (8000, 32000):
+        test = mogp_data(n, 2)
+        assert not basis_rows(MEM_MOGP, MEM_MOGP_DRAWS, test).any()
+        assert peak(predict_outputs, fit, state, test) <= 9e6
 
 
 def test_prediction_memory_is_flat_in_test_rows():
