@@ -57,4 +57,4 @@ from .mogp import (
 )
 from .predict import Posterior, nlpd, nmse, predict_latent_forces, predict_outputs
 
-__version__ = "0.16.0"
+__version__ = "0.17.0"

@@ -22,9 +22,12 @@ CSV convention (``output_id,t,y``).  Internal array indices are 0-based.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import math
+import os
+import signal
 import warnings
 from dataclasses import dataclass, fields
 
@@ -639,6 +642,17 @@ def _read_rows(path, body, width, ids=True):
     return (np.array(id_list, dtype=int) if ids else None), fields
 
 
+# ``write_csv_columns`` formats the second half of a table of this many
+# cells or more in a forked child.  The fork and the reap cost about 2.5 ms
+# each in a 140 MB process, and the child's copy-on-write faults slow this
+# process's half.  Six-column tables, in a 140 MB process on a 2-vCPU VM
+# (alternating, medians of 30-40): the child lost at 12000 cells (15.4
+# against 10.6 ms), about broke even at 18000 (22.5 against 23.5 ms in one
+# run, slower in 29 of 30 in another), and won at 24000 (26.7 against 31.5
+# ms, 36 of 40) and at 120000 (95 against 148 ms, 28 of 30).
+FORK_MIN_CELLS = 24_000
+
+
 def write_csv_columns(path, header, columns) -> None:
     """Write a CSV table given as a header and equal-length 1-D columns.
 
@@ -648,16 +662,103 @@ def write_csv_columns(path, header, columns) -> None:
     in CRLF.  For the numeric cells and plain header names written here
     the bytes equal those of ``csv.writer`` with ``repr``-formatted floats.
     No rows (or no columns) writes the header line only.
+
+    A table of ``FORK_MIN_CELLS`` cells or more is formatted on two CPUs
+    where the process may run on two (``features._helper_count``) and
+    ``os.fork`` exists: a forked child formats the second half of the rows
+    while this process writes the first, and sends its text back through
+    a pipe.  If the fork or the child fails, this process formats that
+    half itself, so the bytes are the same either way.  The child is
+    reaped before the call returns or raises.
     """
-    cells = [
-        map(repr if col.dtype.kind == "f" else str, col.tolist())
-        for col in map(np.asarray, columns)
-    ]
+    from . import features  # features imports this module
+
+    cols = [(repr if col.dtype.kind == "f" else str, col.tolist())
+            for col in map(np.asarray, columns)]
+    rows = half = len(cols[0][1]) if cols else 0
+    child = None
+    if (rows * len(cols) >= FORK_MIN_CELLS and hasattr(os, "fork")
+            and features._helper_count() > 0):
+        half = rows // 2
+        child = _ChildRows(cols, half, rows)
+    try:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            fh.write(",".join(header) + "\r\n")
+            fh.writelines(_row_lines(cols, 0, half))
+            text = child.text() if child else None
+            if text is None:
+                fh.writelines(_row_lines(cols, half, rows))
+            else:
+                fh.flush()
+                fh.buffer.write(text)
+    finally:
+        if child:
+            child.close()
+
+
+def _row_lines(cols, lo, hi):
+    """The CSV lines of rows [lo, hi) of ``(format, values)`` columns, each ending in CRLF."""
+    cells = [map(fmt, values[lo:hi]) for fmt, values in cols]
     if cells:
         cells[-1] = map("{}\r\n".format, cells[-1])
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\r\n")
-        fh.writelines(map(",".join, zip(*cells)))
+    return map(",".join, zip(*cells))
+
+
+class _ChildRows:
+    """Rows [lo, hi) of a table, formatted by a forked child and sent through a pipe.
+
+    The child sends the length of the rows' UTF-8 text as 8 bytes, then
+    the text, and leaves by ``os._exit``: it never returns into the
+    caller's stack and never flushes the stdio buffers it shares with this
+    process.  It runs only ``repr``, ``str``, ``join``, ``encode`` and
+    ``os.write``.
+    """
+
+    def __init__(self, cols, lo, hi):
+        self.pid, self.sent = None, False
+        self.fd, w = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            pass  # no child: text() returns None
+        if self.pid == 0:
+            status = 1
+            try:
+                os.close(self.fd)
+                text = "".join(_row_lines(cols, lo, hi)).encode()
+                for part in (len(text).to_bytes(8, "little"), text):
+                    view = memoryview(part)
+                    while view:
+                        view = view[os.write(w, view):]
+                # the reader sees the end of the text now, not after this
+                # process has released its memory
+                os.close(w)
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(w)
+
+    def text(self):
+        """A view of the child's text, or None if there is no child or it did not send all of it."""
+        if self.pid is None:
+            return None
+        with open(self.fd, "rb", closefd=False) as pipe:
+            data = pipe.read()
+        if len(data) != 8 + int.from_bytes(data[:8], "little"):
+            return None
+        self.sent = True
+        return memoryview(data)[8:]
+
+    def close(self):
+        """Reap the child, killed first unless it sent all its text, and close the pipe."""
+        if self.pid is not None:
+            # a process that ignores SIGCHLD has its children reaped for it
+            with contextlib.suppress(ProcessLookupError, ChildProcessError):
+                if not self.sent:
+                    os.kill(self.pid, signal.SIGKILL)
+                os.waitpid(self.pid, 0)
+            self.pid = None
+        os.close(self.fd)
 
 
 def write_dataset_csv(path, data: Dataset) -> None:

@@ -194,16 +194,19 @@ def predict_outputs(fit: FitResult, state: WeightPosterior, test: Dataset,
     rows = output_rows(test.output_ids)
     blocks = output_blocks(rows, spec, draws)
     mean, var = np.empty(len(test)), np.empty(len(test))
-    unresolved = []  # the rows of each output not in a basis
-    for d, r in rows.items():
-        x = test.inputs[r]
-        z = _coefficients(x, width, lambda u, block=blocks[d]: block.fill(u).view(float))
+
+    def in_basis(d, r):
+        """Predict output d's rows ``r`` in a Chebyshev basis; False if not resolved there."""
+        x = test.inputs[r]  # dropped on return, before the filled pass
+        z = _coefficients(x, width, lambda u: blocks[d].fill(u).view(float))
         if z is None:
-            unresolved.append(r)
-            continue
+            return False
         # Z C_d: the coefficients of output d's rows of Phi_c
         z = (z.view(complex) * output_scale(spec, fit.num_samples, d)).view(float)
         mean[r], var[r] = _basis_pass(x, z, m, l_inv_t)
+        return True
+
+    unresolved = [r for d, r in rows.items() if not in_basis(d, r)]  # the rows not in a basis
     if unresolved:
         at = np.concatenate(unresolved)
         step = max(1, backends.PIECE_ROWS // spec.num_forces)

@@ -59,7 +59,7 @@ def test_every_all_entry_exists(module):
 
 
 def test_version():
-    assert lfmrff.__version__ == "0.16.0"
+    assert lfmrff.__version__ == "0.17.0"
 
 
 def test_version_matches_pyproject():

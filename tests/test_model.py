@@ -1,12 +1,17 @@
 import csv
 import math
+import os
 import re
+import signal
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from lfmrff import features, model
 from lfmrff.model import (
     DataError,
     Dataset,
@@ -374,3 +379,160 @@ class TestColumnWriter:
     def test_empty_table_is_header_only(self, tmp_path, columns):
         write_csv_columns(tmp_path / "e.csv", ["output_id", "t"], columns)
         assert (tmp_path / "e.csv").read_bytes() == b"output_id,t\r\n"
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids ``os.fork`` returns to this process; the process may run on two CPUs."""
+    pids = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    monkeypatch.setattr(features, "_helper_count", lambda: 1)
+    return pids
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def raise_in_child(monkeypatch):
+    """Make the row formatter raise in a forked child only."""
+    parent, row_lines = os.getpid(), model._row_lines
+
+    def rows_or_raise(*args):
+        if os.getpid() != parent:
+            raise RuntimeError("formatter failed in the child")
+        return row_lines(*args)
+
+    monkeypatch.setattr(model, "_row_lines", rows_or_raise)
+
+
+def wide_table(rows, seed=0):
+    """Four columns of ``rows`` rows: ids, and floats of several magnitudes."""
+    rng = np.random.default_rng(seed + rows)
+    return [rng.integers(1, 12, rows), rng.uniform(0.0, 5.0, rows),
+            rng.normal(size=rows) * 10.0 ** rng.integers(-300, 300, rows), rng.normal(size=rows)]
+
+
+def reference_bytes(tmp_path, header, columns):
+    csv_writer_reference(tmp_path / "rows.csv", header,
+                         zip(*(np.asarray(col).tolist() for col in columns)))
+    return (tmp_path / "rows.csv").read_bytes()
+
+
+class TestForkedColumnWriter:
+    """Tables of ``model.FORK_MIN_CELLS`` cells or more: a forked child formats the second half."""
+
+    @pytest.mark.parametrize("delta", [-1, 0, 1, 1001], ids=["below", "at", "above", "odd"])
+    def test_same_bytes_with_and_without_the_child(self, tmp_path, forks, monkeypatch, delta):
+        header = ["output_id", "t", "mean", "var"]
+        columns = wide_table(model.FORK_MIN_CELLS // 4 + delta)
+        write_csv_columns(tmp_path / "two.csv", header, columns)
+        assert len(forks) == (delta >= 0)
+        monkeypatch.setattr(features, "_helper_count", lambda: 0)
+        write_csv_columns(tmp_path / "one.csv", header, columns)
+        assert len(forks) == (delta >= 0)
+        got = (tmp_path / "two.csv").read_bytes()
+        assert got == (tmp_path / "one.csv").read_bytes()
+        assert got == reference_bytes(tmp_path, header, columns)
+        assert_no_child_left()
+
+    def test_edge_values_and_int_columns(self, tmp_path, forks):
+        edges = [-0.0, 5e-324, np.nan, np.inf, -np.inf, 1e22, 0.1, -1.5e-308]
+        rows = model.FORK_MIN_CELLS // 3 + 1
+        floats = np.resize(edges, rows)
+        ints = np.resize([0, -7, 2**40, 1], rows)
+        header = ["id", "v", "w"]
+        columns = [ints, floats, floats[::-1].copy()]
+        write_csv_columns(tmp_path / "cols.csv", header, columns)
+        assert len(forks) == 1
+        got = (tmp_path / "cols.csv").read_bytes()
+        assert got == reference_bytes(tmp_path, header, columns)
+        child_rows = b"\r\n".join(got.split(b"\r\n")[1 + rows // 2 :])
+        for cell in (b"-0.0", b"5e-324", b"nan", b"-inf", b"1e+22", b"-1.5e-308", b"1099511627776"):
+            assert cell in child_rows
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("failure", ["raises", "sends-half", "no-fork"])
+    def test_a_failed_child_gives_the_same_bytes(self, tmp_path, forks, monkeypatch, failure):
+        parent = os.getpid()
+        if failure == "raises":
+            raise_in_child(monkeypatch)
+        elif failure == "sends-half":
+            write = os.write
+
+            def half_then_exit(fd, data):
+                if os.getpid() == parent or len(data) <= 8:  # the length goes through
+                    return write(fd, data)
+                write(fd, data[: len(data) // 2])
+                os._exit(0)
+
+            monkeypatch.setattr(os, "write", half_then_exit)
+        else:
+            def no_fork():
+                raise OSError("fork refused")
+
+            monkeypatch.setattr(os, "fork", no_fork)
+        header = ["output_id", "t", "mean", "var"]
+        columns = wide_table(model.FORK_MIN_CELLS // 4 + 3)
+        write_csv_columns(tmp_path / "cols.csv", header, columns)
+        assert len(forks) == (failure != "no-fork")
+        assert (tmp_path / "cols.csv").read_bytes() == reference_bytes(tmp_path, header, columns)
+        assert_no_child_left()
+
+    def test_no_child_outlives_a_failed_open(self, tmp_path, forks):
+        columns = wide_table(model.FORK_MIN_CELLS // 4)
+        with pytest.raises(OSError):
+            write_csv_columns(tmp_path, ["output_id", "t", "mean", "var"], columns)
+        assert len(forks) == 1
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("failure", [False, True], ids=["child-sends", "child-raises"])
+    def test_a_process_that_ignores_sigchld(self, tmp_path, forks, monkeypatch, failure):
+        # the kernel reaps the child itself, so waitpid finds no child
+        if failure:
+            raise_in_child(monkeypatch)
+        header = ["output_id", "t", "mean", "var"]
+        columns = wide_table(model.FORK_MIN_CELLS // 4)
+        previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+        try:
+            write_csv_columns(tmp_path / "cols.csv", header, columns)
+        finally:
+            signal.signal(signal.SIGCHLD, previous)
+        assert len(forks) == 1
+        assert (tmp_path / "cols.csv").read_bytes() == reference_bytes(tmp_path, header, columns)
+        assert_no_child_left()
+
+    def test_unflushed_text_is_printed_once(self, tmp_path):
+        # standard output is a pipe, so the text before the write stays in
+        # the buffer that the forked child shares
+        script = (
+            "import os, sys\n"
+            "import numpy as np\n"
+            "from lfmrff import features, model\n"
+            "features._helper_count = lambda: 1\n"
+            "forks, fork = [], os.fork\n"
+            "os.fork = lambda: forks.append(1) or fork()\n"
+            "print('before the write', end='')\n"
+            "rows = model.FORK_MIN_CELLS // 2\n"
+            "columns = [np.arange(rows), np.linspace(0, 1, rows)]\n"
+            "model.write_csv_columns(sys.argv[1], ['t', 'y'], columns)\n"
+            "print(f' and after; {len(forks)} fork')\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(model.__file__)))
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        child = subprocess.run([sys.executable, "-c", script, str(tmp_path / "t.csv")],
+                               env=env, capture_output=True, text=True, timeout=120, check=True)
+        assert child.stdout == "before the write and after; 1 fork\n"
+        rows = model.FORK_MIN_CELLS // 2
+        assert (tmp_path / "t.csv").read_bytes() == reference_bytes(
+            tmp_path, ["t", "y"], [np.arange(rows), np.linspace(0, 1, rows)])

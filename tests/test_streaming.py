@@ -569,11 +569,14 @@ def test_cli_predict_writes_the_same_bytes_with_and_without_the_helper(tmp_path,
 # S = 20, filled, and S = 50, reduced in a Chebyshev basis), one over the
 # fit.json that `lfmrff train` writes from argv[2] into argv[3], and one each
 # over the predictions.csv and latent_forces.csv that `lfmrff predict`
-# writes there from that fit at argv[2]'s rows, with argv[5]'s config.
+# writes there from that fit at argv[2]'s rows, with argv[5]'s config.  It
+# also counts the children that `lfmrff predict`'s CSV writer forks.
 CPU_COUNT_CHILD = """
 import hashlib, json, os, sys
 
 os.sched_setaffinity(0, json.loads(sys.argv[1]))
+fork, forks = os.fork, []
+os.fork = lambda: forks.append(1) or fork()
 
 import numpy as np
 
@@ -603,13 +606,15 @@ for outputs in (1, 2, 3):
 assert cli.main(["train", sys.argv[2], "--out-dir", sys.argv[3], "--samples", "50",
                  "--seed", "0", "--config", sys.argv[4]]) == 0
 fit_json = os.path.join(sys.argv[3], "fit.json")
+before = len(forks)
 assert cli.main(["predict", fit_json, sys.argv[2], "--out-dir", sys.argv[3],
                  "--config", sys.argv[5]]) == 0
 files = []
 for name in ("fit.json", "predictions.csv", "latent_forces.csv"):
     with open(os.path.join(sys.argv[3], name), "rb") as fh:
         files.append(hashlib.sha256(fh.read()).hexdigest())
-print(json.dumps([len(os.sched_getaffinity(0)), digest.hexdigest(), *files]))
+print(json.dumps([len(os.sched_getaffinity(0)), before, len(forks) - before,
+                  digest.hexdigest(), *files]))
 """
 
 
@@ -633,8 +638,11 @@ def test_objective_and_fit_have_the_same_bits_on_one_cpu_and_on_two(tmp_path):
              str(tmp_path / f"out{len(pinned)}"), str(cfg), str(lf_cfg)],
             env=env, capture_output=True, text=True, timeout=300, check=True)
         runs.append(json.loads(child.stdout.splitlines()[-1]))
-    assert [run[0] for run in runs] == [1, 2]
-    assert runs[0][1:] == runs[1][1:]
+    # (CPUs, forks before predict, forks in predict): on two CPUs the
+    # writer forked once for each table of 7000 rows, predictions.csv and
+    # latent_forces.csv, and nothing else forked
+    assert [run[:3] for run in runs] == [[1, 0, 0], [2, 0, 2]]
+    assert runs[0][3:] == runs[1][3:]
 
 
 def test_pole_on_a_frequency_warns_once_per_call():
